@@ -3,9 +3,10 @@
 Every error raised by this package derives from KlmomentsError so callers
 can catch the whole family at a pipeline boundary. The leaf classes mirror
 the failure modes of the arithmetic contracts: most signal a caller mistake
-(bad argument, missing data), while NotRational, DivisibilityFailure and
-RangeFailure signal that a quantity the underlying theory forces has come
-out wrong, i.e. an implementation bug or an identity that genuinely fails.
+(bad argument, missing data), while NotRational, NotReal,
+DivisibilityFailure, RangeFailure and IdentityFailure signal that a
+quantity the underlying theory forces has come out wrong, i.e. an
+implementation bug or an identity that genuinely fails.
 """
 
 
@@ -31,6 +32,10 @@ class ModulusMismatch(KlmomentsError):
 
 class NotRational(KlmomentsError):
     """A cyclotomic integer expected to be rational is not."""
+
+
+class NotReal(KlmomentsError):
+    """An enclosure of a quantity expected to be real excludes every real."""
 
 
 class ZeroParameter(KlmomentsError):
@@ -83,6 +88,10 @@ class DivisibilityFailure(KlmomentsError):
 
 class RangeFailure(KlmomentsError):
     """A trace quantity falls outside its proven spectral range."""
+
+
+class IdentityFailure(KlmomentsError):
+    """An exact table or orbit sum breaks an identity the theory forces."""
 
 
 class CacheMismatch(KlmomentsError):

@@ -52,7 +52,6 @@ from .moments import (
     MomentValue,
     PowerSumTable,
     power_sums_exact,
-    power_sums_float,
     power_sums_float_auto,
     sym_moment_girard,
 )
@@ -168,19 +167,19 @@ class MomentEngine:
         return MomentValue(p, d, mv.value, f"girard-{suffix}")
 
     def audit(self, rng: random.Random) -> None:
-        """Re-verify one float-path prime's sums at doubled precision."""
+        """Check one float-path prime's sums against the exact path."""
         if not self.float_primes:
             return
         p = rng.choice(sorted(set(self.float_primes)))
         known = [n for (tp, n) in self._tables if tp == p]
         nmax = max(known) if known else 8
-        first = self.table(p, nmax).to_convention(COMPLETED)
-        second = power_sums_float(p, nmax, 2 * self.precision_start)
-        for n in first.values:
-            if n in second.values and first.values[n] != second.values[n]:
+        got = self.table(p, nmax).to_convention(COMPLETED).values
+        want = power_sums_exact(p, nmax, COMPLETED, exact_limit=p).values
+        for n in range(1, nmax + 1):
+            if got.get(n) != want[n]:
                 raise KlmomentsError(
                     f"float audit mismatch at p={p}, n={n}: "
-                    f"{first.values[n]} vs {second.values[n]}"
+                    f"{got.get(n)} vs exact {want[n]}"
                 )
 
 
@@ -298,8 +297,9 @@ def evans_d5(
     """Degree 5: a(p) = (-m^5 - 1)/p^2 against the weight-3 CM structure.
 
     Divisibility by p^2 is required (DivisibilityFailure otherwise). The
-    report records: whether p also divides a(p) (true at CM-split primes
-    with principal-ideal obstruction, false in general), the weight-3 bound
+    report records: whether p also divides a(p) (true where a(p) = 0, as
+    at primes inert in Q(sqrt(-15)); false at every split prime <= 500,
+    where a(p) is the trace of an element of norm p^2), the weight-3 bound
     |a| <= 2p, and the vanishing a(p) = 0 forced at primes inert in
     Q(sqrt(-15)), i.e. with Jacobi symbol (p/15) = -1.
     """
@@ -494,7 +494,7 @@ def batch_report(
     Per-prime failures become error rows; the sweep never aborts. Rows are
     ordered by p regardless of execution order. When any prime used the
     float path, one of them (chosen by a seeded RNG for reproducibility) is
-    re-verified at doubled precision.
+    re-verified against the exact path.
     """
     if d not in _PIPELINES:
         raise ValueError(f"no pipeline for degree {d}; have {sorted(_PIPELINES)}")

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclotomic import CycInt, _cached_roots, approx_complex
-from .errors import BudgetExceeded, ZeroParameter
+from .errors import BudgetExceeded, NotReal, ZeroParameter
 from .ffprime import Prime, inverse_table
 
 DEFAULT_KLN_BUDGET = 10**10
@@ -208,5 +208,5 @@ def kl2_float(p: int, a: int, precision: int = 64) -> RealEnclosure:
     val = kl2_value(p, a)
     enc = approx_complex(val, max(precision, 53))
     if abs(enc.im_mid) > enc.radius:
-        raise AssertionError("imaginary part of a Kloosterman sum failed to cancel")
+        raise NotReal(f"imaginary part of Kl_2({p}; {a}) failed to cancel")
     return RealEnclosure(enc.re_lo, enc.re_hi)

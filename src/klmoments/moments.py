@@ -27,13 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from .cyclotomic import CycInt, _cached_roots, as_integer
 from .errors import (
     AmbiguousRounding,
     BudgetExceeded,
     ExactLimitExceeded,
+    IdentityFailure,
     MissingPowerSum,
     WrongConvention,
 )
@@ -87,16 +88,64 @@ class MomentValue:
     method: str
 
 
+def _orbit_representatives(p: int, n: int) -> list[int]:
+    """The least parameter of each Galois orbit of Kl_n(p; .).
+
+    sigma_k: zeta -> zeta**k sends Kl_n(p; a) to Kl_n(p; k**n * a)
+    (substitute x_i -> k x_i), so the orbits are the cosets of the n-th
+    powers in F_p^*. There are e = gcd(n, p - 1) of them, and the sum of
+    Kl_n(p; .)**d over the orbit of r is Tr(Kl_n(p; r)**d) / e: the trace
+    sums over all p - 1 conjugations, and each orbit member is reached e
+    times. Two parameters share a coset exactly when their ((p-1)/e)-th
+    powers agree.
+    """
+    e = gcd(n, p - 1)
+    reps: dict[int, int] = {}
+    for a in range(1, p):
+        reps.setdefault(pow(a, (p - 1) // e, p), a)
+        if len(reps) == e:
+            break
+    return list(reps.values())
+
+
+def _field_trace(x: CycInt) -> int:
+    """Tr of x from Q(zeta_p) to Q.
+
+    Tr(zeta**t) = -1 for t != 0, and the canonical form keeps coeffs[0] = 0.
+    """
+    return -sum(x.coeffs)
+
+
+def _orbit_sum(e: int, traces: int, what: str) -> int:
+    q, r = divmod(traces, e)
+    if r:
+        raise IdentityFailure(
+            f"{what}: orbit traces sum to {traces}, not a multiple of {e}"
+        )
+    return q
+
+
+def _check_power_sums(p: int, values: dict[int, int]) -> None:
+    """The restricted identities S_1 = 1 and S_2 = p^2 - p - 1."""
+    expected = {1: 1, 2: p * p - p - 1}
+    for n, want in expected.items():
+        if n in values and values[n] != want:
+            raise IdentityFailure(f"S_{n}({p}) = {values[n]}, the theory forces {want}")
+
+
 def power_sums_exact(
     p: int,
     nmax: int,
     convention: str = RESTRICTED,
     exact_limit: int = DEFAULT_EXACT_LIMIT,
 ) -> PowerSumTable:
-    """S_n(p) for n = 1..nmax by per-a cumulative products in Z[zeta_p].
+    """S_n(p) for n = 1..nmax from one power chain per Galois orbit.
 
-    Each partial sum over a is Galois-stable, hence rational; a NotRational
-    escape here means the ring arithmetic is broken.
+    Kl_2(p; .) has one orbit at p = 2 and two (squares, non-squares)
+    otherwise, so S_n(p) = sum over representatives r of
+    Tr(Kl_2(p; r)**n) / gcd(2, p - 1), computed in Z[zeta_p]. Every table
+    is checked against the parity of that sum, S_1 = 1 and
+    S_2 = p^2 - p - 1; a failure raises IdentityFailure.
     """
     p = Prime(p)
     if p > exact_limit:
@@ -105,15 +154,19 @@ def power_sums_exact(
         raise ValueError("nmax must be >= 1")
     if convention not in (RESTRICTED, COMPLETED):
         raise WrongConvention(f"unknown convention {convention!r}")
-    totals = [CycInt.zero(p) for _ in range(nmax + 1)]
-    for a in range(1, p):
-        base = kl2_counts(p, a).value()
+    reps = _orbit_representatives(p, 2)
+    traces = [0] * (nmax + 1)
+    for r in reps:
+        base = kl2_counts(p, r).value()
         cum = base
-        totals[1] = totals[1] + cum
+        traces[1] += _field_trace(cum)
         for n in range(2, nmax + 1):
             cum = cum * base
-            totals[n] = totals[n] + cum
-    values = {n: as_integer(totals[n]) for n in range(1, nmax + 1)}
+            traces[n] += _field_trace(cum)
+    values = {
+        n: _orbit_sum(len(reps), traces[n], f"S_{n}({p})") for n in range(1, nmax + 1)
+    }
+    _check_power_sums(p, values)
     if convention == COMPLETED:
         values = {n: v + (-1) ** n for n, v in values.items()}
     return PowerSumTable(p, convention, values, METHOD_EXACT)
@@ -271,7 +324,11 @@ def sym_moment_appendix8(p: int, table: PowerSumTable) -> MomentValue:
 def tensor_moment(
     p: int, n: int, d: int, budget: int = DEFAULT_KLN_BUDGET
 ) -> int:
-    """Tensor-power moment: sum over a of ((-1)**(n-1) Kl_n(p; a))**d."""
+    """Tensor-power moment: sum over a of ((-1)**(n-1) Kl_n(p; a))**d.
+
+    Summed over Galois orbits: one d-th power per coset of the n-th powers
+    (see _orbit_representatives).
+    """
     p = Prime(p)
     if d < 0:
         raise ValueError("d must be >= 0")
@@ -280,10 +337,9 @@ def tensor_moment(
     if n * p**3 > budget:
         raise BudgetExceeded(f"n*p^3 = {n * p**3} exceeds budget {budget}")
     sign = (-1) ** ((n - 1) * d)
-    total = CycInt.zero(p)
-    for a in range(1, p):
-        total = total + kln_value(p, a, n, budget) ** d
-    return sign * as_integer(total)
+    reps = _orbit_representatives(p, n)
+    traces = sum(_field_trace(kln_value(p, r, n, budget) ** d) for r in reps)
+    return sign * _orbit_sum(len(reps), traces, f"tensor moment n={n}, d={d} at p={p}")
 
 
 def sym_moment(

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from klmoments.evans import (
 )
 from klmoments.ffprime import jacobi_symbol, primes_in_range
 from klmoments.modforms import CoefficientTable, prime_coefficients, registry_expansion
-from klmoments.moments import sym_moment_girard
+from klmoments.moments import PowerSumTable, sym_moment_girard
 
 
 def checks_by_name(report):
@@ -257,6 +258,20 @@ class TestBatchReport:
         assert summary.errors == 0
         assert any(r.method == "girard-float" for r in rows)
         assert all(r.passed for r in rows)
+
+    def test_audit_catches_corrupted_float_table(self):
+        engine = MomentEngine(exact_limit=11)
+        engine.moment(13, 6)
+        assert engine.float_primes == [13]
+        good = engine._tables[(13, 6)]
+        engine.audit(random.Random(0))
+        # a neighbour in the same class mod p^2, and a table missing an n
+        shifted = {**good.values, 4: good.values[4] + 13**2}
+        dropped = {n: v for n, v in good.values.items() if n != 3}
+        for values in (shifted, dropped):
+            engine._tables[(13, 6)] = PowerSumTable(13, good.convention, values, good.method)
+            with pytest.raises(KlmomentsError, match="float audit mismatch at p=13"):
+                engine.audit(random.Random(0))
 
     def test_unknown_degree(self):
         with pytest.raises(ValueError):

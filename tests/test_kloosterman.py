@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from klmoments.cyclotomic import as_integer
-from klmoments.errors import BudgetExceeded, ZeroParameter
+from klmoments import kloosterman
+from klmoments.cyclotomic import ComplexEnclosure, as_integer
+from klmoments.errors import BudgetExceeded, KlmomentsError, NotReal, ZeroParameter
 from klmoments.ffprime import primes_in_range
 from klmoments.kloosterman import (
     kl2_counts,
@@ -98,6 +99,15 @@ class TestKl2Float:
     def test_known_rational_values(self):
         assert kl2_float(3, 1).contains(-1)
         assert kl2_float(3, 2).contains(2)
+
+    def test_imaginary_residue_is_typed_error(self, monkeypatch):
+        # an enclosure that excludes the real axis must surface as a
+        # KlmomentsError, which the CLI turns into its JSON error object
+        off_axis = ComplexEnclosure(Fraction(-1), Fraction(1), Fraction(1, 2))
+        monkeypatch.setattr(kloosterman, "approx_complex", lambda x, prec: off_axis)
+        with pytest.raises(NotReal) as info:
+            kl2_float(3, 1)
+        assert isinstance(info.value, KlmomentsError)
 
     def test_interval_paths_agree_enclosing_same_value(self):
         for p in primes_in_range(3, 61):

@@ -1,15 +1,20 @@
-import pytest
+from itertools import product
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from klmoments import moments
 from klmoments.cyclotomic import CycInt, as_integer
 from klmoments.errors import (
     AmbiguousRounding,
     BudgetExceeded,
     ExactLimitExceeded,
+    IdentityFailure,
     MissingPowerSum,
     WrongConvention,
 )
 from klmoments.ffprime import primes_in_range
-from klmoments.kloosterman import kl2_counts
+from klmoments.kloosterman import ExponentCounts, kl2_counts
 from klmoments.moments import (
     COMPLETED,
     RESTRICTED,
@@ -23,6 +28,87 @@ from klmoments.moments import (
     sym_moment_girard,
     tensor_moment,
 )
+
+
+def power_sums_per_a(p, nmax):
+    """Reference S_1..S_nmax: cumulative products of every Kl_2(p; a).
+
+    Each partial sum over a is Galois-stable, so as_integer doubles as a
+    check on the ring arithmetic.
+    """
+    totals = [CycInt.zero(p) for _ in range(nmax + 1)]
+    for a in range(1, p):
+        base = kl2_counts(p, a).value()
+        cum = base
+        totals[1] = totals[1] + cum
+        for n in range(2, nmax + 1):
+            cum = cum * base
+            totals[n] = totals[n] + cum
+    return {n: as_integer(totals[n]) for n in range(1, nmax + 1)}
+
+
+def lucas(n):
+    a, b = 2, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+class TestGaloisOrbits:
+    @given(
+        p=st.sampled_from(primes_in_range(2, 200)),
+        nmax=st.integers(min_value=1, max_value=13),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_orbit_form_equals_per_a_oracle(self, p, nmax):
+        assert power_sums_exact(p, nmax).values == power_sums_per_a(p, nmax)
+
+    def test_p2_single_value(self):
+        # Kl_2(2; 1) = psi(0) = 1: one orbit, no halving
+        assert power_sums_exact(2, 6).values == {n: 1 for n in range(1, 7)}
+
+    def test_p3_closed_form(self):
+        # Kl_2(3; 1) = -1 and Kl_2(3; 2) = 2
+        values = power_sums_exact(3, 8).values
+        assert values == {n: 2**n + (-1) ** n for n in range(1, 9)}
+
+    def test_p5_lucas_closed_form(self):
+        # Kl_2(5; a) = phi^-2, phi^2 on the squares and -2 phi, -2 psi on
+        # the non-squares, so S_n = L_2n + (-2)^n L_n
+        values = power_sums_exact(5, 10).values
+        assert values == {n: lucas(2 * n) + (-2) ** n * lucas(n) for n in range(1, 11)}
+
+    @pytest.mark.parametrize("p", [5, 7, 13, 31])
+    def test_corrupted_chain_fails_parity(self, monkeypatch, p):
+        # moving one unit of the non-residue's count from exponent 0 to
+        # exponent 1 shifts its trace by -p, so the orbit traces sum odd
+        def corrupted(q, a):
+            counts = list(kl2_counts(q, a).counts)
+            if a != 1:
+                counts[0] -= 1
+                counts[1] += 1
+            return ExponentCounts(q, a, 2, tuple(counts))
+
+        monkeypatch.setattr(moments, "kl2_counts", corrupted)
+        with pytest.raises(IdentityFailure, match="not a multiple of 2"):
+            power_sums_exact(p, 4)
+
+    @pytest.mark.parametrize("p", [5, 7, 13, 31])
+    def test_same_orbit_twice_fails_identities(self, monkeypatch, p):
+        # both chains on the square class: the traces stay even, and
+        # S_1 = 1 catches it
+        monkeypatch.setattr(moments, "kl2_counts", lambda q, a: kl2_counts(q, 1))
+        with pytest.raises(IdentityFailure, match="theory forces"):
+            power_sums_exact(p, 4)
+
+    def test_wrong_s2_fails_identities(self, monkeypatch):
+        # products off by the rational 1 shift each trace by -(p - 1):
+        # S_1 and the parity hold, S_2 = p^2 - p - 1 breaks
+        mul = CycInt.__mul__
+        one = CycInt.from_integer(7, 1)
+        monkeypatch.setattr(CycInt, "__mul__", lambda x, y: mul(x, y) - one)
+        with pytest.raises(IdentityFailure, match=r"S_2\(7\)"):
+            power_sums_exact(7, 2)
 
 
 class TestPowerSumsExact:
@@ -201,6 +287,22 @@ class TestTensorMoment:
             total = total + CycInt.from_coeffs(p, brute)
         # (-1)**(n-1) = +1 at n = 3, so the signs drop out
         assert tensor_moment(p, 3, 1) == as_integer(total)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_orbit_form_equals_per_a_brute_force(self, p):
+        for n in (2, 3, 4):
+            counts = [[0] * p for _ in range(p)]
+            for xs in product(range(1, p), repeat=n):
+                prod = 1
+                for x in xs:
+                    prod = prod * x % p
+                counts[prod][sum(xs) % p] += 1
+            for d in range(1, 6):
+                total = CycInt.zero(p)
+                for a in range(1, p):
+                    total = total + CycInt.from_coeffs(p, counts[a]) ** d
+                want = (-1) ** ((n - 1) * d) * as_integer(total)
+                assert tensor_moment(p, n, d) == want, (p, n, d)
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
