@@ -3,7 +3,7 @@ modular-form identities they satisfy, over prime fields."""
 
 __version__ = "0.1.0"
 
-from .cyclotomic import CycInt, approx_complex, as_integer, cyc_add, cyc_mul
+from .cyclotomic import CycInt, approx_complex, as_integer
 from .errors import KlmomentsError
 from .evans import (
     EvansReport,
@@ -16,12 +16,10 @@ from .evans import (
     trace_middle,
 )
 from .ffprime import (
-    FieldElem,
     Prime,
     double_factorial,
     is_prime,
     jacobi_symbol,
-    mod_inverse,
 )
 from .invariants import (
     GOOD,
@@ -50,7 +48,6 @@ from .moments import (
     power_sums_exact,
     power_sums_float,
     power_sums_float_auto,
-    sym_moment,
     sym_moment_appendix8,
     sym_moment_direct,
     sym_moment_girard,

@@ -10,8 +10,9 @@ One JSON document per (p, convention, method):
 Values are decimal strings so no consumer has to guess integer widths.
 Writes go to a temporary file in the same directory followed by an atomic
 rename; concurrent readers see either the old or the new complete file.
-The cache is advisory: unreadable or corrupt entries are discarded with a
-warning. What is never tolerated silently is disagreement between exact
+The cache is advisory: unreadable or corrupt entries, and entries that
+break the restricted identities S_1 = 1 or S_2 = p^2 - p - 1, are discarded
+with a warning. What is never tolerated silently is disagreement between exact
 and float records for the same (p, n) - that raises CacheMismatch.
 """
 
@@ -24,13 +25,14 @@ import os
 import tempfile
 from pathlib import Path
 
-from .errors import CacheMismatch
+from .errors import CacheMismatch, IdentityFailure
 from .moments import (
     COMPLETED,
     METHOD_EXACT,
     METHOD_FLOAT,
     RESTRICTED,
     PowerSumTable,
+    _check_power_sums,
 )
 
 log = logging.getLogger(__name__)
@@ -122,8 +124,12 @@ class PowerSumStore:
             if (doc["p"], doc["convention"], doc["method"]) != (p, convention, method):
                 raise ValueError("header does not match file name")
             values = {int(e["n"]): int(e["value"]) for e in doc["entries"]}
-            return PowerSumTable(p, convention, values, method)
-        except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+            table = PowerSumTable(p, convention, values, method)
+            _check_power_sums(p, table.to_convention(RESTRICTED).values)
+            return table
+        except (
+            OSError, ValueError, KeyError, TypeError, json.JSONDecodeError, IdentityFailure
+        ) as exc:
             log.warning("discarding corrupt cache entry %s: %s", path, exc)
             try:
                 path.unlink()

@@ -17,7 +17,6 @@ import sys
 from . import __version__
 from .cache import PowerSumStore
 from .config import RunConfig, make_config
-from .cyclotomic import set_ntt_threshold
 from .errors import KlmomentsError
 from .evans import MomentEngine, batch_report, reports_to_csv, reports_to_json
 from .ffprime import Prime
@@ -45,13 +44,12 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "csv", "json"), default="text")
     parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--no-cache", action="store_true")
-    parser.add_argument("--jobs", type=int, default=None)
+    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--deterministic", action="store_true",
                         help="force sequential evaluation")
     parser.add_argument("--exact-limit", type=int, default=257)
     parser.add_argument("--precision", type=int, default=64)
     parser.add_argument("--precision-cap", type=int, default=4096)
-    parser.add_argument("--ntt-min-p", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,9 +122,17 @@ def _emit(doc: dict, fmt: str, text_lines: list[str], csv_text: str | None = Non
             print(line)
 
 
+def _engine(config: RunConfig) -> MomentEngine:
+    """The moment engine, and its cache store, that the run's flags describe."""
+    store = PowerSumStore(config.cache_dir) if config.cache_dir else None
+    return MomentEngine(
+        config.exact_limit, config.precision_start, config.precision_cap, store
+    )
+
+
 def _cmd_sums(args, config: RunConfig) -> int:
     p = Prime(args.p)
-    store = PowerSumStore(config.cache_dir) if config.cache_dir else None
+    store = _engine(config).store
     tables = {}
     if args.method in ("exact", "both"):
         if store:
@@ -171,10 +177,7 @@ def _cmd_sums(args, config: RunConfig) -> int:
 
 
 def _cmd_moments(args, config: RunConfig) -> int:
-    store = PowerSumStore(config.cache_dir) if config.cache_dir else None
-    engine = MomentEngine(
-        config.exact_limit, config.precision_start, config.precision_cap, store
-    )
+    engine = _engine(config)
     mv = engine.moment(Prime(args.p), args.d)
     doc = {"p": args.p, "d": args.d, "value": str(mv.value), "method": mv.method}
     _emit(doc, config.fmt,
@@ -190,13 +193,9 @@ def _cmd_evans(args, config: RunConfig) -> int:
 
         with open(args.table) as fh:
             table = load_coefficient_table(fh.read())
-    store = PowerSumStore(config.cache_dir) if config.cache_dir else None
-    engine = MomentEngine(
-        config.exact_limit, config.precision_start, config.precision_cap, store
-    )
     rows, summary = batch_report(
         args.d, args.pmin, args.pmax,
-        engine=engine, table=table, jobs=config.jobs, audit_seed=config.audit_seed,
+        engine=_engine(config), table=table, jobs=config.jobs,
     )
     lines = [
         f"evans d={summary.d} primes in [{summary.pmin}, {summary.pmax}]: "
@@ -283,10 +282,7 @@ def _cmd_molien(args, config: RunConfig) -> int:
 def _cmd_trace(args, config: RunConfig) -> int:
     from .evans import EvenTrace, trace_middle
 
-    store = PowerSumStore(config.cache_dir) if config.cache_dir else None
-    engine = MomentEngine(
-        config.exact_limit, config.precision_start, config.precision_cap, store
-    )
+    engine = _engine(config)
     result = trace_middle(args.d, args.p, engine, strict=not args.rational)
     if isinstance(result, EvenTrace):
         lines = [
@@ -334,8 +330,6 @@ def main(argv: list[str] | None = None) -> int:
         config = make_config(args)
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
-    if config.ntt_min_p is not None:
-        set_ntt_threshold(config.ntt_min_p)
     try:
         return _COMMANDS[args.command](args, config)
     except (KlmomentsError, ValueError, OSError) as exc:
@@ -350,9 +344,6 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if config.ntt_min_p is not None:
-            set_ntt_threshold(None)
 
 
 if __name__ == "__main__":

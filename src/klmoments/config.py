@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,8 +19,6 @@ class RunConfig:
     cache_dir: Path | None = None
     fmt: str = "text"
     jobs: int = 1
-    ntt_min_p: int | None = None
-    audit_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.exact_limit < 3:
@@ -30,17 +27,13 @@ class RunConfig:
             raise ValueError("precision start exceeds cap")
         if self.fmt not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}")
-
-
-def default_jobs() -> int:
-    return os.cpu_count() or 1
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
 
 
 def make_config(args) -> RunConfig:
     """Build a RunConfig from parsed CLI arguments."""
-    jobs = getattr(args, "jobs", None)
-    if getattr(args, "deterministic", False):
-        jobs = 1
+    jobs = 1 if getattr(args, "deterministic", False) else getattr(args, "jobs", 1)
     if getattr(args, "no_cache", False):
         cache_dir = None
     else:
@@ -51,6 +44,5 @@ def make_config(args) -> RunConfig:
         precision_cap=getattr(args, "precision_cap", PRECISION_CAP),
         cache_dir=cache_dir,
         fmt=getattr(args, "format", "text"),
-        jobs=jobs if jobs else default_jobs(),
-        ntt_min_p=getattr(args, "ntt_min_p", None),
+        jobs=jobs,
     )

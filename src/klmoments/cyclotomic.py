@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import mpmath
@@ -23,18 +24,6 @@ import mpmath
 from . import convolve
 from .errors import ModulusMismatch, NotRational
 from .ffprime import Prime
-
-# Minimum prime length for which cyc_mul switches to the NTT kernel; None
-# keeps schoolbook convolution everywhere. Both kernels are exact and must
-# agree bit-for-bit.
-_ntt_min_p: int | None = None
-
-
-def set_ntt_threshold(min_p: int | None) -> None:
-    """Route products with p >= min_p through the NTT kernel (None = never)."""
-    global _ntt_min_p
-    _ntt_min_p = min_p
-
 
 def _canonical(coeffs: Sequence[int]) -> tuple[int, ...]:
     c0 = coeffs[0]
@@ -99,10 +88,7 @@ class CycInt:
 
     def __mul__(self, other: "CycInt") -> "CycInt":
         self._check(other)
-        if _ntt_min_p is not None and self.p >= _ntt_min_p:
-            prod = convolve.cyclic_convolve_ntt(self.coeffs, other.coeffs)
-        else:
-            prod = convolve.cyclic_convolve(self.coeffs, other.coeffs)
+        prod = convolve.cyclic_convolve(self.coeffs, other.coeffs)
         return CycInt(self.p, tuple(prod))
 
     def __pow__(self, n: int) -> "CycInt":
@@ -138,16 +124,6 @@ class CycInt:
 
     def __repr__(self) -> str:
         return f"CycInt(p={self.p}, coeffs={self.coeffs})"
-
-
-def cyc_add(x: CycInt, y: CycInt) -> CycInt:
-    """Canonical sum of two cyclotomic integers with the same conductor."""
-    return x + y
-
-
-def cyc_mul(x: CycInt, y: CycInt) -> CycInt:
-    """Canonical product, via cyclic convolution modulo X**p - 1."""
-    return x * y
 
 
 def as_integer(x: CycInt) -> int:
@@ -226,16 +202,9 @@ def unit_root_intervals(p: int, precision: int):
         iv.prec = old
 
 
-_ROOT_CACHE: dict[tuple[int, int], tuple[list, list]] = {}
-
-
+@lru_cache(maxsize=64)
 def _cached_roots(p: int, precision: int):
-    key = (p, precision)
-    if key not in _ROOT_CACHE:
-        if len(_ROOT_CACHE) > 64:
-            _ROOT_CACHE.clear()
-        _ROOT_CACHE[key] = unit_root_intervals(p, precision)
-    return _ROOT_CACHE[key]
+    return unit_root_intervals(p, precision)
 
 
 def approx_complex(x: CycInt, precision: int = 53) -> ComplexEnclosure:

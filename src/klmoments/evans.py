@@ -34,6 +34,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .errors import (
     DivisibilityFailure,
@@ -46,6 +47,7 @@ from .moments import (
     COMPLETED,
     DEFAULT_EXACT_LIMIT,
     METHOD_EXACT,
+    METHOD_FLOAT,
     PRECISION_CAP,
     PRECISION_START,
     RESTRICTED,
@@ -134,28 +136,33 @@ class MomentEngine:
     float_primes: list[int] = field(default_factory=list)
 
     def table(self, p: int, nmax: int) -> PowerSumTable:
+        """Restricted S_1..S_nmax at p: exact up to exact_limit, float beyond.
+
+        Exact tables are cached restricted, float tables completed (the
+        convention their congruence pins); either is read back from `store`.
+        """
         for (tp, tn), tab in self._tables.items():
             if tp == p and tn >= nmax:
                 return tab
         if p <= self.exact_limit:
-            if self.store is not None:
-                tab = self.store.get_or_compute(
-                    p,
-                    nmax,
-                    RESTRICTED,
-                    METHOD_EXACT,
-                    lambda: power_sums_exact(p, nmax, RESTRICTED, self.exact_limit),
-                )
-            else:
-                tab = power_sums_exact(p, nmax, RESTRICTED, self.exact_limit)
+            convention, method = RESTRICTED, METHOD_EXACT
+
+            def compute():
+                return power_sums_exact(p, nmax, RESTRICTED, self.exact_limit)
         else:
-            tab, _ = power_sums_float_auto(
-                p, nmax, self.precision_start, self.precision_cap
-            )
-            tab = tab.to_convention(RESTRICTED)
+            convention, method = COMPLETED, METHOD_FLOAT
+
+            def compute():
+                return power_sums_float_auto(
+                    p, nmax, self.precision_start, self.precision_cap
+                )[0]
+        if self.store is None:
+            tab = compute()
+        else:
+            tab = self.store.get_or_compute(p, nmax, convention, method, compute)
+        if method == METHOD_FLOAT:
             self.float_primes.append(p)
-            if self.store is not None:
-                self.store.store(tab.to_convention(COMPLETED))
+        tab = tab.to_convention(RESTRICTED)
         self._tables = {k: v for k, v in self._tables.items() if k[0] != p}
         self._tables[(p, nmax)] = tab
         return tab
@@ -166,13 +173,11 @@ class MomentEngine:
         suffix = "exact" if tab.method == METHOD_EXACT else "float"
         return MomentValue(p, d, mv.value, f"girard-{suffix}")
 
-    def audit(self, rng: random.Random) -> None:
-        """Check one float-path prime's sums against the exact path."""
+    def audit(self, rng: random.Random, nmax: int) -> None:
+        """Check S_1..S_nmax of one float-route prime against the exact path."""
         if not self.float_primes:
             return
         p = rng.choice(sorted(set(self.float_primes)))
-        known = [n for (tp, n) in self._tables if tp == p]
-        nmax = max(known) if known else 8
         got = self.table(p, nmax).to_convention(COMPLETED).values
         want = power_sums_exact(p, nmax, COMPLETED, exact_limit=p).values
         for n in range(1, nmax + 1):
@@ -462,22 +467,18 @@ class BatchSummary:
     errors: int
 
 
-def _run_one(args) -> EvansReport:
-    d, p, exact_limit, precision_start, precision_cap, registry_coeffs, table_text = args
-    engine = MomentEngine(exact_limit, precision_start, precision_cap)
-    kwargs = {}
-    if d == 6:
-        kwargs["registry_coeffs"] = registry_coeffs
-    if d in (5, 8) and table_text is not None:
-        from .modforms import load_coefficient_table
-
-        kwargs["table"] = load_coefficient_table(table_text)
+def _sweep_one(
+    engine: MomentEngine, d: int, kwargs: dict, p: int
+) -> tuple[EvansReport, bool]:
+    """Pipeline d at p with this engine, or an error row; and whether p
+    took the float route (a pool worker's engine is a copy)."""
     try:
-        return _PIPELINES[d](p, engine, **kwargs)
+        row = _PIPELINES[d](p, engine, **kwargs)
     except KlmomentsError as exc:
-        return EvansReport(
+        row = EvansReport(
             d, p, None, None, (), "none", "", error=f"{type(exc).__name__}: {exc}"
         )
+    return row, p in engine.float_primes
 
 
 def batch_report(
@@ -492,9 +493,11 @@ def batch_report(
     """Run one degree's pipeline over every admissible prime in [pmin, pmax].
 
     Per-prime failures become error rows; the sweep never aborts. Rows are
-    ordered by p regardless of execution order. When any prime used the
-    float path, one of them (chosen by a seeded RNG for reproducibility) is
-    re-verified against the exact path.
+    ordered by p regardless of execution order. With jobs > 1 the primes
+    are spread over min(jobs, #primes) worker processes, each running a
+    pickled copy of `engine` (settings, store, subclass). When any prime
+    used the float path, one of them (chosen by a seeded RNG for
+    reproducibility) is re-verified against the exact path.
     """
     if d not in _PIPELINES:
         raise ValueError(f"no pipeline for degree {d}; have {sorted(_PIPELINES)}")
@@ -507,58 +510,29 @@ def batch_report(
         if d == 8:
             primes = [p for p in primes if p >= 3]
     engine = engine or MomentEngine()
-    registry_coeffs = None
+    kwargs = {}
     if d == 6 and primes:
         from .modforms import REGISTRY, hecke_validate, prime_coefficients, registry_expansion
 
         series = registry_expansion(6, max(primes))
         form = REGISTRY[6]
         report = hecke_validate(series, form.weight, form.level, min(200, series.trunc))
-        if report.passed:
-            registry_coeffs = prime_coefficients(series, max(primes))
-    table_text = None
-    if table is not None:
-        from .modforms import table_to_json
-
-        table_text = table_to_json(table)
-
-    if jobs > 1 and len(primes) > 1:
-        args = [
-            (
-                d,
-                p,
-                engine.exact_limit,
-                engine.precision_start,
-                engine.precision_cap,
-                registry_coeffs,
-                table_text,
-            )
-            for p in primes
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_one, args))
-        engine.float_primes.extend(
-            r.p for r in rows if r.method.endswith("float")
+        kwargs["registry_coeffs"] = (
+            prime_coefficients(series, max(primes)) if report.passed else None
         )
-        engine.audit(random.Random(audit_seed))
+    if d in (5, 8) and table is not None:
+        kwargs["table"] = table
+
+    run = partial(_sweep_one, engine, d, kwargs)
+    workers = min(jobs, len(primes))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, primes))
+        engine.float_primes.extend(row.p for row, was_float in results if was_float)
     else:
-        rows = []
-        for p in primes:
-            kwargs = {}
-            if d == 6:
-                kwargs["registry_coeffs"] = registry_coeffs
-            if d in (5, 8) and table is not None:
-                kwargs["table"] = table
-            try:
-                rows.append(_PIPELINES[d](p, engine, **kwargs))
-            except KlmomentsError as exc:
-                rows.append(
-                    EvansReport(
-                        d, p, None, None, (), "none", "",
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
-        engine.audit(random.Random(audit_seed))
+        results = [run(p) for p in primes]
+    rows = [row for row, _ in results]
+    engine.audit(random.Random(audit_seed), d)
     rows.sort(key=lambda r: r.p)
     summary = BatchSummary(
         d,

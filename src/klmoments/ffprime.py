@@ -8,7 +8,6 @@ double factorials are fine).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
@@ -68,18 +67,6 @@ class Prime(int):
         return super().__new__(cls, value)
 
 
-@dataclass(frozen=True)
-class FieldElem:
-    """Element of F_p, stored as the canonical representative in [0, p)."""
-
-    modulus: Prime
-    value: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < self.modulus:
-            raise ValueError(f"{self.value} out of range for F_{self.modulus}")
-
-
 def inv_mod(a: int, p: int) -> int:
     """Inverse of a modulo the prime p."""
     a %= p
@@ -96,11 +83,6 @@ def inverse_table(p: int) -> list[int]:
     for x in range(2, p):
         inv[x] = (p - p // x) * inv[p % x] % p
     return inv
-
-
-def mod_inverse(x: FieldElem) -> FieldElem:
-    """Multiplicative inverse in F_p; raises ZeroInverse at 0."""
-    return FieldElem(x.modulus, inv_mod(x.value, x.modulus))
 
 
 def jacobi_symbol(a: int, n: int) -> int:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,15 +24,7 @@ from .ffprime import Prime, inverse_table
 
 DEFAULT_KLN_BUDGET = 10**10
 
-_INV_CACHE: dict[int, list[int]] = {}
-
-
-def _cached_inverse_table(p: int) -> list[int]:
-    if p not in _INV_CACHE:
-        if len(_INV_CACHE) > 64:
-            _INV_CACHE.clear()
-        _INV_CACHE[p] = inverse_table(p)
-    return _INV_CACHE[p]
+_cached_inverse_table = lru_cache(maxsize=64)(inverse_table)
 
 
 @dataclass(frozen=True)
@@ -70,15 +63,14 @@ def kl2_value(p: int, a: int) -> CycInt:
     return kl2_counts(p, a).value()
 
 
-def _kln_table(p: int, n: int, budget: int) -> list[list[int]]:
+@lru_cache(maxsize=32)
+def _kln_table(p: int, n: int) -> list[list[int]]:
     """Joint DP over (partial product, partial sum); rows indexed by a.
 
     N_{k+1}(b, t) = sum over x of N_k(b * x^{-1}, t - x); total work
     O(n * p^3). Counts can exceed int64 for large n, so the DP runs mod
     several word-sized primes and lifts by CRT (the recurrence is linear).
     """
-    if n * p**3 > budget:
-        raise BudgetExceeded(f"n*p^3 = {n * p**3} exceeds budget {budget}")
     inv = _cached_inverse_table(p)
     max_count = (p - 1) ** (n - 1)
     if max_count * p < 2**62:
@@ -138,9 +130,6 @@ def _prod(xs) -> int:
     return out
 
 
-_KLN_CACHE: dict[tuple[int, int], list[list[int]]] = {}
-
-
 def kln_counts(p: int, a: int, n: int, budget: int = DEFAULT_KLN_BUDGET) -> ExponentCounts:
     """Exponent distribution of the n-variable sum, n >= 2; O(n*p^3) once per (p, n)."""
     p = Prime(p)
@@ -149,12 +138,9 @@ def kln_counts(p: int, a: int, n: int, budget: int = DEFAULT_KLN_BUDGET) -> Expo
     a %= p
     if a == 0:
         raise ZeroParameter("Kl_n(p; 0) is excluded")
-    key = (int(p), n)
-    if key not in _KLN_CACHE:
-        if len(_KLN_CACHE) > 32:
-            _KLN_CACHE.clear()
-        _KLN_CACHE[key] = _kln_table(p, n, budget)
-    return ExponentCounts(p, a, n, tuple(_KLN_CACHE[key][a]))
+    if n * p**3 > budget:
+        raise BudgetExceeded(f"n*p^3 = {n * p**3} exceeds budget {budget}")
+    return ExponentCounts(p, a, n, tuple(_kln_table(int(p), n)[a]))
 
 
 def kln_value(p: int, a: int, n: int, budget: int = DEFAULT_KLN_BUDGET) -> CycInt:

@@ -341,26 +341,3 @@ def tensor_moment(
     traces = sum(_field_trace(kln_value(p, r, n, budget) ** d) for r in reps)
     return sign * _orbit_sum(len(reps), traces, f"tensor moment n={n}, d={d} at p={p}")
 
-
-def sym_moment(
-    p: int,
-    d: int,
-    exact_limit: int = DEFAULT_EXACT_LIMIT,
-    precision_start: int = PRECISION_START,
-    precision_cap: int = PRECISION_CAP,
-    table: PowerSumTable | None = None,
-) -> MomentValue:
-    """m^d_2(p) via the configured route: exact girard when p is within the
-    exact limit, float-congruence girard beyond it."""
-    if table is not None and table.p == p:
-        restricted = table.to_convention(RESTRICTED)
-        if all(n in restricted.values for n in range(d % 2 if d % 2 else 2, d + 1, 2)) or d == 0:
-            mv = sym_moment_girard(p, d, restricted)
-            suffix = "exact" if restricted.method == METHOD_EXACT else "float"
-            return MomentValue(p, d, mv.value, f"girard-{suffix}")
-    if p <= exact_limit:
-        t = power_sums_exact(p, max(d, 1), RESTRICTED, exact_limit)
-        return MomentValue(p, d, sym_moment_girard(p, d, t).value, "girard-exact")
-    t, _ = power_sums_float_auto(p, max(d, 1), precision_start, precision_cap)
-    value = sym_moment_girard(p, d, t.to_convention(RESTRICTED)).value
-    return MomentValue(p, d, value, "girard-float")

@@ -54,6 +54,19 @@ class TestCorruption:
             assert store.load(5, RESTRICTED, METHOD_EXACT) is None
         assert "checksum" in caplog.text
 
+    @pytest.mark.parametrize("convention", [RESTRICTED, COMPLETED])
+    def test_identity_breaking_entry_discarded(self, store, caplog, convention):
+        # a valid checksum over a wrong S_2, as a float table would be cached
+        good = power_sums_exact(13, 4).to_convention(convention)
+        path = store.store(
+            PowerSumTable(13, convention, {**good.values, 2: good.values[2] + 13**2},
+                          METHOD_FLOAT)
+        )
+        with caplog.at_level("WARNING"):
+            assert store.load(13, convention, METHOD_FLOAT) is None
+        assert "S_2(13)" in caplog.text
+        assert not path.exists()
+
 
 class TestCrossMethodConsistency:
     def test_agreeing_records_load(self, store):
@@ -72,7 +85,7 @@ class TestCrossMethodConsistency:
         exact = power_sums_exact(7, 4)
         store.store(PowerSumTable(7, RESTRICTED, exact.values, METHOD_EXACT))
         wrong = dict(exact.values)
-        wrong[2] += 1
+        wrong[3] += 1  # S_1 and S_2 intact, so only the agreement check sees it
         store.store(PowerSumTable(7, RESTRICTED, wrong, METHOD_FLOAT))
         with pytest.raises(CacheMismatch):
             store.load(7, RESTRICTED, METHOD_EXACT)
@@ -109,10 +122,11 @@ class TestGetOrCompute:
         assert set(table.values) == set(range(1, 7))
 
     def test_recompute_disagreement_raises(self, store):
-        store.store(PowerSumTable(11, RESTRICTED, {1: 999}, METHOD_EXACT))
+        # S_1 and S_2 intact, so the entry loads and only S_3 disagrees
+        store.store(PowerSumTable(11, RESTRICTED, {1: 1, 2: 109, 3: 999}, METHOD_EXACT))
         with pytest.raises(CacheMismatch):
             store.get_or_compute(
-                11, 2, RESTRICTED, METHOD_EXACT, lambda: power_sums_exact(11, 2)
+                11, 4, RESTRICTED, METHOD_EXACT, lambda: power_sums_exact(11, 4)
             )
 
 

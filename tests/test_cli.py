@@ -117,6 +117,29 @@ class TestEvans:
         assert code2 == 0
         assert cold == warm
 
+    def test_jobs_do_not_change_output_or_cache(self, capsys, tmp_path):
+        argv = ("evans", "--d", "5", "--pmin", "2", "--pmax", "40",
+                "--exact-limit", "11", "--format", "json")
+        outs, caches = [], []
+        for jobs in ("1", "2"):
+            cache_dir = tmp_path / f"jobs{jobs}"
+            code, out, _ = run(capsys, *argv, "--jobs", jobs, "--cache-dir", str(cache_dir))
+            assert code == 0
+            outs.append(out)
+            caches.append({
+                path.name: path.read_bytes() for path in (cache_dir / "sums").glob("*.json")
+            })
+        assert '"method": "girard-float"' in outs[0]
+        assert outs[0] == outs[1]
+        assert caches[0] == caches[1]
+        assert "p37-completed-float-congruence.json" in caches[0]
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_usage_error(self, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["evans", "--d", "8", "--pmin", "3", "--pmax", "5", "--jobs", jobs])
+        assert exc.value.code == 2
+
     def test_table_flag(self, capsys, tmp_path):
         table = CoefficientTable("d8", 6, 6, 1, {5: -66, 7: 176})
         path = tmp_path / "d8.json"

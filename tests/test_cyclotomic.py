@@ -4,14 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from klmoments import convolve
-from klmoments.cyclotomic import (
-    CycInt,
-    approx_complex,
-    as_integer,
-    cyc_add,
-    cyc_mul,
-    set_ntt_threshold,
-)
+from klmoments.cyclotomic import CycInt, approx_complex, as_integer
 from klmoments.errors import ModulusMismatch, NotRational
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -36,17 +29,17 @@ class TestCanonicalForm:
                 assert shifted == x
 
     def test_zeta_plus_zeta_squared(self):
-        s = cyc_add(CycInt.zeta_power(3, 1), CycInt.zeta_power(3, 2))
+        s = CycInt.zeta_power(3, 1) + CycInt.zeta_power(3, 2)
         assert s.coeffs == (0, 1, 1)
 
     def test_additive_identity(self):
         x = CycInt.from_coeffs(7, range(7))
-        assert cyc_add(x, CycInt.zero(7)) == x
+        assert x + CycInt.zero(7) == x
 
     def test_vanishing_full_sum(self):
         ones = CycInt.from_coeffs(3, (1, 1, 1))
         z = CycInt.zeta_power(3, 1)
-        assert cyc_add(ones, z) == z
+        assert ones + z == z
 
 
 class TestMultiplication:
@@ -54,22 +47,22 @@ class TestMultiplication:
         for p in (3, 7):
             z = CycInt.zeta_power(p, 1)
             zinv = CycInt.zeta_power(p, p - 1)
-            assert cyc_mul(z, zinv) == CycInt.from_integer(p, 1)
+            assert z * zinv == CycInt.from_integer(p, 1)
 
     def test_multiplicative_identity(self):
         x = CycInt.from_coeffs(5, (0, 2, -1, 7, 0))
-        assert cyc_mul(x, CycInt.from_integer(5, 1)) == x
+        assert x * CycInt.from_integer(5, 1) == x
 
     def test_square_of_zeta_plus_zeta2_is_one(self):
         # (zeta + zeta^2)^2 = zeta^2 + 2 + zeta = -1 + 2 = 1 at p = 3
-        x = cyc_add(CycInt.zeta_power(3, 1), CycInt.zeta_power(3, 2))
-        assert as_integer(cyc_mul(x, x)) == 1
+        x = CycInt.zeta_power(3, 1) + CycInt.zeta_power(3, 2)
+        assert as_integer(x * x) == 1
 
     def test_modulus_mismatch(self):
         with pytest.raises(ModulusMismatch):
-            cyc_mul(CycInt.zeta_power(3, 1), CycInt.zeta_power(5, 1))
+            CycInt.zeta_power(3, 1) * CycInt.zeta_power(5, 1)
         with pytest.raises(ModulusMismatch):
-            cyc_add(CycInt.zeta_power(3, 1), CycInt.zeta_power(5, 1))
+            CycInt.zeta_power(3, 1) + CycInt.zeta_power(5, 1)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -123,17 +116,6 @@ class TestNttBackend:
                 a = [rng.randrange(-scale, scale) for _ in range(p)]
                 b = [rng.randrange(-scale, scale) for _ in range(p)]
                 assert convolve.cyclic_convolve(a, b) == convolve.cyclic_convolve_ntt(a, b)
-
-    def test_threshold_switch(self):
-        rng = random.Random(13)
-        x = random_elem(rng, 31, span=50)
-        y = random_elem(rng, 31, span=50)
-        plain = x * y
-        set_ntt_threshold(31)
-        try:
-            assert x * y == plain
-        finally:
-            set_ntt_threshold(None)
 
 
 class TestAsInteger:

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from klmoments import evans
+from klmoments.cache import PowerSumStore
 from klmoments.errors import DivisibilityFailure, KlmomentsError
 from klmoments.evans import (
     EvenTrace,
@@ -23,6 +25,31 @@ from klmoments.moments import PowerSumTable, sym_moment_girard
 
 def checks_by_name(report):
     return {c.name: c.passed for c in report.checks}
+
+
+class FailAt13Engine(MomentEngine):
+    """Module level, so a process pool can unpickle it."""
+
+    def moment(self, p, d):
+        if p == 13:
+            raise KlmomentsError("induced failure")
+        return super().moment(p, d)
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps inline."""
+
+    def __init__(self, max_workers, requested):
+        requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
 
 
 class TestTraceMiddle:
@@ -264,14 +291,56 @@ class TestBatchReport:
         engine.moment(13, 6)
         assert engine.float_primes == [13]
         good = engine._tables[(13, 6)]
-        engine.audit(random.Random(0))
+        engine.audit(random.Random(0), 6)
         # a neighbour in the same class mod p^2, and a table missing an n
         shifted = {**good.values, 4: good.values[4] + 13**2}
         dropped = {n: v for n, v in good.values.items() if n != 3}
         for values in (shifted, dropped):
             engine._tables[(13, 6)] = PowerSumTable(13, good.convention, values, good.method)
             with pytest.raises(KlmomentsError, match="float audit mismatch at p=13"):
-                engine.audit(random.Random(0))
+                engine.audit(random.Random(0), 6)
+
+    def test_parallel_audit_uses_the_degree(self, monkeypatch):
+        # the workers' tables stay in the workers, so the parent's audit
+        # recomputes its prime: at the sweep's nmax, not a fixed 8
+        asked = []
+        real = evans.power_sums_float_auto
+
+        def recording(p, nmax, *args):
+            asked.append(nmax)
+            return real(p, nmax, *args)
+
+        monkeypatch.setattr(evans, "power_sums_float_auto", recording)
+        engine = MomentEngine(exact_limit=11)
+        rows, summary = batch_report(6, 2, 31, engine=engine, jobs=2)
+        assert summary.errors == 0
+        assert asked and max(asked) <= 6
+
+    def test_pool_runs_the_callers_engine(self, tmp_path):
+        store = PowerSumStore(tmp_path)
+        engine = FailAt13Engine(exact_limit=11, store=store)
+        rows, summary = batch_report(8, 3, 17, engine=engine, jobs=2)
+        assert [r.p for r in rows if r.error is not None] == [13]
+        assert summary.errors == 1
+        cached = sorted(path.name for path in (tmp_path / "sums").glob("*.json"))
+        assert cached == [
+            "p11-restricted-exact-cyclotomic.json",
+            "p17-completed-float-congruence.json",
+            "p3-restricted-exact-cyclotomic.json",
+            "p5-restricted-exact-cyclotomic.json",
+            "p7-restricted-exact-cyclotomic.json",
+        ]
+
+    def test_workers_capped_at_prime_count(self, monkeypatch):
+        requested = []
+        monkeypatch.setattr(
+            evans, "ProcessPoolExecutor",
+            lambda max_workers: InlinePool(max_workers, requested),
+        )
+        rows, _ = batch_report(8, 3, 7, jobs=64)
+        assert [r.p for r in rows] == [3, 5, 7] and requested == [3]
+        rows, _ = batch_report(8, 3, 3, jobs=64)
+        assert [r.p for r in rows] == [3] and requested == [3]
 
     def test_unknown_degree(self):
         with pytest.raises(ValueError):
@@ -279,13 +348,13 @@ class TestBatchReport:
 
 
 class TestEngineCache:
-    def test_engine_persists_and_reuses_tables(self, tmp_path):
-        from klmoments.cache import PowerSumStore
-
+    def test_engine_persists_and_reuses_tables(self, tmp_path, monkeypatch):
         store = PowerSumStore(tmp_path)
-        first = MomentEngine(store=store)
-        v1 = first.moment(13, 8).value
-        assert store.load(13, "restricted", "exact-cyclotomic") is not None
+        first = MomentEngine(exact_limit=11, store=store)
+        v_exact = first.moment(11, 8).value
+        v_float = first.moment(13, 8).value
+        assert store.load(11, "restricted", "exact-cyclotomic") is not None
+        assert store.load(13, "completed", "float-congruence") is not None
 
         calls = []
         orig = PowerSumStore.get_or_compute
@@ -297,13 +366,27 @@ class TestEngineCache:
 
             return orig(self, p, nmax, convention, method, wrapped)
 
-        PowerSumStore.get_or_compute = counting
-        try:
-            second = MomentEngine(store=store)
-            assert second.moment(13, 8).value == v1
-        finally:
-            PowerSumStore.get_or_compute = orig
+        def no_float(*args):
+            raise AssertionError("a warm engine recomputed a float table")
+
+        monkeypatch.setattr(PowerSumStore, "get_or_compute", counting)
+        monkeypatch.setattr(evans, "power_sums_float_auto", no_float)
+        second = MomentEngine(exact_limit=11, store=store)
+        assert second.moment(11, 8).value == v_exact
+        assert second.moment(13, 8).value == v_float
         assert calls == []  # warm cache: no recomputation
+        # a float table read back from the cache is still audited
+        assert second.float_primes == [13]
+        audited = []
+        real_exact = evans.power_sums_exact
+
+        def recording(p, *args, **kwargs):
+            audited.append(p)
+            return real_exact(p, *args, **kwargs)
+
+        monkeypatch.setattr(evans, "power_sums_exact", recording)
+        second.audit(random.Random(0), 8)
+        assert audited == [13]
 
 
 class TestSerialization:

@@ -3,13 +3,11 @@ from hypothesis import given, strategies as st
 
 from klmoments.errors import EvenInput, EvenModulus, ZeroInverse
 from klmoments.ffprime import (
-    FieldElem,
     Prime,
     double_factorial,
     inv_mod,
     is_prime,
     jacobi_symbol,
-    mod_inverse,
     primes_in_range,
 )
 
@@ -37,31 +35,23 @@ class TestPrimality:
         assert primes_in_range(2, 2) == [2]
 
 
-class TestFieldElem:
-    def test_range_validation(self):
-        FieldElem(Prime(7), 6)
-        with pytest.raises(ValueError):
-            FieldElem(Prime(7), 7)
-        with pytest.raises(ValueError):
-            FieldElem(Prime(7), -1)
-
-
 class TestModInverse:
     def test_identity(self):
-        assert mod_inverse(FieldElem(Prime(7), 1)).value == 1
+        assert inv_mod(1, 7) == 1
 
     def test_example(self):
-        assert mod_inverse(FieldElem(Prime(7), 3)).value == 5
+        assert inv_mod(3, 7) == 5
 
     def test_zero(self):
         with pytest.raises(ZeroInverse):
-            mod_inverse(FieldElem(Prime(5), 0))
+            inv_mod(0, 5)
+        with pytest.raises(ZeroInverse):
+            inv_mod(10, 5)
 
     def test_involution(self):
         for p in (3, 5, 7, 11, 101):
             for a in range(1, p):
-                x = FieldElem(Prime(p), a)
-                assert mod_inverse(mod_inverse(x)) == x
+                assert inv_mod(inv_mod(a, p), p) == a
                 assert a * inv_mod(a, p) % p == 1
 
 

@@ -86,6 +86,13 @@ class TestKlnCounts:
         with pytest.raises(BudgetExceeded):
             kln_counts(211, 1, 10**6)
 
+    def test_budget_guard_on_cached_table(self):
+        kln_counts(7, 1, 3)
+        with pytest.raises(BudgetExceeded):
+            kln_counts(7, 1, 3, budget=10)
+        with pytest.raises(BudgetExceeded):
+            kln_counts(11, 1, 3, budget=10)
+
     def test_zero_parameter(self):
         with pytest.raises(ZeroParameter):
             kln_counts(5, 0, 3)

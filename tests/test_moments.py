@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from klmoments import moments
+from klmoments import evans, moments
 from klmoments.cyclotomic import CycInt, as_integer
 from klmoments.errors import (
     AmbiguousRounding,
@@ -13,6 +13,7 @@ from klmoments.errors import (
     MissingPowerSum,
     WrongConvention,
 )
+from klmoments.evans import MomentEngine
 from klmoments.ffprime import primes_in_range
 from klmoments.kloosterman import ExponentCounts, kl2_counts
 from klmoments.moments import (
@@ -22,7 +23,6 @@ from klmoments.moments import (
     power_sums_exact,
     power_sums_float,
     power_sums_float_auto,
-    sym_moment,
     sym_moment_appendix8,
     sym_moment_direct,
     sym_moment_girard,
@@ -317,30 +317,32 @@ class TestLargePrimePaths:
         exact = power_sums_exact(263, 4, COMPLETED, exact_limit=263)
         assert flt.values == exact.values
 
-    def test_ntt_backend_in_pipeline_at_521(self):
-        from klmoments.cyclotomic import set_ntt_threshold
-
-        set_ntt_threshold(512)
-        try:
-            t = power_sums_exact(521, 2, exact_limit=521)
-        finally:
-            set_ntt_threshold(None)
-        assert t.values[1] == 1
-        assert t.values[2] == 521 * 521 - 521 - 1
-
 
 class TestMomentSelector:
+    # MomentEngine is the one exact-versus-float router
     def test_exact_route(self):
-        mv = sym_moment(5, 8)
+        engine = MomentEngine()
+        mv = engine.moment(5, 8)
         assert mv.value == sym_moment_direct(5, 8).value
         assert mv.method == "girard-exact"
+        assert engine.float_primes == []
 
     def test_float_route(self):
-        mv = sym_moment(11, 4, exact_limit=7)
+        engine = MomentEngine(exact_limit=7)
+        mv = engine.moment(11, 4)
         assert mv.method == "girard-float"
         assert mv.value == -1 - 121
+        assert engine.float_primes == [11]
 
-    def test_supplied_table_used(self):
+    def test_supplied_table_used(self, monkeypatch):
         t = power_sums_exact(7, 8)
-        mv = sym_moment(7, 6, table=t)
+        engine = MomentEngine()
+        engine._tables[(7, 8)] = t
+
+        def no_recompute(*args):
+            raise AssertionError("a seeded table must not be recomputed")
+
+        monkeypatch.setattr(evans, "power_sums_exact", no_recompute)
+        mv = engine.moment(7, 6)
         assert mv.value == sym_moment_girard(7, 6, t).value
+        assert mv.method == "girard-exact"
