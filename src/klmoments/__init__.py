@@ -3,7 +3,7 @@ modular-form identities they satisfy, over prime fields."""
 
 __version__ = "0.1.0"
 
-from .cyclotomic import CycInt, approx_complex, as_integer
+from .cyclotomic import CycInt, as_integer
 from .errors import KlmomentsError
 from .evans import (
     EvansReport,

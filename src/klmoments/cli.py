@@ -32,6 +32,7 @@ from .modforms import EtaQuotient, eta_quotient_series
 from .moments import (
     COMPLETED,
     METHOD_EXACT,
+    METHOD_FLOAT,
     RESTRICTED,
     power_sums_exact,
     power_sums_float_auto,
@@ -45,8 +46,6 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--no-cache", action="store_true")
     parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--deterministic", action="store_true",
-                        help="force sequential evaluation")
     parser.add_argument("--exact-limit", type=int, default=257)
     parser.add_argument("--precision", type=int, default=64)
     parser.add_argument("--precision-cap", type=int, default=4096)
@@ -134,23 +133,22 @@ def _cmd_sums(args, config: RunConfig) -> int:
     p = Prime(args.p)
     store = _engine(config).store
     tables = {}
-    if args.method in ("exact", "both"):
+
+    def lookup(name, convention, method, compute):
         if store:
-            tables["exact"] = store.get_or_compute(
-                p, args.nmax, RESTRICTED, METHOD_EXACT,
-                lambda: power_sums_exact(p, args.nmax, RESTRICTED, config.exact_limit),
-            ).to_convention(args.convention)
+            tab = store.get_or_compute(p, args.nmax, convention, method, compute)
         else:
-            tables["exact"] = power_sums_exact(
-                p, args.nmax, RESTRICTED, config.exact_limit
-            ).to_convention(args.convention)
+            tab = compute()
+        tables[name] = tab.to_convention(args.convention)
+
+    if args.method in ("exact", "both"):
+        lookup("exact", RESTRICTED, METHOD_EXACT,
+               lambda: power_sums_exact(p, args.nmax, RESTRICTED, config.exact_limit))
     if args.method in ("float", "both"):
-        tab, used = power_sums_float_auto(
-            p, args.nmax, config.precision_start, config.precision_cap
-        )
-        if store:
-            store.store(tab)
-        tables["float"] = tab.to_convention(args.convention)
+        lookup("float", COMPLETED, METHOD_FLOAT,
+               lambda: power_sums_float_auto(
+                   p, args.nmax, config.precision_start, config.precision_cap
+               )[0])
     if len(tables) == 2:
         for n in range(1, args.nmax + 1):
             if tables["exact"].values[n] != tables["float"].values[n]:

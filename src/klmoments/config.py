@@ -23,6 +23,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.exact_limit < 3:
             raise ValueError("exact_limit must be >= 3")
+        if self.precision_start < 1:
+            raise ValueError("precision must be >= 1")
         if self.precision_start > self.precision_cap:
             raise ValueError("precision start exceeds cap")
         if self.fmt not in FORMATS:
@@ -33,7 +35,6 @@ class RunConfig:
 
 def make_config(args) -> RunConfig:
     """Build a RunConfig from parsed CLI arguments."""
-    jobs = 1 if getattr(args, "deterministic", False) else getattr(args, "jobs", 1)
     if getattr(args, "no_cache", False):
         cache_dir = None
     else:
@@ -44,5 +45,5 @@ def make_config(args) -> RunConfig:
         precision_cap=getattr(args, "precision_cap", PRECISION_CAP),
         cache_dir=cache_dir,
         fmt=getattr(args, "format", "text"),
-        jobs=jobs,
+        jobs=getattr(args, "jobs", 1),
     )

@@ -15,7 +15,6 @@ cost of one redundant word per element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -138,54 +137,31 @@ def as_integer(x: CycInt) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Rigorous complex enclosure
+# Certified enclosures
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComplexEnclosure:
-    """Axis-aligned enclosure: |Re(z) - re_mid| and |Im(z) - im_mid| <= radius."""
-
-    re_mid: Fraction
-    im_mid: Fraction
-    radius: Fraction
-
-    def contains_real(self, value: Fraction | int) -> bool:
-        value = Fraction(value)
-        return (
-            abs(self.re_mid - value) <= self.radius
-            and abs(self.im_mid) <= self.radius
-        )
-
-    @property
-    def re_lo(self) -> Fraction:
-        return self.re_mid - self.radius
-
-    @property
-    def re_hi(self) -> Fraction:
-        return self.re_mid + self.radius
-
-
-def _raw_mpf_to_fraction(raw) -> Fraction:
+def _scaled_bound(raw, precision: int, upper: bool) -> int:
+    """An mpf endpoint times 2**precision, rounded outward to an int."""
     sign, man, exp, _ = raw
     if man == 0:
         if exp == 0:
-            return Fraction(0)
+            return 0
         raise OverflowError("non-finite interval endpoint")
-    val = Fraction(int(man)) * (Fraction(2) ** exp)
-    return -val if sign else val
-
-
-def _iv_to_bounds(x) -> tuple[Fraction, Fraction]:
-    lo_raw, hi_raw = x._mpi_
-    return _raw_mpf_to_fraction(lo_raw), _raw_mpf_to_fraction(hi_raw)
+    value = -int(man) if sign else int(man)
+    shift = exp + precision
+    if shift >= 0:
+        return value << shift
+    # >> floors; the upper bound rounds up as the negated floor of -value
+    return -(-value >> -shift) if upper else value >> -shift
 
 
 def unit_root_intervals(p: int, precision: int):
     """Interval enclosures of cos and sin of 2*pi*t/p for t = 0..p-1.
 
-    Endpoints are exact binary rationals from mpmath's outward-rounded
-    interval context, so downstream bounds are fully rigorous.
+    Each endpoint is an int at scale 2**-precision: mpmath's outward-rounded
+    interval bounds times 2**precision, floored for lo and ceiled for hi,
+    so downstream bounds are fully rigorous.
     """
     iv = mpmath.iv
     old = iv.prec
@@ -195,8 +171,12 @@ def unit_root_intervals(p: int, precision: int):
         cos_iv, sin_iv = [], []
         for t in range(p):
             arg = two_pi * t / p
-            cos_iv.append(_iv_to_bounds(iv.cos(arg)))
-            sin_iv.append(_iv_to_bounds(iv.sin(arg)))
+            for table, value in ((cos_iv, iv.cos(arg)), (sin_iv, iv.sin(arg))):
+                lo, hi = value._mpi_
+                table.append((
+                    _scaled_bound(lo, precision, upper=False),
+                    _scaled_bound(hi, precision, upper=True),
+                ))
         return cos_iv, sin_iv
     finally:
         iv.prec = old
@@ -207,32 +187,19 @@ def _cached_roots(p: int, precision: int):
     return unit_root_intervals(p, precision)
 
 
-def approx_complex(x: CycInt, precision: int = 53) -> ComplexEnclosure:
-    """Rigorous enclosure of sum_t coeffs[t] * exp(2*pi*i*t/p).
+def enclose_sum(coeffs: Sequence[int], roots) -> tuple[int, int]:
+    """Integer bounds (lo, hi) of sum_t coeffs[t] * r_t at the roots' scale.
 
-    precision is the working precision in bits (>= 53); the returned radius
-    bounds the total rounding error of the evaluation.
+    roots is one table of unit_root_intervals, (lo, hi) per exponent t; a
+    positive coefficient takes lo into the lower bound and a negative one
+    takes hi, so the result encloses the exact sum.
     """
-    if precision < 53:
-        raise ValueError("precision must be at least 53 bits")
-    cos_iv, sin_iv = _cached_roots(x.p, precision)
-    re_lo = re_hi = im_lo = im_hi = Fraction(0)
-    for t, c in enumerate(x.coeffs):
-        if c == 0:
-            continue
-        clo, chi = cos_iv[t]
-        slo, shi = sin_iv[t]
+    lo = hi = 0
+    for c, (r_lo, r_hi) in zip(coeffs, roots):
         if c > 0:
-            re_lo += c * clo
-            re_hi += c * chi
-            im_lo += c * slo
-            im_hi += c * shi
-        else:
-            re_lo += c * chi
-            re_hi += c * clo
-            im_lo += c * shi
-            im_hi += c * slo
-    re_mid = (re_lo + re_hi) / 2
-    im_mid = (im_lo + im_hi) / 2
-    radius = max(re_hi - re_mid, im_hi - im_mid)
-    return ComplexEnclosure(re_mid, im_mid, radius)
+            lo += c * r_lo
+            hi += c * r_hi
+        elif c < 0:
+            lo += c * r_hi
+            hi += c * r_lo
+    return lo, hi

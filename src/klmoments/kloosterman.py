@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclotomic import CycInt, _cached_roots, approx_complex
+from .cyclotomic import CycInt, _cached_roots, enclose_sum
 from .errors import BudgetExceeded, NotReal, ZeroParameter
 from .ffprime import Prime, inverse_table
 
@@ -172,27 +172,19 @@ class RealEnclosure:
         return self.lo <= value <= self.hi
 
 
-def kl2_real_interval(p: int, a: int, precision: int = 64) -> RealEnclosure:
-    """Enclosure of Kl_2(p; a) from precomputed interval roots of unity.
+def kl2_float(p: int, a: int, precision: int = 64) -> RealEnclosure:
+    """Enclosure of Kl_2(p; a) from interval roots of unity at 2**-precision.
 
-    Kl_2 is real, so only the cosine parts are summed; the sine parts
-    cancel exactly because the exponent distribution is symmetric under
-    t -> -t (the substitution x -> -x).
+    The real part is enclosed against the cosines. Kl_2 is real (the
+    substitution x -> -x makes the exponent counts symmetric under
+    t -> -t), so the enclosure against the sines must contain 0; when it
+    does not, NotReal is raised.
     """
     counts = kl2_counts(p, a).counts
-    cos_iv, _ = _cached_roots(p, precision)
-    lo = hi = Fraction(0)
-    for t, c in enumerate(counts):
-        if c:
-            lo += c * cos_iv[t][0]
-            hi += c * cos_iv[t][1]
-    return RealEnclosure(lo, hi)
-
-
-def kl2_float(p: int, a: int, precision: int = 64) -> RealEnclosure:
-    """Real enclosure of Kl_2(p; a) with an explicit imaginary-part check."""
-    val = kl2_value(p, a)
-    enc = approx_complex(val, max(precision, 53))
-    if abs(enc.im_mid) > enc.radius:
+    cos_iv, sin_iv = _cached_roots(p, precision)
+    im_lo, im_hi = enclose_sum(counts, sin_iv)
+    if not im_lo <= 0 <= im_hi:
         raise NotReal(f"imaginary part of Kl_2({p}; {a}) failed to cancel")
-    return RealEnclosure(enc.re_lo, enc.re_hi)
+    lo, hi = enclose_sum(counts, cos_iv)
+    scale = 1 << precision
+    return RealEnclosure(Fraction(lo, scale), Fraction(hi, scale))

@@ -26,10 +26,9 @@ appendix8    the fixed degree-8 polynomial in completed sums
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, gcd
 
-from .cyclotomic import CycInt, _cached_roots, as_integer
+from .cyclotomic import CycInt, _cached_roots, as_integer, enclose_sum
 from .errors import (
     AmbiguousRounding,
     BudgetExceeded,
@@ -177,58 +176,53 @@ def completed_congruence_class(n: int, p: int) -> int:
     return ((-1) ** (n - 1) * (n - 1) * p) % p**2
 
 
-def _interval_mul(x: tuple[Fraction, Fraction], y: tuple[Fraction, Fraction]):
-    products = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
-    return min(products), max(products)
-
-
 def power_sums_float(p: int, nmax: int, precision: int = PRECISION_START) -> PowerSumTable:
     """Completed S'_n(p) from rigorous enclosures plus the mod-p**2 congruence.
 
-    Each Kl_2(p; a) is enclosed by an interval with exact rational endpoints;
-    powers and the a-sum stay in interval arithmetic, so the final enclosure
-    is certified. The unique admissible integer is the one in the enclosure
-    congruent to (-1)**(n-1)(n-1)p mod p**2; zero or several candidates raise
-    AmbiguousRounding and the caller must retry at higher precision.
+    Each Kl_2(p; a) is enclosed by enclose_sum as integer bounds at scale
+    2**-precision. Powers and the a-sum stay integer intervals, the n-th
+    power at scale 2**-(n*precision): products of integer endpoints are
+    exact, so the final enclosure is certified without further rounding.
+    The unique admissible integer is the one in the enclosure congruent to
+    (-1)**(n-1)(n-1)p mod p**2; zero or several candidates raise
+    AmbiguousRounding and the caller must retry at higher precision. The
+    restricted S_1 and S_2 are checked like exact tables (IdentityFailure).
     """
     p = Prime(p)
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     cos_iv, _ = _cached_roots(p, precision)
-    zero = (Fraction(0), Fraction(0))
-    totals = [zero] * (nmax + 1)
+    totals = [(0, 0)] * (nmax + 1)
     for a in range(1, p):
-        counts = kl2_counts(p, a).counts
-        lo = hi = Fraction(0)
-        for t, c in enumerate(counts):
-            if c:
-                lo += c * cos_iv[t][0]
-                hi += c * cos_iv[t][1]
-        kl = (lo, hi)
-        cum = kl
+        kl_lo, kl_hi = enclose_sum(kl2_counts(p, a).counts, cos_iv)
+        lo, hi = kl_lo, kl_hi
         for n in range(1, nmax + 1):
             if n > 1:
-                cum = _interval_mul(cum, kl)
-            tl, th = totals[n]
-            totals[n] = (tl + cum[0], th + cum[1])
+                products = (lo * kl_lo, lo * kl_hi, hi * kl_lo, hi * kl_hi)
+                lo, hi = min(products), max(products)
+            t_lo, t_hi = totals[n]
+            totals[n] = (t_lo + lo, t_hi + hi)
     values = {}
     modulus = p**2
     for n in range(1, nmax + 1):
-        lo = totals[n][0] + (-1) ** n
-        hi = totals[n][1] + (-1) ** n
-        if hi - lo >= modulus:
+        bits = n * precision
+        a_zero = (-1) ** n << bits
+        lo = totals[n][0] + a_zero
+        hi = totals[n][1] + a_zero
+        if hi - lo >= modulus << bits:
             raise AmbiguousRounding(
-                f"S'_{n}({p}): enclosure width {float(hi - lo):.3g} >= p^2"
+                f"S'_{n}({p}): enclosure width {(hi - lo) / (1 << bits):.3g} >= p^2"
             )
         r = completed_congruence_class(n, p)
-        # smallest integer >= lo congruent to r mod p^2
-        start = lo.__ceil__()
+        # smallest integer >= lo / 2**bits congruent to r mod p^2
+        start = -(-lo >> bits)
         k = start + (r - start) % modulus
-        if k > hi:
+        if k << bits > hi:
             raise AmbiguousRounding(f"S'_{n}({p}): no admissible integer in enclosure")
-        if k + modulus <= hi:
+        if (k + modulus) << bits <= hi:
             raise AmbiguousRounding(f"S'_{n}({p}): several admissible integers")
-        values[n] = int(k)
+        values[n] = k
+    _check_power_sums(p, {n: v - (-1) ** n for n, v in values.items()})
     return PowerSumTable(p, COMPLETED, values, METHOD_FLOAT)
 
 
@@ -243,6 +237,8 @@ def power_sums_float_auto(
     Returns the table and the precision that succeeded. Raises the last
     AmbiguousRounding if the cap is reached without success.
     """
+    if precision_start < 1:
+        raise ValueError("precision_start must be >= 1, or doubling never reaches the cap")
     precision = precision_start
     while True:
         try:

@@ -3,8 +3,11 @@ from pathlib import Path
 
 import pytest
 
+from klmoments import cli
+from klmoments.cache import PowerSumStore
 from klmoments.cli import main
 from klmoments.modforms import CoefficientTable, table_to_json
+from klmoments.moments import COMPLETED, METHOD_FLOAT
 
 GOLDEN = Path(__file__).parent / "data" / "golden_dims.txt"
 
@@ -75,6 +78,29 @@ class TestSums:
             main(["sums", "--p", "3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("precision", ["0", "-64"])
+    def test_precision_below_one_is_usage_error(self, monkeypatch, precision):
+        # doubling such a precision never reaches the cap; the stub makes
+        # that a fast failure instead of a hang
+        def unreachable(*args):
+            raise AssertionError("a precision below 1 reached the float path")
+
+        monkeypatch.setattr(cli, "power_sums_float_auto", unreachable)
+        with pytest.raises(SystemExit) as exc:
+            main(["sums", "--p", "263", "--nmax", "4", "--method", "float",
+                  "--no-cache", "--precision", precision])
+        assert exc.value.code == 2
+
+    def test_float_table_read_back_not_overwritten(self, capsys, tmp_path):
+        base = ("sums", "--p", "13", "--method", "float", "--cache-dir", str(tmp_path))
+        code, long_out, _ = run(capsys, *base, "--nmax", "8")
+        assert code == 0
+        code, short_out, _ = run(capsys, *base, "--nmax", "3")
+        assert code == 0
+        assert short_out.splitlines() == long_out.splitlines()[:4]
+        cached = PowerSumStore(tmp_path).load(13, COMPLETED, METHOD_FLOAT)
+        assert sorted(cached.values) == list(range(1, 9))
+
 
 class TestMoments:
     def test_value(self, capsys):
@@ -87,7 +113,7 @@ class TestEvans:
     def test_csv_sweep(self, capsys):
         code, out, _ = run(
             capsys, "evans", "--d", "8", "--pmin", "3", "--pmax", "40",
-            "--format", "csv", "--no-cache", "--deterministic",
+            "--format", "csv", "--no-cache",
         )
         assert code == 0
         lines = out.strip().splitlines()
@@ -97,7 +123,7 @@ class TestEvans:
     def test_json_deterministic(self, capsys):
         argv = (
             "evans", "--d", "6", "--pmin", "2", "--pmax", "30",
-            "--format", "json", "--no-cache", "--deterministic",
+            "--format", "json", "--no-cache",
         )
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
@@ -108,7 +134,7 @@ class TestEvans:
     def test_cold_and_warm_cache_identical(self, capsys, tmp_path):
         argv = (
             "evans", "--d", "8", "--pmin", "3", "--pmax", "30",
-            "--format", "json", "--cache-dir", str(tmp_path), "--deterministic",
+            "--format", "json", "--cache-dir", str(tmp_path),
         )
         code1, cold, _ = run(capsys, *argv)
         assert code1 == 0
@@ -146,7 +172,7 @@ class TestEvans:
         path.write_text(table_to_json(table))
         code, out, _ = run(
             capsys, "evans", "--d", "8", "--pmin", "5", "--pmax", "7",
-            "--table", str(path), "--no-cache", "--deterministic",
+            "--table", str(path), "--no-cache",
         )
         assert code == 0
         assert "table_match=ok" in out

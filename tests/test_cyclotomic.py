@@ -1,10 +1,13 @@
+import math
 import random
+from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from klmoments import convolve
-from klmoments.cyclotomic import CycInt, approx_complex, as_integer
+from klmoments.cyclotomic import CycInt, as_integer, enclose_sum, unit_root_intervals
 from klmoments.errors import ModulusMismatch, NotRational
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -129,24 +132,33 @@ class TestAsInteger:
             as_integer(CycInt.from_coeffs(3, (0, 1, 0)))
 
 
+def enclose_complex(x, precision):
+    """Integer bounds of Re(x) and Im(x) at scale 2**-precision."""
+    cos_iv, sin_iv = unit_root_intervals(x.p, precision)
+    return enclose_sum(x.coeffs, cos_iv), enclose_sum(x.coeffs, sin_iv)
+
+
+def contains_real(enc, value, precision):
+    (re_lo, re_hi), (im_lo, im_hi) = enc
+    return re_lo <= value << precision <= re_hi and im_lo <= 0 <= im_hi
+
+
 class TestApproxComplex:
+    # the complex value of an element, enclosed by enclose_sum against the
+    # cosine and the sine table
     def test_zero_has_zero_radius(self):
-        enc = approx_complex(CycInt.zero(5), 64)
-        assert enc.re_mid == 0 and enc.im_mid == 0 and enc.radius == 0
+        assert enclose_complex(CycInt.zero(5), 64) == ((0, 0), (0, 0))
 
     def test_contains_minus_one(self):
-        enc = approx_complex(CycInt.from_coeffs(3, (0, 1, 1)), 64)
-        assert enc.contains_real(-1)
-        assert enc.radius < 1e-10
+        enc = enclose_complex(CycInt.from_coeffs(3, (0, 1, 1)), 64)
+        assert contains_real(enc, -1, 64)
+        (re_lo, re_hi), (im_lo, im_hi) = enc
+        assert max(re_hi - re_lo, im_hi - im_lo) < 2**64 // 10**10
 
     def test_contains_embedded_integer(self):
         for k in (-7, 0, 3):
-            enc = approx_complex(CycInt.from_integer(11, k), 80)
-            assert enc.contains_real(k)
-
-    def test_precision_floor(self):
-        with pytest.raises(ValueError):
-            approx_complex(CycInt.zero(3), 32)
+            enc = enclose_complex(CycInt.from_integer(11, k), 80)
+            assert contains_real(enc, k, 80)
 
     def test_rational_values_always_enclosed(self):
         rng = random.Random(17)
@@ -156,4 +168,51 @@ class TestApproxComplex:
                 shift = rng.randint(-5, 5)
                 x = CycInt.from_coeffs(p, [k + shift] + [shift] * (p - 1))
                 assert as_integer(x) == k
-                assert approx_complex(x, 64).contains_real(k)
+                assert contains_real(enclose_complex(x, 64), k, 64)
+
+    def test_negative_coefficients_take_the_opposite_endpoint(self):
+        cos_iv, _ = unit_root_intervals(7, 32)
+        lo, hi = enclose_sum((0, -3, 0, 0, 0, 0, 2), cos_iv)
+        assert lo == -3 * cos_iv[1][1] + 2 * cos_iv[6][0]
+        assert hi == -3 * cos_iv[1][0] + 2 * cos_iv[6][1]
+
+
+class TestUnitRootIntervals:
+    @pytest.mark.parametrize("p, precision", [(53, 8), (53, 64), (1009, 64), (13, 200)])
+    def test_scaled_endpoints_bracket_256_bit_values(self, p, precision):
+        cos_iv, sin_iv = unit_root_intervals(p, precision)
+        with mpmath.workprec(256):
+            for t in range(p):
+                arg = 2 * mpmath.pi * t / p
+                pairs = ((cos_iv[t], mpmath.cos(arg)), (sin_iv[t], mpmath.sin(arg)))
+                for (lo, hi), exact in pairs:
+                    assert isinstance(lo, int) and isinstance(hi, int)
+                    scaled = mpmath.ldexp(exact, precision)
+                    assert lo <= scaled <= hi, (p, precision, t)
+                    assert hi - lo <= 64
+
+    @pytest.mark.parametrize("t", [252, 253])
+    def test_endpoint_below_the_scale_is_rounded_outward(self, t):
+        # cos(2 pi t / p) on either side of t = p/4 is tiny (positive at 252,
+        # negative at 253): mpmath's endpoint has an exponent below
+        # -precision, so scaling it leaves a fraction that must be floored
+        # for lo and ceiled for hi
+        p, precision = 1009, 64
+        old, mpmath.iv.prec = mpmath.iv.prec, precision
+        try:
+            lo_raw, hi_raw = mpmath.iv.cos(2 * mpmath.iv.pi * t / p)._mpi_
+        finally:
+            mpmath.iv.prec = old
+        assert lo_raw[2] + precision < 0 and hi_raw[2] + precision < 0
+
+        def scaled_raw(raw):
+            sign, man, exp, _ = raw
+            value = Fraction(int(man)) * Fraction(2) ** (exp + precision)
+            return -value if sign else value
+
+        lo, hi = unit_root_intervals(p, precision)[0][t]
+        assert lo < scaled_raw(lo_raw) and scaled_raw(hi_raw) < hi
+        assert lo == math.floor(scaled_raw(lo_raw))
+        assert hi == math.ceil(scaled_raw(hi_raw))
+        with mpmath.workprec(256):
+            assert lo <= mpmath.ldexp(mpmath.cos(2 * mpmath.pi * t / p), precision) <= hi

@@ -3,13 +3,12 @@ from fractions import Fraction
 import pytest
 
 from klmoments import kloosterman
-from klmoments.cyclotomic import ComplexEnclosure, as_integer
+from klmoments.cyclotomic import as_integer
 from klmoments.errors import BudgetExceeded, KlmomentsError, NotReal, ZeroParameter
 from klmoments.ffprime import primes_in_range
 from klmoments.kloosterman import (
     kl2_counts,
     kl2_float,
-    kl2_real_interval,
     kl2_value,
     kln_counts,
     kln_value,
@@ -110,26 +109,26 @@ class TestKl2Float:
     def test_imaginary_residue_is_typed_error(self, monkeypatch):
         # an enclosure that excludes the real axis must surface as a
         # KlmomentsError, which the CLI turns into its JSON error object
-        off_axis = ComplexEnclosure(Fraction(-1), Fraction(1), Fraction(1, 2))
-        monkeypatch.setattr(kloosterman, "approx_complex", lambda x, prec: off_axis)
+        monkeypatch.setattr(kloosterman, "enclose_sum", lambda coeffs, roots: (1, 2))
         with pytest.raises(NotReal) as info:
             kl2_float(3, 1)
         assert isinstance(info.value, KlmomentsError)
 
     def test_interval_paths_agree_enclosing_same_value(self):
+        # enclosures at 64 and 128 bits nest around the same value
         for p in primes_in_range(3, 61):
             for a in (1, 2, p - 1):
-                full = kl2_float(p, a, 64)
-                fast = kl2_real_interval(p, a, 64)
-                mid = fast.midpoint
-                assert full.lo <= mid <= full.hi
+                coarse = kl2_float(p, a, 64)
+                fine = kl2_float(p, a, 128)
+                assert coarse.lo <= fine.midpoint <= coarse.hi
+                assert fine.radius <= coarse.radius
 
     def test_weil_bound_all_p_up_to_200(self):
         # |Kl_2(p; a)| <= 2 sqrt(p): check (hi)^2 and (lo)^2 against 4p,
         # allowing only the interval's own width beyond the bound
         for p in primes_in_range(2, 200):
             for a in range(1, p):
-                enc = kl2_real_interval(p, a, 64)
+                enc = kl2_float(p, a, 64)
                 assert enc.hi - enc.lo < Fraction(1, 10**6)
                 for endpoint in (enc.lo, enc.hi):
                     slack = endpoint * endpoint - 4 * p
@@ -144,7 +143,7 @@ class TestKl2Float:
         for p in primes_in_range(2, 60):
             lo = hi = Fraction(0)
             for a in range(1, p):
-                enc = kl2_real_interval(p, a, 64)
+                enc = kl2_float(p, a, 64)
                 lo += enc.lo
                 hi += enc.hi
             assert lo <= 1 <= hi

@@ -1,4 +1,5 @@
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -194,6 +195,48 @@ class TestPowerSumsFloat:
         exact = power_sums_exact(101, 16).to_convention(COMPLETED)
         assert flt.values == exact.values
         assert used > 53
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        p=st.sampled_from(primes_in_range(2, 200)),
+        nmax=st.integers(1, 6),
+        precision=st.integers(8, 64),
+    )
+    def test_enclosure_contains_the_exact_value(self, p, nmax, precision):
+        # at any precision the certified enclosure either pins the exact
+        # table or refuses; it never rounds to a wrong integer
+        try:
+            flt = power_sums_float(p, nmax, precision)
+        except AmbiguousRounding:
+            return
+        assert flt.values == power_sums_exact(p, nmax, COMPLETED).values
+
+    @pytest.mark.parametrize("precision_start", [0, -8])
+    def test_precision_below_one_rejected(self, monkeypatch, precision_start):
+        # doubling 0 or a negative precision never reaches the cap; a stub
+        # float path turns that loop into a fast failure instead of a hang
+        calls = []
+
+        def ambiguous(p, nmax, precision):
+            calls.append(precision)
+            assert len(calls) < 50, "precision never reaches the cap"
+            raise AmbiguousRounding("stub")
+
+        monkeypatch.setattr(moments, "power_sums_float", ambiguous)
+        with pytest.raises(ValueError):
+            power_sums_float_auto(263, 4, precision_start=precision_start)
+        assert calls == []
+
+    def test_identities_checked_on_fresh_tables(self, monkeypatch):
+        # integer stand-ins for Kl_2(5; a) whose completed sums meet the
+        # mod-25 congruence, with S_1 = 1 but S_2 = 69 instead of 19
+        fake = {1: 7, 2: -4, 3: -2, 4: 0}
+        monkeypatch.setattr(
+            moments, "kl2_counts",
+            lambda p, a: SimpleNamespace(counts=(fake[a], 0, 0, 0, 0)),
+        )
+        with pytest.raises(IdentityFailure, match="S_2"):
+            power_sums_float(5, 2, 64)
 
 
 class TestGirard:
