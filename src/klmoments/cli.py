@@ -31,8 +31,11 @@ from .invariants import (
 from .modforms import EtaQuotient, eta_quotient_series
 from .moments import (
     COMPLETED,
+    DEFAULT_EXACT_LIMIT,
     METHOD_EXACT,
     METHOD_FLOAT,
+    PRECISION_CAP,
+    PRECISION_START,
     RESTRICTED,
     power_sums_exact,
     power_sums_float_auto,
@@ -46,9 +49,9 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--no-cache", action="store_true")
     parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--exact-limit", type=int, default=257)
-    parser.add_argument("--precision", type=int, default=64)
-    parser.add_argument("--precision-cap", type=int, default=4096)
+    parser.add_argument("--exact-limit", type=int, default=DEFAULT_EXACT_LIMIT)
+    parser.add_argument("--precision", type=int, default=PRECISION_START)
+    parser.add_argument("--precision-cap", type=int, default=PRECISION_CAP)
 
 
 def build_parser() -> argparse.ArgumentParser:

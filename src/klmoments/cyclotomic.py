@@ -19,6 +19,8 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 import mpmath
+import numpy as np
+from mpmath.libmp import mpi_cos_sin
 
 from . import convolve
 from .errors import ModulusMismatch, NotRational
@@ -161,7 +163,9 @@ def unit_root_intervals(p: int, precision: int):
 
     Each endpoint is an int at scale 2**-precision: mpmath's outward-rounded
     interval bounds times 2**precision, floored for lo and ceiled for hi,
-    so downstream bounds are fully rigorous.
+    so downstream bounds are fully rigorous. Only t <= p/2 is evaluated,
+    one mpi_cos_sin call each; t > p/2 follows exactly from
+    cos(2*pi*(p-t)/p) = cos(2*pi*t/p) and sin(2*pi*(p-t)/p) = -sin(2*pi*t/p).
     """
     iv = mpmath.iv
     old = iv.prec
@@ -169,37 +173,96 @@ def unit_root_intervals(p: int, precision: int):
         iv.prec = precision
         two_pi = 2 * iv.pi
         cos_iv, sin_iv = [], []
-        for t in range(p):
+        for t in range(p // 2 + 1):
             arg = two_pi * t / p
-            for table, value in ((cos_iv, iv.cos(arg)), (sin_iv, iv.sin(arg))):
-                lo, hi = value._mpi_
+            for table, (lo, hi) in zip((cos_iv, sin_iv), mpi_cos_sin(arg._mpi_, precision)):
                 table.append((
                     _scaled_bound(lo, precision, upper=False),
                     _scaled_bound(hi, precision, upper=True),
                 ))
+        for t in range(p // 2 + 1, p):
+            cos_iv.append(cos_iv[p - t])
+            lo, hi = sin_iv[p - t]
+            sin_iv.append((-hi, -lo))
         return cos_iv, sin_iv
     finally:
         iv.prec = old
 
 
-@lru_cache(maxsize=64)
-def _cached_roots(p: int, precision: int):
-    return unit_root_intervals(p, precision)
+_LIMB_BITS = 32
+# a-priori bound on sum_t |c_t| per row: each limb is below 2**32, so every
+# int64 dot product of a row with a limb column stays below 2**62
+WEIGHT_LIMIT = 1 << 30
 
 
-def enclose_sum(coeffs: Sequence[int], roots) -> tuple[int, int]:
-    """Integer bounds (lo, hi) of sum_t coeffs[t] * r_t at the roots' scale.
+class RootLimbs:
+    """One root table's endpoints cut into offset 32-bit limbs.
 
-    roots is one table of unit_root_intervals, (lo, hi) per exponent t; a
-    positive coefficient takes lo into the lower bound and a negative one
-    takes hi, so the result encloses the exact sum.
+    limbs[t] holds the limbs of lo_t + offset, then those of hi_t + offset,
+    least significant first; the offset makes every endpoint non-negative.
     """
-    lo = hi = 0
-    for c, (r_lo, r_hi) in zip(coeffs, roots):
-        if c > 0:
-            lo += c * r_lo
-            hi += c * r_hi
-        elif c < 0:
-            lo += c * r_hi
-            hi += c * r_lo
-    return lo, hi
+
+    def __init__(self, roots) -> None:
+        self.offset = max(0, -min(lo for lo, _ in roots))
+        top = max(hi for _, hi in roots) + self.offset
+        self.count = max(1, -(-top.bit_length() // _LIMB_BITS))
+        mask = (1 << _LIMB_BITS) - 1
+        shifts = [_LIMB_BITS * k for k in range(self.count)]
+        self.limbs = np.array(
+            [
+                [(e + self.offset) >> s & mask for e in pair for s in shifts]
+                for pair in roots
+            ],
+            dtype=np.int64,
+        ).reshape(len(roots), 2 * self.count)
+
+
+@lru_cache(maxsize=64)
+def _cached_roots(p: int, precision: int) -> tuple[RootLimbs, RootLimbs]:
+    """The cos and sin tables of unit_root_intervals, cut into limbs once."""
+    cos_iv, sin_iv = unit_root_intervals(p, precision)
+    return RootLimbs(cos_iv), RootLimbs(sin_iv)
+
+
+def enclose_sum(rows, roots) -> list[tuple[int, int]]:
+    """Integer bounds (lo, hi) of sum_t c_t * r_t at the roots' scale, per row.
+
+    rows is a batch of integer coefficient rows (a single vector is a
+    one-row batch); roots is one table of unit_root_intervals, (lo, hi) per
+    exponent t, or its RootLimbs. Each row is split as C+ - C-: a positive
+    coefficient takes lo into the lower bound and a negative one takes hi,
+    so every result encloses the exact sum. The dot products run as int64
+    matmuls against the limbs, exact while sum_t |c_t| < WEIGHT_LIMIT;
+    a row above that raises ValueError.
+    """
+    if not isinstance(roots, RootLimbs):
+        roots = RootLimbs(roots)
+    try:
+        rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
+    except OverflowError:
+        raise ValueError(f"coefficients beyond the enclosure bound {WEIGHT_LIMIT}") from None
+    width = roots.limbs.shape[0]
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ValueError(f"need rows of {width} coefficients, got shape {rows.shape}")
+    # entrywise first, so that the row sums of |c| cannot wrap
+    lowest = rows.min(initial=0)
+    if lowest <= -WEIGHT_LIMIT or rows.max(initial=0) >= WEIGHT_LIMIT:
+        raise ValueError(f"a coefficient reaches the enclosure bound {WEIGHT_LIMIT}")
+    pos = np.maximum(rows, 0)
+    neg = pos - rows
+    pos_weight, neg_weight = pos.sum(axis=1), neg.sum(axis=1)
+    if (pos_weight + neg_weight).max(initial=0) >= WEIGHT_LIMIT:
+        raise ValueError(f"a row's sum of |c| reaches the enclosure bound {WEIGHT_LIMIT}")
+    k = roots.count
+    acc = pos @ roots.limbs
+    if lowest < 0:
+        # -C- takes -hi into the lower bound and -lo into the upper one
+        acc -= np.roll(neg @ roots.limbs, k, axis=1)
+    shifts = [_LIMB_BITS * j for j in range(k)]
+    out = []
+    for limbs, total in zip(acc.tolist(), (pos_weight - neg_weight).tolist()):
+        base = -roots.offset * total
+        lo = base + sum(v << s for v, s in zip(limbs[:k], shifts))
+        hi = base + sum(v << s for v, s in zip(limbs[k:], shifts))
+        out.append((lo, hi))
+    return out

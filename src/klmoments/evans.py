@@ -163,9 +163,18 @@ class MomentEngine:
         if method == METHOD_FLOAT:
             self.float_primes.append(p)
         tab = tab.to_convention(RESTRICTED)
-        self._tables = {k: v for k, v in self._tables.items() if k[0] != p}
-        self._tables[(p, nmax)] = tab
+        self.seed(tab)
         return tab
+
+    def seed(self, table: PowerSumTable) -> None:
+        """Serve table's prime from a precomputed table, in place of any other.
+
+        The table is kept restricted under (p, nmax) and answers every
+        request up to its nmax without recomputation.
+        """
+        tab = table.to_convention(RESTRICTED)
+        self._tables = {k: v for k, v in self._tables.items() if k[0] != tab.p}
+        self._tables[(tab.p, max(tab.values))] = tab
 
     def moment(self, p: int, d: int) -> MomentValue:
         tab = self.table(p, max(d, 1))

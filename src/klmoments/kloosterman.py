@@ -24,7 +24,11 @@ from .ffprime import Prime, inverse_table
 
 DEFAULT_KLN_BUDGET = 10**10
 
-_cached_inverse_table = lru_cache(maxsize=64)(inverse_table)
+
+@lru_cache(maxsize=64)
+def _cached_inverse_table(p: int) -> np.ndarray:
+    """inv[x] = x^-1 mod p for x in F_p (inv[0] = 0)."""
+    return np.array(inverse_table(p), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -45,17 +49,28 @@ class ExponentCounts:
         return CycInt.from_coeffs(self.p, self.counts)
 
 
+def kl2_count_rows(p: int, a_values) -> np.ndarray:
+    """Exponent distributions of the 2-variable sum for a block of a.
+
+    Row i holds counts[t] = #{x in F_p^* : x + a_i * x^-1 = t}, one
+    bincount over row * p + t for the whole block; O(p) per row.
+    """
+    p = Prime(p)
+    a = [v % p for v in a_values]
+    if 0 in a:
+        raise ZeroParameter("Kl_2(p; 0) is excluded; see the moments module")
+    a = np.array(a, dtype=np.int64)
+    x = np.arange(1, p, dtype=np.int64)
+    t = (x + a[:, None] * _cached_inverse_table(p)[1:] % p) % p
+    t += np.arange(len(a), dtype=np.int64)[:, None] * p
+    return np.bincount(t.ravel(), minlength=len(a) * p).reshape(len(a), p)
+
+
 def kl2_counts(p: int, a: int) -> ExponentCounts:
-    """Exponent distribution of the 2-variable sum; O(p)."""
+    """Exponent distribution of the 2-variable sum; one row of kl2_count_rows."""
     p = Prime(p)
     a %= p
-    if a == 0:
-        raise ZeroParameter("Kl_2(p; 0) is excluded; see the moments module")
-    inv = _cached_inverse_table(p)
-    counts = [0] * p
-    for x in range(1, p):
-        counts[(x + a * inv[x]) % p] += 1
-    return ExponentCounts(p, a, 2, tuple(counts))
+    return ExponentCounts(p, a, 2, tuple(kl2_count_rows(p, [a])[0].tolist()))
 
 
 def kl2_value(p: int, a: int) -> CycInt:
@@ -181,10 +196,10 @@ def kl2_float(p: int, a: int, precision: int = 64) -> RealEnclosure:
     does not, NotReal is raised.
     """
     counts = kl2_counts(p, a).counts
-    cos_iv, sin_iv = _cached_roots(p, precision)
-    im_lo, im_hi = enclose_sum(counts, sin_iv)
+    cos_limbs, sin_limbs = _cached_roots(p, precision)
+    [(im_lo, im_hi)] = enclose_sum(counts, sin_limbs)
     if not im_lo <= 0 <= im_hi:
         raise NotReal(f"imaginary part of Kl_2({p}; {a}) failed to cancel")
-    lo, hi = enclose_sum(counts, cos_iv)
+    [(lo, hi)] = enclose_sum(counts, cos_limbs)
     scale = 1 << precision
     return RealEnclosure(Fraction(lo, scale), Fraction(hi, scale))

@@ -40,6 +40,7 @@ from .errors import (
 from .ffprime import Prime
 from .kloosterman import (
     DEFAULT_KLN_BUDGET,
+    kl2_count_rows,
     kl2_counts,
     kln_value,
 )
@@ -53,6 +54,10 @@ COMPLETED = "completed"
 
 METHOD_EXACT = "exact-cyclotomic"
 METHOD_FLOAT = "float-congruence"
+
+# The float path counts and encloses Kl_2(p; a) for a block of a at a time;
+# a block's count array holds at most this many int64 entries (64 KB).
+BLOCK_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -179,10 +184,11 @@ def completed_congruence_class(n: int, p: int) -> int:
 def power_sums_float(p: int, nmax: int, precision: int = PRECISION_START) -> PowerSumTable:
     """Completed S'_n(p) from rigorous enclosures plus the mod-p**2 congruence.
 
-    Each Kl_2(p; a) is enclosed by enclose_sum as integer bounds at scale
-    2**-precision. Powers and the a-sum stay integer intervals, the n-th
-    power at scale 2**-(n*precision): products of integer endpoints are
-    exact, so the final enclosure is certified without further rounding.
+    Kl_2(p; a) is counted by kl2_count_rows and enclosed by enclose_sum for
+    a block of a at a time, as integer bounds at scale 2**-precision. Powers
+    and the a-sum stay integer intervals, the n-th power at scale
+    2**-(n*precision): products of integer endpoints are exact, so the final
+    enclosure is certified without further rounding.
     The unique admissible integer is the one in the enclosure congruent to
     (-1)**(n-1)(n-1)p mod p**2; zero or several candidates raise
     AmbiguousRounding and the caller must retry at higher precision. The
@@ -191,17 +197,19 @@ def power_sums_float(p: int, nmax: int, precision: int = PRECISION_START) -> Pow
     p = Prime(p)
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    cos_iv, _ = _cached_roots(p, precision)
+    cos_limbs, _ = _cached_roots(p, precision)
+    block = max(1, BLOCK_ENTRIES // p)
     totals = [(0, 0)] * (nmax + 1)
-    for a in range(1, p):
-        kl_lo, kl_hi = enclose_sum(kl2_counts(p, a).counts, cos_iv)
-        lo, hi = kl_lo, kl_hi
-        for n in range(1, nmax + 1):
-            if n > 1:
-                products = (lo * kl_lo, lo * kl_hi, hi * kl_lo, hi * kl_hi)
-                lo, hi = min(products), max(products)
-            t_lo, t_hi = totals[n]
-            totals[n] = (t_lo + lo, t_hi + hi)
+    for start in range(1, p, block):
+        counts = kl2_count_rows(p, range(start, min(start + block, p)))
+        for kl_lo, kl_hi in enclose_sum(counts, cos_limbs):
+            lo, hi = kl_lo, kl_hi
+            for n in range(1, nmax + 1):
+                if n > 1:
+                    products = (lo * kl_lo, lo * kl_hi, hi * kl_lo, hi * kl_hi)
+                    lo, hi = min(products), max(products)
+                t_lo, t_hi = totals[n]
+                totals[n] = (t_lo + lo, t_hi + hi)
     values = {}
     modulus = p**2
     for n in range(1, nmax + 1):

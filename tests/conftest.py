@@ -14,6 +14,6 @@ def sum_tables_200():
 @pytest.fixture()
 def engine_200(sum_tables_200):
     engine = MomentEngine()
-    for p, tab in sum_tables_200.items():
-        engine._tables[(p, 13)] = tab
+    for tab in sum_tables_200.values():
+        engine.seed(tab)
     return engine

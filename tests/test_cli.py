@@ -7,7 +7,13 @@ from klmoments import cli
 from klmoments.cache import PowerSumStore
 from klmoments.cli import main
 from klmoments.modforms import CoefficientTable, table_to_json
-from klmoments.moments import COMPLETED, METHOD_FLOAT
+from klmoments.moments import (
+    COMPLETED,
+    DEFAULT_EXACT_LIMIT,
+    METHOD_FLOAT,
+    PRECISION_CAP,
+    PRECISION_START,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "golden_dims.txt"
 
@@ -35,6 +41,18 @@ class TestDims:
         _, first, _ = run(capsys, "dims", "--format", "json", "--no-cache")
         _, second, _ = run(capsys, "dims", "--format", "json", "--no-cache")
         assert first == second
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [
+        ["sums", "--p", "5", "--nmax", "2"],
+        ["evans", "--d", "5", "--pmin", "2", "--pmax", "3"],
+    ])
+    def test_route_defaults_are_the_library_constants(self, argv):
+        args = cli.build_parser().parse_args(argv)
+        assert args.exact_limit == DEFAULT_EXACT_LIMIT
+        assert args.precision == PRECISION_START
+        assert args.precision_cap == PRECISION_CAP
 
 
 class TestSums:

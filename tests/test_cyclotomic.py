@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from klmoments import convolve
-from klmoments.cyclotomic import CycInt, as_integer, enclose_sum, unit_root_intervals
+from klmoments.cyclotomic import (
+    WEIGHT_LIMIT,
+    CycInt,
+    as_integer,
+    enclose_sum,
+    unit_root_intervals,
+)
 from klmoments.errors import ModulusMismatch, NotRational
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -135,7 +141,8 @@ class TestAsInteger:
 def enclose_complex(x, precision):
     """Integer bounds of Re(x) and Im(x) at scale 2**-precision."""
     cos_iv, sin_iv = unit_root_intervals(x.p, precision)
-    return enclose_sum(x.coeffs, cos_iv), enclose_sum(x.coeffs, sin_iv)
+    [re], [im] = enclose_sum(x.coeffs, cos_iv), enclose_sum(x.coeffs, sin_iv)
+    return re, im
 
 
 def contains_real(enc, value, precision):
@@ -172,13 +179,69 @@ class TestApproxComplex:
 
     def test_negative_coefficients_take_the_opposite_endpoint(self):
         cos_iv, _ = unit_root_intervals(7, 32)
-        lo, hi = enclose_sum((0, -3, 0, 0, 0, 0, 2), cos_iv)
+        [(lo, hi)] = enclose_sum((0, -3, 0, 0, 0, 0, 2), cos_iv)
         assert lo == -3 * cos_iv[1][1] + 2 * cos_iv[6][0]
         assert hi == -3 * cos_iv[1][0] + 2 * cos_iv[6][1]
 
 
+def naive_enclosure(row, roots):
+    """sum_t c_t r_t term by term: the sign of c_t picks the endpoint."""
+    lo = hi = 0
+    for c, (r_lo, r_hi) in zip(row, roots):
+        lo += c * (r_lo if c > 0 else r_hi)
+        hi += c * (r_hi if c > 0 else r_lo)
+    return lo, hi
+
+
+class TestEncloseSum:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        p=st.sampled_from(SMALL_PRIMES + [53, 101, 151, 199]),
+        precision=st.integers(8, 256),
+        nrows=st.integers(1, 5),
+        seed=st.integers(0, 2**32),
+    )
+    def test_batch_equals_naive_sum(self, p, precision, nrows, seed):
+        # rows mix signs and magnitudes up to the weight bound, so every
+        # limb and both halves of C+ - C- carry
+        rng = random.Random(seed)
+        rows = []
+        for _ in range(nrows):
+            span = rng.choice([1, 9, 10**4, (WEIGHT_LIMIT - 1) // p])
+            rows.append([rng.randint(-span, span) for _ in range(p)])
+        for roots in unit_root_intervals(p, precision):
+            assert enclose_sum(rows, roots) == [naive_enclosure(r, roots) for r in rows]
+
+    def test_single_vector_is_one_row(self):
+        cos_iv, _ = unit_root_intervals(5, 64)
+        row = (1, 0, 2, -1, 0)
+        assert enclose_sum(row, cos_iv) == enclose_sum([row], cos_iv) == [naive_enclosure(row, cos_iv)]
+
+    def test_weight_bound_raises(self):
+        cos_iv, _ = unit_root_intervals(5, 64)
+        below = [WEIGHT_LIMIT - 1, 0, 0, 0, 0]
+        assert enclose_sum([below], cos_iv) == [naive_enclosure(below, cos_iv)]
+        for heavy in (
+            [WEIGHT_LIMIT // 2, -(WEIGHT_LIMIT // 2), 0, 0, 0],
+            [WEIGHT_LIMIT - 1, 1, 0, 0, 0],
+            [0, 0, -WEIGHT_LIMIT, 0, 0],
+            [2**70, 0, 0, 0, 0],
+            [2**62, 2**62, 0, 0, 0],
+        ):
+            with pytest.raises(ValueError):
+                enclose_sum([below, heavy], cos_iv)
+
+    def test_row_length_must_match_the_table(self):
+        cos_iv, _ = unit_root_intervals(5, 64)
+        with pytest.raises(ValueError):
+            enclose_sum([1, 2, 3], cos_iv)
+
+
 class TestUnitRootIntervals:
-    @pytest.mark.parametrize("p, precision", [(53, 8), (53, 64), (1009, 64), (13, 200)])
+    @pytest.mark.parametrize(
+        "p, precision",
+        [(2, 8), (2, 64), (3, 8), (3, 64), (53, 8), (53, 64), (1009, 64), (13, 200)],
+    )
     def test_scaled_endpoints_bracket_256_bit_values(self, p, precision):
         cos_iv, sin_iv = unit_root_intervals(p, precision)
         with mpmath.workprec(256):

@@ -290,13 +290,13 @@ class TestBatchReport:
         engine = MomentEngine(exact_limit=11)
         engine.moment(13, 6)
         assert engine.float_primes == [13]
-        good = engine._tables[(13, 6)]
+        good = engine.table(13, 6)
         engine.audit(random.Random(0), 6)
         # a neighbour in the same class mod p^2, and a table missing an n
         shifted = {**good.values, 4: good.values[4] + 13**2}
         dropped = {n: v for n, v in good.values.items() if n != 3}
         for values in (shifted, dropped):
-            engine._tables[(13, 6)] = PowerSumTable(13, good.convention, values, good.method)
+            engine.seed(PowerSumTable(13, good.convention, values, good.method))
             with pytest.raises(KlmomentsError, match="float audit mismatch at p=13"):
                 engine.audit(random.Random(0), 6)
 

@@ -7,6 +7,7 @@ from klmoments.cyclotomic import as_integer
 from klmoments.errors import BudgetExceeded, KlmomentsError, NotReal, ZeroParameter
 from klmoments.ffprime import primes_in_range
 from klmoments.kloosterman import (
+    kl2_count_rows,
     kl2_counts,
     kl2_float,
     kl2_value,
@@ -37,6 +38,25 @@ class TestKl2Counts:
             for a in range(1, p):
                 c = kl2_counts(p, a).counts
                 assert all(c[t] == c[(p - t) % p] for t in range(p))
+
+
+class TestKl2CountRows:
+    def test_rows_equal_brute_force_counts(self):
+        for p in primes_in_range(2, 50):
+            rows = kl2_count_rows(p, range(1, p))
+            assert rows.shape == (p - 1, p)
+            for a in range(1, p):
+                want = [0] * p
+                for x in range(1, p):
+                    want[(x + a * pow(x, -1, p)) % p] += 1
+                assert rows[a - 1].tolist() == want, (p, a)
+
+    def test_parameters_reduced_mod_p(self):
+        assert kl2_count_rows(7, [3, 10, -4]).tolist() == [list(kl2_counts(7, 3).counts)] * 3
+
+    def test_zero_in_block_rejected(self):
+        with pytest.raises(ZeroParameter):
+            kl2_count_rows(7, [1, 7, 2])
 
 
 class TestKl2Value:
@@ -109,7 +129,7 @@ class TestKl2Float:
     def test_imaginary_residue_is_typed_error(self, monkeypatch):
         # an enclosure that excludes the real axis must surface as a
         # KlmomentsError, which the CLI turns into its JSON error object
-        monkeypatch.setattr(kloosterman, "enclose_sum", lambda coeffs, roots: (1, 2))
+        monkeypatch.setattr(kloosterman, "enclose_sum", lambda rows, roots: [(1, 2)])
         with pytest.raises(NotReal) as info:
             kl2_float(3, 1)
         assert isinstance(info.value, KlmomentsError)

@@ -1,6 +1,6 @@
 from itertools import product
-from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -232,8 +232,8 @@ class TestPowerSumsFloat:
         # mod-25 congruence, with S_1 = 1 but S_2 = 69 instead of 19
         fake = {1: 7, 2: -4, 3: -2, 4: 0}
         monkeypatch.setattr(
-            moments, "kl2_counts",
-            lambda p, a: SimpleNamespace(counts=(fake[a], 0, 0, 0, 0)),
+            moments, "kl2_count_rows",
+            lambda p, a_values: np.array([(fake[a], 0, 0, 0, 0) for a in a_values]),
         )
         with pytest.raises(IdentityFailure, match="S_2"):
             power_sums_float(5, 2, 64)
@@ -360,6 +360,30 @@ class TestLargePrimePaths:
         exact = power_sums_exact(263, 4, COMPLETED, exact_limit=263)
         assert flt.values == exact.values
 
+    @pytest.mark.parametrize("p", [127, 211, 353])
+    def test_partial_last_block(self, p):
+        # p - 1 is not a multiple of the block's row count, so the last
+        # block of a is shorter than the others
+        rows = moments.BLOCK_ENTRIES // p
+        assert 1 < rows < p - 1 and (p - 1) % rows
+        flt = power_sums_float(p, 8, 64)
+        assert flt.values == power_sums_exact(p, 8, COMPLETED, exact_limit=p).values
+
+    @pytest.mark.parametrize("p", [263, 331, 499])
+    def test_float_route_above_257(self, p):
+        # pins the float route's coverage above today's default limit,
+        # whatever DEFAULT_EXACT_LIMIT becomes
+        engine = MomentEngine(exact_limit=257)
+        exact = power_sums_exact(p, 8, exact_limit=p)
+        table = engine.table(p, 8)
+        assert table.method == moments.METHOD_FLOAT
+        assert table.values == exact.values
+        for d in range(5, 9):
+            mv = engine.moment(p, d)
+            assert mv.method == "girard-float"
+            assert mv.value == sym_moment_girard(p, d, exact).value
+        assert engine.float_primes == [p]
+
 
 class TestMomentSelector:
     # MomentEngine is the one exact-versus-float router
@@ -380,7 +404,7 @@ class TestMomentSelector:
     def test_supplied_table_used(self, monkeypatch):
         t = power_sums_exact(7, 8)
         engine = MomentEngine()
-        engine._tables[(7, 8)] = t
+        engine.seed(t)
 
         def no_recompute(*args):
             raise AssertionError("a seeded table must not be recomputed")
