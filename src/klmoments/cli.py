@@ -13,12 +13,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from . import __version__
-from .cache import PowerSumStore
-from .config import RunConfig, make_config
+from .cache import PowerSumStore, resolve_cache_dir
 from .errors import KlmomentsError
-from .evans import MomentEngine, batch_report, reports_to_csv, reports_to_json
+from .evans import (
+    EvenTrace,
+    MomentEngine,
+    batch_report,
+    reports_to_csv,
+    reports_to_json,
+    trace_middle,
+)
 from .ffprime import Prime
 from .invariants import (
     dims_table,
@@ -28,7 +35,7 @@ from .invariants import (
     render_dims_csv,
     render_dims_text,
 )
-from .modforms import EtaQuotient, eta_quotient_series
+from .modforms import EtaQuotient, eta_quotient_series, load_coefficient_table
 from .moments import (
     COMPLETED,
     DEFAULT_EXACT_LIMIT,
@@ -37,18 +44,15 @@ from .moments import (
     PRECISION_CAP,
     PRECISION_START,
     RESTRICTED,
-    power_sums_exact,
-    power_sums_float_auto,
 )
 
 SCHEMA_VERSION = 1
 
 
-def _add_shared(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "csv", "json"), default="text")
+def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags of the MomentEngine and its cache, for commands that use one."""
     parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--no-cache", action="store_true")
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--exact-limit", type=int, default=DEFAULT_EXACT_LIMIT)
     parser.add_argument("--precision", type=int, default=PRECISION_START)
     parser.add_argument("--precision-cap", type=int, default=PRECISION_CAP)
@@ -68,39 +72,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--convention", choices=(RESTRICTED, COMPLETED), default=RESTRICTED)
     p.add_argument("--method", choices=("exact", "float", "both"), default="exact")
-    _add_shared(p)
+    _add_engine_flags(p)
 
     p = sub.add_parser("moments", help="symmetric-power moment m^d_2(p)")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    _add_shared(p)
+    _add_engine_flags(p)
 
     p = sub.add_parser("evans", help="degree-5/6/7/8 identity sweep")
     p.add_argument("--d", type=int, required=True, choices=(5, 6, 7, 8))
     p.add_argument("--pmin", type=int, required=True)
     p.add_argument("--pmax", type=int, required=True)
     p.add_argument("--table", default=None, help="coefficient table JSON file")
-    _add_shared(p)
+    p.add_argument("--jobs", type=int, default=1)
+    _add_engine_flags(p)
 
     p = sub.add_parser("dims", help="middle-extension dimension table")
     p.add_argument("--dmax", type=int, default=13)
-    _add_shared(p)
 
     p = sub.add_parser("det", help="normalized Frobenius determinant")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--p", type=int, nargs="+", required=True)
-    _add_shared(p)
 
     p = sub.add_parser("eta", help="eta-quotient q-expansion")
     p.add_argument("--quotient", required=True,
                    help="comma-separated divisor:exponent pairs, e.g. 1:2,2:2,3:2,6:2")
     p.add_argument("--terms", type=int, required=True)
-    _add_shared(p)
 
     p = sub.add_parser("molien", help="invariant-dimension / Frobenius series")
     p.add_argument("--dmax", type=int, required=True)
     p.add_argument("--kind", choices=("dim", "frob"), default="dim")
-    _add_shared(p)
 
     p = sub.add_parser("trace", help="normalized middle trace of -m^d-1")
     p.add_argument("--d", type=int, required=True)
@@ -108,8 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rational", action="store_true",
                    help="return the exact rational quotient instead of failing "
                    "on non-integral traces")
-    _add_shared(p)
+    _add_engine_flags(p)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     return top
 
 
@@ -124,79 +127,63 @@ def _emit(doc: dict, fmt: str, text_lines: list[str], csv_text: str | None = Non
             print(line)
 
 
-def _engine(config: RunConfig) -> MomentEngine:
+def _engine(args) -> MomentEngine:
     """The moment engine, and its cache store, that the run's flags describe."""
-    store = PowerSumStore(config.cache_dir) if config.cache_dir else None
-    return MomentEngine(
-        config.exact_limit, config.precision_start, config.precision_cap, store
-    )
+    store = None if args.no_cache else PowerSumStore(resolve_cache_dir(args.cache_dir))
+    return MomentEngine(args.exact_limit, args.precision, args.precision_cap, store)
 
 
-def _cmd_sums(args, config: RunConfig) -> int:
+def _cmd_sums(args, engine: MomentEngine) -> int:
     p = Prime(args.p)
-    store = _engine(config).store
-    tables = {}
-
-    def lookup(name, convention, method, compute):
-        if store:
-            tab = store.get_or_compute(p, args.nmax, convention, method, compute)
-        else:
-            tab = compute()
-        tables[name] = tab.to_convention(args.convention)
-
-    if args.method in ("exact", "both"):
-        lookup("exact", RESTRICTED, METHOD_EXACT,
-               lambda: power_sums_exact(p, args.nmax, RESTRICTED, config.exact_limit))
-    if args.method in ("float", "both"):
-        lookup("float", COMPLETED, METHOD_FLOAT,
-               lambda: power_sums_float_auto(
-                   p, args.nmax, config.precision_start, config.precision_cap
-               )[0])
+    methods = {
+        "exact": (METHOD_EXACT,),
+        "float": (METHOD_FLOAT,),
+        "both": (METHOD_EXACT, METHOD_FLOAT),
+    }[args.method]
+    tables = [
+        engine.lookup(p, args.nmax, method).to_convention(args.convention)
+        for method in methods
+    ]
     if len(tables) == 2:
+        exact, flt = tables
         for n in range(1, args.nmax + 1):
-            if tables["exact"].values[n] != tables["float"].values[n]:
+            if exact.values[n] != flt.values[n]:
                 raise KlmomentsError(
                     f"exact/float mismatch at S_{n}({p}): "
-                    f"{tables['exact'].values[n]} vs {tables['float'].values[n]}"
+                    f"{exact.values[n]} vs {flt.values[n]}"
                 )
     label = "S" if args.convention == RESTRICTED else "S'"
     lines = []
     csv_lines = ["n,value,method"]
     entries = []
-    for name in ("exact", "float"):
-        if name not in tables:
-            continue
-        t = tables[name]
+    for t in tables:
         lines.append(f"p={p} convention={t.convention} method={t.method}")
         for n in range(1, args.nmax + 1):
             lines.append(f"{label}_{n} = {t.values[n]}")
             csv_lines.append(f"{n},{t.values[n]},{t.method}")
             entries.append({"n": n, "value": str(t.values[n]), "method": t.method})
     doc = {"p": int(p), "convention": args.convention, "entries": entries}
-    _emit(doc, config.fmt, lines, "\n".join(csv_lines) + "\n")
+    _emit(doc, args.format, lines, "\n".join(csv_lines) + "\n")
     return 0
 
 
-def _cmd_moments(args, config: RunConfig) -> int:
-    engine = _engine(config)
+def _cmd_moments(args, engine: MomentEngine) -> int:
     mv = engine.moment(Prime(args.p), args.d)
     doc = {"p": args.p, "d": args.d, "value": str(mv.value), "method": mv.method}
-    _emit(doc, config.fmt,
+    _emit(doc, args.format,
           [f"m^{args.d}_2({args.p}) = {mv.value}  [{mv.method}]"],
           f"p,d,value,method\n{args.p},{args.d},{mv.value},{mv.method}\n")
     return 0
 
 
-def _cmd_evans(args, config: RunConfig) -> int:
+def _cmd_evans(args, engine: MomentEngine) -> int:
     table = None
     if args.table:
-        from .modforms import load_coefficient_table
-
         with open(args.table) as fh:
             table = load_coefficient_table(fh.read())
     rows, summary = batch_report(
         args.d, args.pmin, args.pmax,
-        engine=_engine(config), table=table, jobs=config.jobs,
+        engine=engine, table=table, jobs=args.jobs,
     )
     lines = [
         f"evans d={summary.d} primes in [{summary.pmin}, {summary.pmax}]: "
@@ -212,27 +199,27 @@ def _cmd_evans(args, config: RunConfig) -> int:
         )
         lines.append(f"p={r.p}: m={r.moment} derived={r.derived} {marks}")
     doc = json.loads(reports_to_json(rows, summary))
-    _emit(doc, config.fmt, lines, reports_to_csv(rows))
+    _emit(doc, args.format, lines, reports_to_csv(rows))
     return 0 if summary.errors == 0 else 1
 
 
-def _cmd_dims(args, config: RunConfig) -> int:
+def _cmd_dims(args) -> int:
     table = dims_table(args.dmax)
     doc = {
         "dmax": table.dmax,
         "good": list(table.good_row),
         "primes": {str(p): [str(v) for v in table.prime_rows[p]] for p in table.primes},
     }
-    _emit(doc, config.fmt, render_dims_text(table).splitlines(), render_dims_csv(table))
+    _emit(doc, args.format, render_dims_text(table).splitlines(), render_dims_csv(table))
     return 0
 
 
-def _cmd_det(args, config: RunConfig) -> int:
+def _cmd_det(args) -> int:
     rows = [(p, fuwan_det(args.d, p)) for p in args.p]
     lines = [f"det d={args.d} p={p}: {v:+d}" for p, v in rows]
     csv_text = "p,det\n" + "".join(f"{p},{v}\n" for p, v in rows)
     doc = {"d": args.d, "values": [{"p": p, "det": v} for p, v in rows]}
-    _emit(doc, config.fmt, lines, csv_text)
+    _emit(doc, args.format, lines, csv_text)
     return 0
 
 
@@ -244,7 +231,7 @@ def _parse_quotient(spec: str) -> EtaQuotient:
     return EtaQuotient(tuple(factors))
 
 
-def _cmd_eta(args, config: RunConfig) -> int:
+def _cmd_eta(args) -> int:
     eq = _parse_quotient(args.quotient)
     series = eta_quotient_series(eq, args.terms)
     coeffs = [series.coefficient(e) for e in range(0, args.terms + 1)]
@@ -262,11 +249,11 @@ def _cmd_eta(args, config: RunConfig) -> int:
         "lead": series.lead,
         "coefficients": [str(c) for c in coeffs],
     }
-    _emit(doc, config.fmt, lines, csv_text)
+    _emit(doc, args.format, lines, csv_text)
     return 0
 
 
-def _cmd_molien(args, config: RunConfig) -> int:
+def _cmd_molien(args) -> int:
     series = (
         molien_dim_series(args.dmax)
         if args.kind == "dim"
@@ -276,14 +263,11 @@ def _cmd_molien(args, config: RunConfig) -> int:
     lines += [f"d={d}: {c}" for d, c in enumerate(series)]
     csv_text = "d,coefficient\n" + "".join(f"{d},{c}\n" for d, c in enumerate(series))
     doc = {"kind": args.kind, "coefficients": series}
-    _emit(doc, config.fmt, lines, csv_text)
+    _emit(doc, args.format, lines, csv_text)
     return 0
 
 
-def _cmd_trace(args, config: RunConfig) -> int:
-    from .evans import EvenTrace, trace_middle
-
-    engine = _engine(config)
+def _cmd_trace(args, engine: MomentEngine) -> int:
     result = trace_middle(args.d, args.p, engine, strict=not args.rational)
     if isinstance(result, EvenTrace):
         lines = [
@@ -308,7 +292,7 @@ def _cmd_trace(args, config: RunConfig) -> int:
         lines = [f"d={args.d} p={args.p}: normalized trace = {result}"]
         doc = {"d": args.d, "p": args.p, "trace": str(result)}
         csv_text = f"d,p,trace\n{args.d},{args.p},{result}\n"
-    _emit(doc, config.fmt, lines, csv_text)
+    _emit(doc, args.format, lines, csv_text)
     return 0
 
 
@@ -327,14 +311,18 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    run = _COMMANDS[args.command]
+    if "jobs" in args and args.jobs < 1:
+        parser.error("jobs must be >= 1")  # exits 2
+    if "exact_limit" in args:  # the command computes through a MomentEngine
+        try:
+            run = partial(run, engine=_engine(args))
+        except ValueError as exc:
+            parser.error(str(exc))
     try:
-        config = make_config(args)
-    except ValueError as exc:
-        parser.error(str(exc))  # exits 2
-    try:
-        return _COMMANDS[args.command](args, config)
+        return run(args)
     except (KlmomentsError, ValueError, OSError) as exc:
-        if config.fmt == "json":
+        if args.format == "json":
             print(json.dumps(
                 {
                     "schema_version": SCHEMA_VERSION,

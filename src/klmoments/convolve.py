@@ -5,9 +5,9 @@ fast path runs numpy int64 schoolbook convolution, guarded by an a-priori
 bound on every intermediate value; when the bound does not fit, operands
 are split into signed base-2**k digits so that each partial convolution is
 int64-safe, and the digits are recombined in exact Python integers. An
-NTT path (CRT over word-sized primes with power-of-two transforms) is
-provided for long cyclic convolutions; it is selected by the caller, and
-agrees bit-exactly with the schoolbook path.
+NTT path (CRT over word-sized primes with power-of-two transforms) agrees
+bit-exactly with the schoolbook path. No product calls it: it is kept
+only because the benchmark's per-layer trace names it.
 """
 
 from __future__ import annotations

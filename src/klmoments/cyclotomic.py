@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-import mpmath
 import numpy as np
-from mpmath.libmp import mpi_cos_sin
+from mpmath import libmp
 
 from . import convolve
 from .errors import ModulusMismatch, NotRational
@@ -167,26 +166,25 @@ def unit_root_intervals(p: int, precision: int):
     one mpi_cos_sin call each; t > p/2 follows exactly from
     cos(2*pi*(p-t)/p) = cos(2*pi*t/p) and sin(2*pi*(p-t)/p) = -sin(2*pi*t/p).
     """
-    iv = mpmath.iv
-    old = iv.prec
-    try:
-        iv.prec = precision
-        two_pi = 2 * iv.pi
-        cos_iv, sin_iv = [], []
-        for t in range(p // 2 + 1):
-            arg = two_pi * t / p
-            for table, (lo, hi) in zip((cos_iv, sin_iv), mpi_cos_sin(arg._mpi_, precision)):
-                table.append((
-                    _scaled_bound(lo, precision, upper=False),
-                    _scaled_bound(hi, precision, upper=True),
-                ))
-        for t in range(p // 2 + 1, p):
-            cos_iv.append(cos_iv[p - t])
-            lo, hi = sin_iv[p - t]
-            sin_iv.append((-hi, -lo))
-        return cos_iv, sin_iv
-    finally:
-        iv.prec = old
+    two_pi = tuple(
+        libmp.mpf_shift(libmp.mpf_pi(precision, rnd), 1)
+        for rnd in (libmp.round_floor, libmp.round_ceiling)
+    )
+    p_iv = (libmp.from_int(p),) * 2
+    cos_iv, sin_iv = [], []
+    for t in range(p // 2 + 1):
+        t_iv = (libmp.from_int(t),) * 2
+        arg = libmp.mpi_div(libmp.mpi_mul(two_pi, t_iv, precision), p_iv, precision)
+        for table, (lo, hi) in zip((cos_iv, sin_iv), libmp.mpi_cos_sin(arg, precision)):
+            table.append((
+                _scaled_bound(lo, precision, upper=False),
+                _scaled_bound(hi, precision, upper=True),
+            ))
+    for t in range(p // 2 + 1, p):
+        cos_iv.append(cos_iv[p - t])
+        lo, hi = sin_iv[p - t]
+        sin_iv.append((-hi, -lo))
+    return cos_iv, sin_iv
 
 
 _LIMB_BITS = 32

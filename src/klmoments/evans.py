@@ -43,6 +43,7 @@ from .errors import (
 )
 from .ffprime import Prime, jacobi_symbol, primes_in_range
 from .invariants import GOOD, dim_m_middle
+from .modforms import REGISTRY, hecke_validate, prime_coefficients, registry_expansion
 from .moments import (
     COMPLETED,
     DEFAULT_EXACT_LIMIT,
@@ -125,7 +126,8 @@ class MomentEngine:
 
     Power-sum tables are memoized per prime (and optionally persisted
     through `store`), since one sweep touches many degrees of the same
-    prime.
+    prime. Settings the routes cannot run with raise ValueError on
+    construction.
     """
 
     exact_limit: int = DEFAULT_EXACT_LIMIT
@@ -135,36 +137,49 @@ class MomentEngine:
     _tables: dict[tuple[int, int], PowerSumTable] = field(default_factory=dict)
     float_primes: list[int] = field(default_factory=list)
 
-    def table(self, p: int, nmax: int) -> PowerSumTable:
-        """Restricted S_1..S_nmax at p: exact up to exact_limit, float beyond.
+    def __post_init__(self) -> None:
+        if self.exact_limit < 3:
+            raise ValueError("exact_limit must be >= 3")
+        if self.precision_start < 1:
+            raise ValueError("precision must be >= 1")
+        if self.precision_start > self.precision_cap:
+            raise ValueError("precision start exceeds cap")
 
-        Exact tables are cached restricted, float tables completed (the
-        convention their congruence pins); either is read back from `store`.
-        """
+    def table(self, p: int, nmax: int) -> PowerSumTable:
+        """Restricted S_1..S_nmax at p: exact up to exact_limit, float beyond."""
         for (tp, tn), tab in self._tables.items():
             if tp == p and tn >= nmax:
                 return tab
-        if p <= self.exact_limit:
-            convention, method = RESTRICTED, METHOD_EXACT
+        method = METHOD_EXACT if p <= self.exact_limit else METHOD_FLOAT
+        tab = self.lookup(p, nmax, method)
+        if method == METHOD_FLOAT:
+            self.float_primes.append(p)
+        tab = tab.to_convention(RESTRICTED)
+        self.seed(tab)
+        return tab
+
+    def lookup(self, p: int, nmax: int, method: str) -> PowerSumTable:
+        """S_1..S_nmax at p by one method, read from `store` or computed.
+
+        The table comes in the method's own convention, the one it is
+        cached in: restricted for exact tables, completed for float tables
+        (the convention their congruence pins). Nothing is routed or memoized.
+        """
+        if method == METHOD_EXACT:
+            convention = RESTRICTED
 
             def compute():
                 return power_sums_exact(p, nmax, RESTRICTED, self.exact_limit)
         else:
-            convention, method = COMPLETED, METHOD_FLOAT
+            convention = COMPLETED
 
             def compute():
                 return power_sums_float_auto(
                     p, nmax, self.precision_start, self.precision_cap
                 )[0]
         if self.store is None:
-            tab = compute()
-        else:
-            tab = self.store.get_or_compute(p, nmax, convention, method, compute)
-        if method == METHOD_FLOAT:
-            self.float_primes.append(p)
-        tab = tab.to_convention(RESTRICTED)
-        self.seed(tab)
-        return tab
+            return compute()
+        return self.store.get_or_compute(p, nmax, convention, method, compute)
 
     def seed(self, table: PowerSumTable) -> None:
         """Serve table's prime from a precomputed table, in place of any other.
@@ -294,6 +309,24 @@ def trace_middle(
 # ---------------------------------------------------------------------------
 
 
+# The primes each degree's identity excludes, and the reason its pipeline
+# gives when asked for one.
+_EXCLUDED = {
+    5: ({3, 5}, "p = 3 and p = 5 are ramified for the degree-5 identity"),
+    6: (set(), ""),
+    7: ({3, 5, 7}, "p = 3, 5, 7 are ramified for the degree-7 identity"),
+    8: ({2}, "the degree-8 identity is stated for p >= 3"),
+}
+
+
+def _admissible(d: int, p: int) -> Prime:
+    p = Prime(p)
+    excluded, reason = _EXCLUDED[d]
+    if p in excluded:
+        raise ValueError(reason)
+    return p
+
+
 def _require_p2_quotient(d: int, p: int, num: int) -> int:
     q, r = divmod(num, p**2)
     if r:
@@ -301,6 +334,18 @@ def _require_p2_quotient(d: int, p: int, num: int) -> int:
             f"p^2 does not divide the degree-{d} combination at p = {p}"
         )
     return q
+
+
+def _with_table(
+    d: int, p: int, mv: MomentValue, a: int, checks: list[CheckResult], table
+) -> EvansReport:
+    """The report, with a table_match row where an imported table has a(p)."""
+    want = None if table is None else table.get(p)
+    source = "none"
+    if want is not None:
+        checks.append(CheckResult("table_match", want == a, f"table a({p}) = {want}"))
+        source = "imported-table"
+    return EvansReport(d, p, mv.value, a, tuple(checks), source, mv.method)
 
 
 def evans_d5(
@@ -317,9 +362,7 @@ def evans_d5(
     |a| <= 2p, and the vanishing a(p) = 0 forced at primes inert in
     Q(sqrt(-15)), i.e. with Jacobi symbol (p/15) = -1.
     """
-    p = Prime(p)
-    if p in (3, 5):
-        raise ValueError("p = 3 and p = 5 are ramified for the degree-5 identity")
+    p = _admissible(5, p)
     engine = engine or MomentEngine()
     mv = engine.moment(p, 5)
     a = _require_p2_quotient(5, p, -mv.value - 1)
@@ -333,13 +376,7 @@ def evans_d5(
             f"(p/15) = {chi}",
         ),
     ]
-    source = "none"
-    if table is not None and table.get(p) is not None:
-        checks.append(
-            CheckResult("table_match", table.get(p) == a, f"table a({p}) = {table.get(p)}")
-        )
-        source = "imported-table"
-    return EvansReport(5, p, mv.value, a, tuple(checks), source, mv.method)
+    return _with_table(5, p, mv, a, checks, table)
 
 
 def evans_d6(
@@ -352,7 +389,7 @@ def evans_d6(
     When the validated registry expansion is supplied, equality with its
     p-th coefficient is recorded.
     """
-    p = Prime(p)
+    p = _admissible(6, p)
     engine = engine or MomentEngine()
     mv = engine.moment(p, 6)
     a = _require_p2_quotient(6, p, -mv.value - 1)
@@ -384,9 +421,7 @@ def evans_d7(
     p^2 (t + 1) = a_f(p)^2 eps_f(p)^{-1}, the candidate squared-coefficient
     combination; it must lie in [0, 4p^2].
     """
-    p = Prime(p)
-    if p in (3, 5, 7):
-        raise ValueError("p = 3, 5, 7 are ramified for the degree-7 identity")
+    p = _admissible(7, p)
     engine = engine or MomentEngine()
     mv = engine.moment(p, 7)
     num = -mv.value - 1
@@ -418,42 +453,19 @@ def evans_d8(
     p: int,
     engine: MomentEngine | None = None,
     table=None,
-    weight_exponent: int = 3,
 ) -> EvansReport:
-    """Degree 8: a(p) = (-m^8 - 1 - p^4)/p^(5-k) against the weight-2k bound.
+    """Degree 8: a(p) = (-m^8 - 1 - p^4)/p^2 against the weight-6 bound.
 
-    The eigenform has weight 6, so k = 3 and the divisor is p^2; the
-    exponent is exposed for exploring the other candidates 1 <= k <= 4.
+    The eigenform has weight 6, so Deligne's bound is |a| <= 2 p^(5/2).
     """
-    p = Prime(p)
-    if p < 3:
-        raise ValueError("the degree-8 identity is stated for p >= 3")
-    if not 1 <= weight_exponent <= 4:
-        raise ValueError("weight exponent must be in 1..4")
+    p = _admissible(8, p)
     engine = engine or MomentEngine()
     mv = engine.moment(p, 8)
-    num = -mv.value - 1 - p**4
-    divisor = p ** (5 - weight_exponent)
-    a, r = divmod(num, divisor)
-    if r:
-        raise DivisibilityFailure(
-            f"p^{5 - weight_exponent} does not divide the degree-8 combination at p = {p}"
-        )
-    # Deligne bound for weight 2k: |a| <= 2 p^((2k-1)/2)
+    a = _require_p2_quotient(8, p, -mv.value - 1 - p**4)
     checks = [
-        CheckResult(
-            f"deligne_weight{2 * weight_exponent}",
-            a * a <= 4 * p ** (2 * weight_exponent - 1),
-            f"a = {a}",
-        ),
+        CheckResult("deligne_weight6", a * a <= 4 * p**5, f"a = {a}"),
     ]
-    source = "none"
-    if table is not None and table.get(p) is not None:
-        checks.append(
-            CheckResult("table_match", table.get(p) == a, f"table a({p}) = {table.get(p)}")
-        )
-        source = "imported-table"
-    return EvansReport(8, p, mv.value, a, tuple(checks), source, mv.method)
+    return _with_table(8, p, mv, a, checks, table)
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +473,6 @@ def evans_d8(
 # ---------------------------------------------------------------------------
 
 _PIPELINES = {5: evans_d5, 6: evans_d6, 7: evans_d7, 8: evans_d8}
-
-_EXCLUDED = {5: {3, 5}, 6: set(), 7: {3, 5, 7}, 8: {2}}
 
 
 @dataclass(frozen=True)
@@ -513,16 +523,11 @@ def batch_report(
     if pmin > pmax:
         primes = []
     else:
-        primes = [
-            p for p in primes_in_range(pmin, pmax) if p not in _EXCLUDED[d]
-        ]
-        if d == 8:
-            primes = [p for p in primes if p >= 3]
+        excluded, _ = _EXCLUDED[d]
+        primes = [p for p in primes_in_range(pmin, pmax) if p not in excluded]
     engine = engine or MomentEngine()
     kwargs = {}
     if d == 6 and primes:
-        from .modforms import REGISTRY, hecke_validate, prime_coefficients, registry_expansion
-
         series = registry_expansion(6, max(primes))
         form = REGISTRY[6]
         report = hecke_validate(series, form.weight, form.level, min(200, series.trunc))

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import EvenPrime, UnsupportedDegree
-from .ffprime import Prime, double_factorial, jacobi_symbol
+from .ffprime import Prime, double_factorial, jacobi_symbol, primes_in_range
 
 GOOD = "good"
 PrimeOrGood = Union[int, str]
@@ -352,8 +352,6 @@ def det_character_check(d: int, pmax: int) -> DetCharacterReport:
     """
     if d < 3 or d % 2 == 0:
         raise UnsupportedDegree("determinant character check needs odd d >= 3")
-    from .ffprime import primes_in_range
-
     modulus = double_factorial(d)
     failures = []
     checked = 0

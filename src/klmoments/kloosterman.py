@@ -15,12 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 import numpy as np
 
 from .cyclotomic import CycInt, _cached_roots, enclose_sum
 from .errors import BudgetExceeded, NotReal, ZeroParameter
-from .ffprime import Prime, inverse_table
+from .ffprime import Prime, inverse_table, is_prime
 
 DEFAULT_KLN_BUDGET = 10**10
 
@@ -94,9 +95,9 @@ def _kln_table(p: int, n: int) -> list[list[int]]:
         # residue DP: accumulated entries stay below p * q, so q < 2**62 / p
         moduli = []
         q = 2**62 // p
-        while _prod(moduli) <= 2 * max_count:
+        while prod(moduli) <= 2 * max_count:
             q -= 1
-            if _is_prime(q):
+            if is_prime(q):
                 moduli.append(q)
     tables = []
     for q in moduli:
@@ -117,7 +118,7 @@ def _kln_table(p: int, n: int) -> list[list[int]]:
     if moduli == [0]:
         return tables[0].tolist()
     # CRT lift row by row
-    modulus = _prod(moduli)
+    modulus = prod(moduli)
     basis = []
     for q in moduli:
         m_i = modulus // q
@@ -129,19 +130,6 @@ def _kln_table(p: int, n: int) -> list[list[int]]:
             x = sum(int(tab[b, t]) * c for tab, c in zip(tables, basis)) % modulus
             row.append(x)
         out.append(row)
-    return out
-
-
-def _is_prime(q: int) -> bool:
-    from .ffprime import is_prime
-
-    return is_prime(q)
-
-
-def _prod(xs) -> int:
-    out = 1
-    for x in xs:
-        out *= x
     return out
 
 

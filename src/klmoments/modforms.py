@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import convolve
 from .errors import (
@@ -24,7 +25,7 @@ from .errors import (
     NotNormalized,
     TruncationTooShort,
 )
-from .ffprime import primes_in_range
+from .ffprime import is_prime, primes_in_range
 
 TABLE_SCHEMA_VERSION = 1
 
@@ -246,10 +247,14 @@ class HeckeReport:
 def hecke_validate(s: QSeries, weight: int, level: int, bound: int) -> HeckeReport:
     """Check eigenform identities on a normalized q-expansion.
 
-    Verifies a(mn) = a(m)a(n) for coprime m, n; the prime-power recursion
+    The character is taken trivial. Verifies a(mn) = a(m)a(n) for coprime
+    m, n; the prime-power recursion
     a(p**(r+1)) = a(p)a(p**r) - p**(weight-1) a(p**(r-1)) for p not dividing
-    the level; and the bound |a(p)| <= 2 p**((weight-1)/2), all for indices
-    up to min(bound, truncation).
+    the level; at p dividing the level exactly once, a(p)**2 = p**(weight-2)
+    and a(p**(r+1)) = a(p)a(p**r) (Atkin-Lehner), which old forms from
+    lower levels break; and the bound |a(p)| <= 2 p**((weight-1)/2), all for
+    indices up to min(bound, truncation). recursion_checked counts the
+    relations at primes not dividing the level.
     """
     if s.coefficient(1) != 1:
         raise NotNormalized(f"a(1) = {s.coefficient(1)}, expected 1")
@@ -257,8 +262,6 @@ def hecke_validate(s: QSeries, weight: int, level: int, bound: int) -> HeckeRepo
     a = {n: s.coefficient(n) for n in range(1, limit + 1)}
     violations = []
     mult = 0
-    from math import gcd
-
     for m in range(2, limit + 1):
         for n in range(m, limit // m + 1):
             if gcd(m, n) != 1:
@@ -271,13 +274,20 @@ def hecke_validate(s: QSeries, weight: int, level: int, bound: int) -> HeckeRepo
     rec = 0
     primes = primes_in_range(2, limit)
     for p in primes:
-        if level % p == 0:
+        if level % (p * p) == 0:
             continue
+        # chi(p) p^(weight-1) with chi the trivial character mod level
+        step = 0 if level % p == 0 else p ** (weight - 1)
+        if not step and a[p] ** 2 != p ** (weight - 2):
+            violations.append(
+                f"a({p})^2 = {a[p] ** 2} != {p}^{weight - 2} at a prime dividing "
+                f"the level once"
+            )
         r = 1
         while p ** (r + 1) <= limit:
-            rec += 1
+            rec += bool(step)
             lhs = a[p ** (r + 1)]
-            rhs = a[p] * a[p**r] - p ** (weight - 1) * a[p ** (r - 1)]
+            rhs = a[p] * a[p**r] - step * a[p ** (r - 1)]
             if lhs != rhs:
                 violations.append(f"Hecke recursion fails at {p}^{r+1}")
             r += 1
@@ -377,8 +387,6 @@ def load_coefficient_table(text: str) -> CoefficientTable:
         nebentypus_modulus=int(doc["nebentypus_modulus"]),
         entries=entries,
     )
-    from .ffprime import is_prime
-
     for n, value in entries.items():
         if is_prime(n) and value**2 > 4 * n ** (table.weight - 1):
             raise ValueError(

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from klmoments import cli
+from klmoments import cli, evans
 from klmoments.cache import PowerSumStore
 from klmoments.cli import main
 from klmoments.modforms import CoefficientTable, table_to_json
@@ -26,20 +26,20 @@ def run(capsys, *argv):
 
 class TestDims:
     def test_golden_text(self, capsys):
-        code, out, _ = run(capsys, "dims", "--no-cache")
+        code, out, _ = run(capsys, "dims")
         assert code == 0
         assert out == GOLDEN.read_text()
 
     def test_csv(self, capsys):
-        code, out, _ = run(capsys, "dims", "--format", "csv", "--no-cache")
+        code, out, _ = run(capsys, "dims", "--format", "csv")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "d,good,p=2,p=3,p=5,p=7,p=11,p=13"
         assert lines[8] == "8,2,0,0,good,good,good,good"
 
     def test_deterministic(self, capsys):
-        _, first, _ = run(capsys, "dims", "--format", "json", "--no-cache")
-        _, second, _ = run(capsys, "dims", "--format", "json", "--no-cache")
+        _, first, _ = run(capsys, "dims", "--format", "json")
+        _, second, _ = run(capsys, "dims", "--format", "json")
         assert first == second
 
 
@@ -53,6 +53,18 @@ class TestParser:
         assert args.exact_limit == DEFAULT_EXACT_LIMIT
         assert args.precision == PRECISION_START
         assert args.precision_cap == PRECISION_CAP
+
+    @pytest.mark.parametrize("argv", [
+        ["dims", "--no-cache"],
+        ["det", "--d", "7", "--p", "3", "--jobs", "2"],
+        ["sums", "--p", "5", "--nmax", "2", "--jobs", "2"],
+        ["sums", "--p", "5", "--nmax", "2", "--precision", "128", "--precision-cap", "64"],
+        ["evans", "--d", "8", "--pmin", "3", "--pmax", "5", "--exact-limit", "2"],
+    ])
+    def test_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 class TestSums:
@@ -103,7 +115,7 @@ class TestSums:
         def unreachable(*args):
             raise AssertionError("a precision below 1 reached the float path")
 
-        monkeypatch.setattr(cli, "power_sums_float_auto", unreachable)
+        monkeypatch.setattr(evans, "power_sums_float_auto", unreachable)
         with pytest.raises(SystemExit) as exc:
             main(["sums", "--p", "263", "--nmax", "4", "--method", "float",
                   "--no-cache", "--precision", precision])
@@ -178,6 +190,21 @@ class TestEvans:
         assert caches[0] == caches[1]
         assert "p37-completed-float-congruence.json" in caches[0]
 
+    def test_reads_float_table_written_by_sums(self, capsys, monkeypatch, tmp_path):
+        cache = ("--cache-dir", str(tmp_path))
+        code, _, _ = run(capsys, "sums", "--p", "263", "--nmax", "8", "--method", "float", *cache)
+        assert code == 0
+
+        def unreachable(*args):
+            raise AssertionError("evans recomputed the float table sums stored")
+
+        monkeypatch.setattr(evans, "power_sums_float_auto", unreachable)
+        argv = ("evans", "--d", "5", "--pmin", "263", "--pmax", "263")
+        code, out, _ = run(capsys, *argv, *cache)
+        assert code == 0
+        # text output does not name the route, so the exact route must match
+        assert out == run(capsys, *argv, "--exact-limit", "263", "--no-cache")[1]
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_is_usage_error(self, jobs):
         with pytest.raises(SystemExit) as exc:
@@ -198,7 +225,7 @@ class TestEvans:
 
 class TestDet:
     def test_values(self, capsys):
-        code, out, _ = run(capsys, "det", "--d", "7", "--p", "3", "5", "7", "--no-cache")
+        code, out, _ = run(capsys, "det", "--d", "7", "--p", "3", "5", "7")
         assert code == 0
         assert out.splitlines() == [
             "det d=7 p=3: +1",
@@ -211,7 +238,6 @@ class TestEta:
     def test_registry_quotient(self, capsys):
         code, out, _ = run(
             capsys, "eta", "--quotient", "1:2,2:2,3:2,6:2", "--terms", "8",
-            "--no-cache",
         )
         assert code == 0
         assert "weight = 4" in out and "leading exponent = 1" in out
@@ -220,13 +246,13 @@ class TestEta:
 
 class TestMolien:
     def test_dim_series(self, capsys):
-        code, out, _ = run(capsys, "molien", "--dmax", "12", "--no-cache")
+        code, out, _ = run(capsys, "molien", "--dmax", "12")
         assert code == 0
         assert "d=12: 2" in out and "d=2: 0" in out
 
     def test_frob_series(self, capsys):
         code, out, _ = run(
-            capsys, "molien", "--dmax", "8", "--kind", "frob", "--no-cache"
+            capsys, "molien", "--dmax", "8", "--kind", "frob"
         )
         assert code == 0
         assert "d=6: -1" in out and "d=8: 1" in out

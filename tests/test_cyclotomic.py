@@ -10,6 +10,7 @@ from klmoments import convolve
 from klmoments.cyclotomic import (
     WEIGHT_LIMIT,
     CycInt,
+    _scaled_bound,
     as_integer,
     enclose_sum,
     unit_root_intervals,
@@ -253,6 +254,26 @@ class TestUnitRootIntervals:
                     scaled = mpmath.ldexp(exact, precision)
                     assert lo <= scaled <= hi, (p, precision, t)
                     assert hi - lo <= 64
+
+    @pytest.mark.parametrize("precision", [64, 128, 256])
+    @pytest.mark.parametrize("p", [2, 3, 5, 263, 331])
+    def test_equal_to_the_interval_context_construction(self, p, precision):
+        # the reference builds 2 pi t / p in mpmath's iv context, which
+        # rounds t and p to the working precision; at 64 bits and above
+        # both are exact there, so the tables must agree bit for bit
+        old, mpmath.iv.prec = mpmath.iv.prec, precision
+        try:
+            args = [(2 * mpmath.iv.pi * t / p)._mpi_ for t in range(p // 2 + 1)]
+        finally:
+            mpmath.iv.prec = old
+        cos_iv, sin_iv = unit_root_intervals(p, precision)
+        for t, arg in enumerate(args):
+            (c_lo, c_hi), (s_lo, s_hi) = mpmath.libmp.mpi_cos_sin(arg, precision)
+            want = [
+                (_scaled_bound(c_lo, precision, False), _scaled_bound(c_hi, precision, True)),
+                (_scaled_bound(s_lo, precision, False), _scaled_bound(s_hi, precision, True)),
+            ]
+            assert [cos_iv[t], sin_iv[t]] == want, (p, precision, t)
 
     @pytest.mark.parametrize("t", [252, 253])
     def test_endpoint_below_the_scale_is_rounded_outward(self, t):

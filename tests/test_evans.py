@@ -228,16 +228,6 @@ class TestEvansD8:
         r = evans_d8(5, engine_200, table=table)
         assert checks_by_name(r)["table_match"] and r.source == "imported-table"
 
-    def test_weight_exponent_override(self, engine_200):
-        # k = 1 divides by p^4 instead of p^2; at p = 5 the combination
-        # -1650 = -66 * 25 is not divisible by 625
-        with pytest.raises(DivisibilityFailure):
-            evans_d8(5, engine_200, weight_exponent=1)
-        r = evans_d8(5, engine_200, weight_exponent=4)
-        assert r.derived == -66 * 5
-        with pytest.raises(ValueError):
-            evans_d8(5, engine_200, weight_exponent=5)
-
 
 class TestBatchReport:
     def test_d8_3_to_100(self, engine_200):

@@ -132,6 +132,26 @@ class TestHeckeValidate:
         assert report.recursion_checked == 5
         assert report.deligne_checked == 46
 
+    def test_level_3_old_form_mixture_rejected(self):
+        # E(5,5,1,1) + E(0,6,0,6) + 9 E(4,-2,-4,14), eta quotients of weight 6
+        # on Gamma_0(6), mixes in old forms from level 3: a(2) = -4 passes
+        # a(2)^2 = 2^4, but a(4) = -8 is not a(2)^2 = 16. The newform
+        # E(5,5,1,1) + 9 E(0,6,0,6) - 9 E(4,-2,-4,14) passes.
+        def e(a, b, c, d):
+            return eta_quotient_series(EtaQuotient(((1, a), (2, b), (3, c), (6, d))), 60)
+
+        def scaled(k, s):
+            return QSeries(s.lead, [k * c for c in s.coeffs], s.trunc)
+
+        mixture = e(5, 5, 1, 1) + e(0, 6, 0, 6) + scaled(9, e(4, -2, -4, 14))
+        assert [mixture.coefficient(n) for n in (2, 4)] == [-4, -8]
+        report = hecke_validate(mixture, 6, 6, 60)
+        assert not report.passed
+        assert "Hecke recursion fails at 2^2" in report.violations
+        newform = e(5, 5, 1, 1) + scaled(9, e(0, 6, 0, 6)) - scaled(9, e(4, -2, -4, 14))
+        assert [newform.coefficient(n) for n in (2, 3, 5, 7)] == [4, -9, -66, 176]
+        assert hecke_validate(newform, 6, 6, 60).passed
+
     def test_constant_series_not_normalized(self):
         with pytest.raises(NotNormalized):
             hecke_validate(QSeries(0, [1], 50), 4, 6, 50)

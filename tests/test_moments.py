@@ -413,3 +413,12 @@ class TestMomentSelector:
         mv = engine.moment(7, 6)
         assert mv.value == sym_moment_girard(7, 6, t).value
         assert mv.method == "girard-exact"
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"precision_start": 0}, "precision must be >= 1"),
+        ({"exact_limit": 2}, "exact_limit must be >= 3"),
+        ({"precision_start": 128, "precision_cap": 64}, "precision start exceeds cap"),
+    ])
+    def test_invalid_settings_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            MomentEngine(**kwargs)
