@@ -11,9 +11,10 @@ Values are decimal strings so no consumer has to guess integer widths.
 Writes go to a temporary file in the same directory followed by an atomic
 rename; concurrent readers see either the old or the new complete file.
 The cache is advisory: unreadable or corrupt entries, and entries that
-break the restricted identities S_1 = 1 or S_2 = p^2 - p - 1, are discarded
-with a warning. What is never tolerated silently is disagreement between exact
-and float records for the same (p, n) - that raises CacheMismatch.
+break the restricted identities S_1 = 1 or S_2 = p^2 - p - 1 or the Weil
+bound S_n^2 <= (p-1)^2 4^n p^n, are discarded with a warning. What is never
+tolerated silently is disagreement between exact and float records for the
+same (p, n) - that raises CacheMismatch.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
-from mpmath import libmp
 
 from . import convolve
 from .errors import ModulusMismatch, NotRational
@@ -160,26 +159,63 @@ def _scaled_bound(raw, precision: int, upper: bool) -> int:
 def unit_root_intervals(p: int, precision: int):
     """Interval enclosures of cos and sin of 2*pi*t/p for t = 0..p-1.
 
-    Each endpoint is an int at scale 2**-precision: mpmath's outward-rounded
-    interval bounds times 2**precision, floored for lo and ceiled for hi,
-    so downstream bounds are fully rigorous. Only t <= p/2 is evaluated,
-    one mpi_cos_sin call each; t > p/2 follows exactly from
+    Each endpoint is an int at scale 2**-precision. One mpmath interval,
+    cos and sin of 2*pi/p at g + 8 bits with g = precision +
+    p.bit_length() + 16, seeds an integer-ball recurrence at scale 2**-g;
+    t = 0 is exact and t = 1 is the seed's bounds rounded outward.
+
+    Error argument. Write w_t = 2**g * exp(2*pi*i*t/p). The seed's bounds,
+    floored and ceiled to ints at scale 2**-g, give a centre z_1 (each
+    midpoint floored) and a radius r_1 (the sum of the two component
+    half-widths, hi - centre), so |z_1 - w_1| <= r_1. The recurrence is
+    z_(t+1) = floor(z_t * z_1 / 2**g), componentwise. From
+        z_t z_1 - w_t w_1 = (z_t - w_t) z_1 + z_t (z_1 - w_1)
+                            - (z_t - w_t)(z_1 - w_1)
+    and |z_s| <= 2**g + r_s, |z_t z_1 - w_t w_1| is at most
+    E = (2**g + r_t) r_1 + (2**g + r_1) r_t + r_t r_1. Since
+    w_t w_1 / 2**g = w_(t+1), and flooring moves each component by less
+    than 1 (the point by less than 2),
+        r_(t+1) = ceil(E / 2**g) + 2
+    bounds |z_(t+1) - w_(t+1)|, and so each component's error. The pair at
+    t >= 2 is floor((x - r) / 2**(g - precision)) and
+    ceil((x + r) / 2**(g - precision)) for each component x of z_t. The
+    seed is 8 bits finer than its scale, so r_1 is a few units and the
+    radius grows by at most r_1 + 3 per step: r_t stays below
+    2**(p.bit_length() + 3) for t <= p/2, and 2 r_t < 2**(g - precision),
+    so every pair is at most 2 units wide.
+
+    Only t <= p/2 is evaluated; t > p/2 follows exactly from
     cos(2*pi*(p-t)/p) = cos(2*pi*t/p) and sin(2*pi*(p-t)/p) = -sin(2*pi*t/p).
     """
+    from mpmath import libmp  # only root tables need mpmath; start-up skips it
+
+    g = precision + p.bit_length() + 16
+    work = g + 8
     two_pi = tuple(
-        libmp.mpf_shift(libmp.mpf_pi(precision, rnd), 1)
+        libmp.mpf_shift(libmp.mpf_pi(work, rnd), 1)
         for rnd in (libmp.round_floor, libmp.round_ceiling)
     )
-    p_iv = (libmp.from_int(p),) * 2
-    cos_iv, sin_iv = [], []
-    for t in range(p // 2 + 1):
-        t_iv = (libmp.from_int(t),) * 2
-        arg = libmp.mpi_div(libmp.mpi_mul(two_pi, t_iv, precision), p_iv, precision)
-        for table, (lo, hi) in zip((cos_iv, sin_iv), libmp.mpi_cos_sin(arg, precision)):
-            table.append((
-                _scaled_bound(lo, precision, upper=False),
-                _scaled_bound(hi, precision, upper=True),
-            ))
+    arg = libmp.mpi_div(two_pi, (libmp.from_int(p),) * 2, work)
+    (c_lo, c_hi), (s_lo, s_hi) = libmp.mpi_cos_sin(arg, work)
+    cos_iv = [
+        (1 << precision, 1 << precision),
+        (_scaled_bound(c_lo, precision, False), _scaled_bound(c_hi, precision, True)),
+    ]
+    sin_iv = [
+        (0, 0),
+        (_scaled_bound(s_lo, precision, False), _scaled_bound(s_hi, precision, True)),
+    ]
+    x_lo, x_hi = _scaled_bound(c_lo, g, False), _scaled_bound(c_hi, g, True)
+    y_lo, y_hi = _scaled_bound(s_lo, g, False), _scaled_bound(s_hi, g, True)
+    x1, y1 = (x_lo + x_hi) >> 1, (y_lo + y_hi) >> 1
+    r1 = (x_hi - x1) + (y_hi - y1)
+    one, drop = 1 << g, g - precision
+    x, y, r = x1, y1, r1
+    for _ in range(2, p // 2 + 1):
+        x, y = (x * x1 - y * y1) >> g, (x * y1 + y * x1) >> g
+        r = -(-((one + r) * r1 + (one + r1) * r + r * r1) >> g) + 2
+        cos_iv.append(((x - r) >> drop, -(-(x + r) >> drop)))
+        sin_iv.append(((y - r) >> drop, -(-(y + r) >> drop)))
     for t in range(p // 2 + 1, p):
         cos_iv.append(cos_iv[p - t])
         lo, hi = sin_iv[p - t]

@@ -31,7 +31,6 @@ import csv
 import io
 import json
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -540,6 +539,8 @@ def batch_report(
     run = partial(_sweep_one, engine, d, kwargs)
     workers = min(jobs, len(primes))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only pools pay its import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, primes))
         engine.float_primes.extend(row.p for row, was_float in results if was_float)

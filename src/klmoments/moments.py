@@ -130,11 +130,29 @@ def _orbit_sum(e: int, traces: int, what: str) -> int:
 
 
 def _check_power_sums(p: int, values: dict[int, int]) -> None:
-    """The restricted identities S_1 = 1 and S_2 = p^2 - p - 1."""
+    """The restricted identities S_1 = 1 and S_2 = p^2 - p - 1, and the Weil
+    bound S_n^2 <= (p-1)^2 4^n p^n, which |Kl_2(p; a)| <= 2 sqrt(p) gives."""
     expected = {1: 1, 2: p * p - p - 1}
     for n, want in expected.items():
         if n in values and values[n] != want:
             raise IdentityFailure(f"S_{n}({p}) = {values[n]}, the theory forces {want}")
+    for n, v in values.items():
+        if v * v > (p - 1) ** 2 * (4 * p) ** n:
+            raise IdentityFailure(
+                f"S_{n}({p}) = {v} breaks the Weil bound |S_n| <= (p-1) (2 sqrt p)^n"
+            )
+
+
+def _check_completed_congruence(p: int, values: dict[int, int]) -> None:
+    """S'_n = S_n + (-1)^n == (-1)^(n-1) (n-1) p (mod p^2) on restricted values.
+
+    This is the rule that pins float tables, so only exact tables can check it.
+    """
+    for n, v in values.items():
+        if (v + (-1) ** n - completed_congruence_class(n, p)) % (p * p):
+            raise IdentityFailure(
+                f"S'_{n}({p}) = {v + (-1) ** n} is not (-1)^(n-1) (n-1) p mod p^2"
+            )
 
 
 def power_sums_exact(
@@ -148,8 +166,9 @@ def power_sums_exact(
     Kl_2(p; .) has one orbit at p = 2 and two (squares, non-squares)
     otherwise, so S_n(p) = sum over representatives r of
     Tr(Kl_2(p; r)**n) / gcd(2, p - 1), computed in Z[zeta_p]. Every table
-    is checked against the parity of that sum, S_1 = 1 and
-    S_2 = p^2 - p - 1; a failure raises IdentityFailure.
+    is checked against the parity of that sum, S_1 = 1, S_2 = p^2 - p - 1,
+    the Weil bound and the completed congruence mod p^2; a failure raises
+    IdentityFailure.
     """
     p = Prime(p)
     if p > exact_limit:
@@ -171,6 +190,7 @@ def power_sums_exact(
         n: _orbit_sum(len(reps), traces[n], f"S_{n}({p})") for n in range(1, nmax + 1)
     }
     _check_power_sums(p, values)
+    _check_completed_congruence(p, values)
     if convention == COMPLETED:
         values = {n: v + (-1) ** n for n, v in values.items()}
     return PowerSumTable(p, convention, values, METHOD_EXACT)
@@ -192,7 +212,8 @@ def power_sums_float(p: int, nmax: int, precision: int = PRECISION_START) -> Pow
     The unique admissible integer is the one in the enclosure congruent to
     (-1)**(n-1)(n-1)p mod p**2; zero or several candidates raise
     AmbiguousRounding and the caller must retry at higher precision. The
-    restricted S_1 and S_2 are checked like exact tables (IdentityFailure).
+    restricted S_1, S_2 and the Weil bound are checked like exact tables
+    (IdentityFailure).
     """
     p = Prime(p)
     if nmax < 1:

@@ -67,6 +67,17 @@ class TestCorruption:
         assert "S_2(13)" in caplog.text
         assert not path.exists()
 
+    def test_weil_breaking_entry_discarded(self, store, caplog):
+        # S_1 and S_2 intact; |S_8(13)| one past (p - 1)(2 sqrt p)^8 = 12 * 52^4
+        good = power_sums_exact(13, 8)
+        path = store.store(
+            PowerSumTable(13, RESTRICTED, {**good.values, 8: 12 * 52**4 + 1}, METHOD_FLOAT)
+        )
+        with caplog.at_level("WARNING"):
+            assert store.load(13, RESTRICTED, METHOD_FLOAT) is None
+        assert "Weil bound" in caplog.text
+        assert not path.exists()
+
 
 class TestCrossMethodConsistency:
     def test_agreeing_records_load(self, store):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -280,3 +283,28 @@ class TestTrace:
         code, out, _ = run(capsys, "trace", "--d", "4", "--p", "5", "--no-cache")
         assert code == 0
         assert "pure part = 0" in out
+
+
+STARTUP_PROBE = """
+import contextlib, io, json, sys
+import klmoments.cli
+lazy = ("mpmath", "concurrent.futures.process")
+after_import = [m for m in lazy if m in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = klmoments.cli.main(["evans", "--d", "6", "--pmin", "2", "--pmax", "31", "--no-cache"])
+print(json.dumps([after_import, code, "mpmath" in sys.modules]))
+"""
+
+
+class TestStartup:
+    def test_import_and_exact_sweep_skip_mpmath_and_the_pool(self):
+        # a fresh interpreter: importing the CLI loads neither mpmath nor the
+        # process pool, and an exact-only --jobs 1 sweep never needs mpmath
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        env.pop("KLMOMENTS_CACHE_DIR", None)
+        done = subprocess.run(
+            [sys.executable, "-c", STARTUP_PROBE],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert json.loads(done.stdout) == [[], 0, False]

@@ -16,6 +16,7 @@ from klmoments.cyclotomic import (
     unit_root_intervals,
 )
 from klmoments.errors import ModulusMismatch, NotRational
+from klmoments.ffprime import primes_in_range
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
@@ -238,6 +239,27 @@ class TestEncloseSum:
             enclose_sum([1, 2, 3], cos_iv)
 
 
+def reference_roots(p, precision):
+    """cos and sin pairs of 2 pi t / p for t <= p/2, one mpi_cos_sin per t.
+
+    The argument is built in mpmath's iv context, which rounds t and p
+    outward to the working precision; the endpoints are scaled to ints at
+    2**-precision by _scaled_bound.
+    """
+    old, mpmath.iv.prec = mpmath.iv.prec, precision
+    try:
+        args = [(2 * mpmath.iv.pi * t / p)._mpi_ for t in range(p // 2 + 1)]
+    finally:
+        mpmath.iv.prec = old
+    pairs = []
+    for arg in args:
+        pairs.append(tuple(
+            (_scaled_bound(lo, precision, False), _scaled_bound(hi, precision, True))
+            for lo, hi in mpmath.libmp.mpi_cos_sin(arg, precision)
+        ))
+    return pairs
+
+
 class TestUnitRootIntervals:
     @pytest.mark.parametrize(
         "p, precision",
@@ -258,29 +280,39 @@ class TestUnitRootIntervals:
     @pytest.mark.parametrize("precision", [64, 128, 256])
     @pytest.mark.parametrize("p", [2, 3, 5, 263, 331])
     def test_equal_to_the_interval_context_construction(self, p, precision):
-        # the reference builds 2 pi t / p in mpmath's iv context, which
-        # rounds t and p to the working precision; at 64 bits and above
-        # both are exact there, so the tables must agree bit for bit
-        old, mpmath.iv.prec = mpmath.iv.prec, precision
-        try:
-            args = [(2 * mpmath.iv.pi * t / p)._mpi_ for t in range(p // 2 + 1)]
-        finally:
-            mpmath.iv.prec = old
+        # the interval-context construction (one mpi_cos_sin per t) is the
+        # reference: every pair of the recurrence lies inside its pair and
+        # still brackets the value computed with 256 bits beyond the scale
         cos_iv, sin_iv = unit_root_intervals(p, precision)
-        for t, arg in enumerate(args):
-            (c_lo, c_hi), (s_lo, s_hi) = mpmath.libmp.mpi_cos_sin(arg, precision)
-            want = [
-                (_scaled_bound(c_lo, precision, False), _scaled_bound(c_hi, precision, True)),
-                (_scaled_bound(s_lo, precision, False), _scaled_bound(s_hi, precision, True)),
-            ]
-            assert [cos_iv[t], sin_iv[t]] == want, (p, precision, t)
+        with mpmath.workprec(precision + 256):
+            for t, (c_ref, s_ref) in enumerate(reference_roots(p, precision)):
+                arg = 2 * mpmath.pi * t / p
+                pairs = (
+                    (cos_iv[t], c_ref, mpmath.cos(arg)),
+                    (sin_iv[t], s_ref, mpmath.sin(arg)),
+                )
+                for (lo, hi), (ref_lo, ref_hi), exact in pairs:
+                    assert ref_lo <= lo <= hi <= ref_hi, (p, precision, t)
+                    assert lo <= mpmath.ldexp(exact, precision) <= hi, (p, precision, t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        p=st.sampled_from(list(primes_in_range(2, 1100))),
+        precision=st.integers(8, 256),
+    )
+    def test_inside_the_reference_and_at_most_two_units_wide(self, p, precision):
+        cos_iv, sin_iv = unit_root_intervals(p, precision)
+        for t, (c_ref, s_ref) in enumerate(reference_roots(p, precision)):
+            for (lo, hi), (ref_lo, ref_hi) in ((cos_iv[t], c_ref), (sin_iv[t], s_ref)):
+                assert ref_lo <= lo <= hi <= ref_hi, (p, precision, t)
+                assert hi - lo <= 2, (p, precision, t)
 
     @pytest.mark.parametrize("t", [252, 253])
     def test_endpoint_below_the_scale_is_rounded_outward(self, t):
         # cos(2 pi t / p) on either side of t = p/4 is tiny (positive at 252,
         # negative at 253): mpmath's endpoint has an exponent below
-        # -precision, so scaling it leaves a fraction that must be floored
-        # for lo and ceiled for hi
+        # -precision, so scaling it leaves a fraction that _scaled_bound
+        # must floor for lo and ceil for hi; the table's pair lies inside
         p, precision = 1009, 64
         old, mpmath.iv.prec = mpmath.iv.prec, precision
         try:
@@ -294,9 +326,12 @@ class TestUnitRootIntervals:
             value = Fraction(int(man)) * Fraction(2) ** (exp + precision)
             return -value if sign else value
 
+        ref_lo = _scaled_bound(lo_raw, precision, upper=False)
+        ref_hi = _scaled_bound(hi_raw, precision, upper=True)
+        assert ref_lo < scaled_raw(lo_raw) and scaled_raw(hi_raw) < ref_hi
+        assert ref_lo == math.floor(scaled_raw(lo_raw))
+        assert ref_hi == math.ceil(scaled_raw(hi_raw))
         lo, hi = unit_root_intervals(p, precision)[0][t]
-        assert lo < scaled_raw(lo_raw) and scaled_raw(hi_raw) < hi
-        assert lo == math.floor(scaled_raw(lo_raw))
-        assert hi == math.ceil(scaled_raw(hi_raw))
+        assert ref_lo <= lo <= hi <= ref_hi
         with mpmath.workprec(256):
             assert lo <= mpmath.ldexp(mpmath.cos(2 * mpmath.pi * t / p), precision) <= hi

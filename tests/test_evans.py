@@ -1,3 +1,4 @@
+import concurrent.futures
 import random
 from fractions import Fraction
 
@@ -324,7 +325,7 @@ class TestBatchReport:
     def test_workers_capped_at_prime_count(self, monkeypatch):
         requested = []
         monkeypatch.setattr(
-            evans, "ProcessPoolExecutor",
+            concurrent.futures, "ProcessPoolExecutor",
             lambda max_workers: InlinePool(max_workers, requested),
         )
         rows, _ = batch_report(8, 3, 7, jobs=64)

@@ -111,6 +111,25 @@ class TestGaloisOrbits:
         with pytest.raises(IdentityFailure, match=r"S_2\(7\)"):
             power_sums_exact(7, 2)
 
+    def test_broken_congruence_fails_identities(self, monkeypatch):
+        # S_3 one off: the parity, S_1, S_2 and the Weil bound still hold,
+        # the completed congruence mod p^2 breaks
+        orbit_sum = moments._orbit_sum
+        monkeypatch.setattr(
+            moments, "_orbit_sum",
+            lambda e, traces, what: orbit_sum(e, traces, what) + what.startswith("S_3("),
+        )
+        with pytest.raises(IdentityFailure, match=r"S'_3\(7\)"):
+            power_sums_exact(7, 4)
+
+    def test_weil_bound_checked(self):
+        # |S_4(13)| <= (p - 1)(2 sqrt p)^4 = 12 * 52^2 = 32448, with equality allowed
+        values = {1: 1, 2: 13**2 - 13 - 1}
+        moments._check_power_sums(13, {**values, 4: -32448})
+        for s4 in (32449, -32449):
+            with pytest.raises(IdentityFailure, match=r"S_4\(13\).*Weil"):
+                moments._check_power_sums(13, {**values, 4: s4})
+
 
 class TestPowerSumsExact:
     def test_p3(self):
@@ -369,7 +388,7 @@ class TestLargePrimePaths:
         flt = power_sums_float(p, 8, 64)
         assert flt.values == power_sums_exact(p, 8, COMPLETED, exact_limit=p).values
 
-    @pytest.mark.parametrize("p", [263, 331, 499])
+    @pytest.mark.parametrize("p", [263, 331, 499, 1009, 2003])
     def test_float_route_above_257(self, p):
         # pins the float route's coverage above today's default limit,
         # whatever DEFAULT_EXACT_LIMIT becomes
