@@ -1,94 +1,108 @@
-"""Exact integer convolution kernels.
+"""Exact integer convolution by Kronecker substitution.
 
-All callers need bit-exact results on arbitrary-precision integers. The
-fast path runs numpy int64 schoolbook convolution, guarded by an a-priori
-bound on every intermediate value; when the bound does not fit, operands
-are split into signed base-2**k digits so that each partial convolution is
-int64-safe, and the digits are recombined in exact Python integers. An
-NTT path (CRT over word-sized primes with power-of-two transforms) agrees
-bit-exactly with the schoolbook path. No product calls it: it is kept
-only because the benchmark's per-layer trace names it.
+All callers need bit-exact results on arbitrary-precision integers. A
+sequence v is packed into one integer, sum_i v_i * 2**(8*w*i), whose
+slots of w bytes hold every coefficient of the product: w is the a-priori
+bound of _product_bound plus a sign bit, rounded up to whole bytes. One
+big-integer product then carries the whole linear convolution, one
+coefficient per slot, and is unpacked again. Signs cost one XOR against
+S, the top bit of every slot: two's-complement slot bytes U pack to the
+signed value (U ^ S) - S, and a signed product C unpacks from the
+two's-complement bytes of (C + S) ^ S. Slots of up to 8 bytes go through
+struct at the next size of 1, 2, 4 or 8 bytes, with the sign-extension
+bytes dropped or restored by strided byte copies; wider ones through
+int.to_bytes per entry.
+
+An NTT path (CRT over word-sized primes with power-of-two transforms)
+agrees bit-exactly with the Kronecker path. No product calls it: it is
+kept only because the benchmark's per-layer trace names it, and it is the
+only code here that loads numpy.
 """
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache
-from typing import Sequence
-
-import numpy as np
+from math import isqrt
+from operator import add, mul
+from typing import TYPE_CHECKING, Sequence
 
 from .ffprime import is_prime
 
-_INT64_SAFE = 1 << 62
+if TYPE_CHECKING:
+    import numpy as np
 
-
-def _abs_stats(v: Sequence[int]) -> tuple[int, int]:
-    s = m = 0
-    for x in v:
-        ax = -x if x < 0 else x
-        s += ax
-        if ax > m:
-            m = ax
-    return s, m
+# struct codes of the signed sizes, in bytes
+_STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+# byte -> 0xff when its top bit is set, else 0: a sign-extension byte
+_SIGN_FILL = bytes(0xFF if b & 0x80 else 0 for b in range(256))
 
 
 def _product_bound(a: Sequence[int], b: Sequence[int]) -> int:
-    """Upper bound for |coefficient| of the linear convolution a*b."""
-    sa, ma = _abs_stats(a)
-    sb, mb = _abs_stats(b)
-    return min(sa * mb, sb * ma)
+    """Upper bound for |coefficient| of the linear convolution a*b.
+
+    By Cauchy-Schwarz, |sum_i a_i b_(k-i)|**2 <= (sum a_i**2)(sum b_j**2).
+    """
+    sq_a = sum(map(mul, a, a))
+    sq_b = sq_a if b is a else sum(map(mul, b, b))
+    return isqrt(sq_a * sq_b)
 
 
-def _convolve_int64(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    full = np.convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
-    return full.tolist()
+def _sign_bits(count: int, width: int) -> int:
+    """The top bit of each of count slots of width bytes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
 
 
-def _digits(v: Sequence[int], base_bits: int, count: int) -> list[list[int]]:
-    """Signed digit expansion: v = sum_i digits[i] << (base_bits * i)."""
-    out = [[0] * len(v) for _ in range(count)]
-    mask = (1 << base_bits) - 1
-    for pos, x in enumerate(v):
-        neg = x < 0
-        if neg:
-            x = -x
-        i = 0
-        while x:
-            out[i][pos] = -(x & mask) if neg else (x & mask)
-            x >>= base_bits
-            i += 1
-    return out
+def _pack(v: Sequence[int], width: int, signs: int) -> int:
+    """sum_i v_i * 2**(8 * width * i); signs covers at least len(v) slots."""
+    if width > 8:
+        raw = b"".join(x.to_bytes(width, "little", signed=True) for x in v)
+    else:
+        size = 1 << (width - 1).bit_length()
+        raw = struct.pack(f"<{len(v)}{_STRUCT_CODES[size]}", *v)
+        if size > width:  # drop each slot's sign-extension bytes
+            narrow = bytearray(len(v) * width)
+            for k in range(width):
+                narrow[k::width] = raw[k::size]
+            raw = narrow
+    # slots above len(v) are zero in raw, so their sign bits cancel
+    return (int.from_bytes(raw, "little") ^ signs) - signs
 
 
-def _convolve_split(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Exact linear convolution via digit splitting; no overflow possible."""
-    n = len(a) + len(b) - 1
-    # Digit size chosen so p products of two digits stay inside int64.
-    base_bits = max(8, (62 - max(len(a), len(b)).bit_length()) // 2)
-    _, ma = _abs_stats(a)
-    _, mb = _abs_stats(b)
-    na = max(1, -(-max(1, ma.bit_length()) // base_bits))
-    nb = max(1, -(-max(1, mb.bit_length()) // base_bits))
-    da = _digits(a, base_bits, na)
-    db = _digits(b, base_bits, nb)
-    acc = [0] * n
-    for i, ai in enumerate(da):
-        for j, bj in enumerate(db):
-            part = _convolve_int64(ai, bj)
-            shift = base_bits * (i + j)
-            for t, c in enumerate(part):
-                if c:
-                    acc[t] += c << shift
-    return acc
+def _unpack(c: int, count: int, width: int, signs: int) -> list[int]:
+    """The count signed slots of c, least significant first."""
+    raw = ((c + signs) ^ signs).to_bytes(count * width, "little")
+    if width > 8:
+        return [
+            int.from_bytes(raw[i : i + width], "little", signed=True)
+            for i in range(0, len(raw), width)
+        ]
+    size = 1 << (width - 1).bit_length()
+    if size > width:  # sign-extend each slot to the struct size
+        wide = bytearray(count * size)
+        for k in range(width):
+            wide[k::size] = raw[k::width]
+        fill = raw[width - 1 :: width].translate(_SIGN_FILL)
+        for k in range(width, size):
+            wide[k::size] = fill
+        raw = wide
+    return list(struct.unpack(f"<{count}{_STRUCT_CODES[size]}", raw))
 
 
 def convolve_exact(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Exact linear convolution of two integer sequences."""
+    """Exact linear convolution of two integer sequences, as one product."""
     if not a or not b:
         return []
-    if _product_bound(a, b) < _INT64_SAFE:
-        return _convolve_int64(a, b)
-    return _convolve_split(a, b)
+    count = len(a) + len(b) - 1
+    bound = _product_bound(a, b)
+    if not bound:
+        return [0] * count
+    # a nonzero bound is at least max|a_i| * max|b_j|, so the operands fit
+    width = (bound.bit_length() + 8) // 8  # one more bit for the sign
+    signs = _sign_bits(count, width)
+    packed = _pack(a, width, signs)
+    product = packed * packed if a is b else packed * _pack(b, width, signs)
+    return _unpack(product, count, width, signs)
 
 
 def cyclic_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -97,10 +111,8 @@ def cyclic_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     if len(b) != n:
         raise ValueError("cyclic convolution needs equal lengths")
     full = convolve_exact(a, b)
-    out = list(full[:n])
-    for t in range(n, len(full)):
-        out[t - n] += full[t]
-    return out
+    # full has 2n - 1 entries; entry n + t folds onto t
+    return list(map(add, full, full[n:])) + full[n - 1 : n]
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +157,8 @@ def _primitive_root(q: int) -> int:
 
 def _ntt(vec: np.ndarray, q: int, root: int, invert: bool) -> np.ndarray:
     """Iterative radix-2 NTT over Z/q on an int64 vector (length power of 2)."""
+    import numpy as np
+
     n = len(vec)
     a = vec % q
     # bit-reversal permutation
@@ -182,6 +196,8 @@ def _ntt(vec: np.ndarray, q: int, root: int, invert: bool) -> np.ndarray:
 
 def cyclic_convolve_ntt(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Cyclic convolution via CRT'd power-of-two NTTs; bit-exact."""
+    import numpy as np
+
     n = len(a)
     if len(b) != n:
         raise ValueError("cyclic convolution needs equal lengths")

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from operator import add, sub
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from . import convolve
 from .errors import ModulusMismatch, NotRational
@@ -28,7 +28,7 @@ def _canonical(coeffs: Sequence[int]) -> tuple[int, ...]:
     c0 = coeffs[0]
     if c0 == 0:
         return tuple(coeffs)
-    return tuple(c - c0 for c in coeffs)
+    return tuple(map(sub, coeffs, repeat(c0)))
 
 
 @dataclass(frozen=True)
@@ -73,11 +73,11 @@ class CycInt:
 
     def __add__(self, other: "CycInt") -> "CycInt":
         self._check(other)
-        return CycInt(self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return CycInt(self.p, tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "CycInt") -> "CycInt":
         self._check(other)
-        return CycInt(self.p, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return CycInt(self.p, tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "CycInt":
         return CycInt(self.p, tuple(-a for a in self.coeffs))
@@ -93,15 +93,15 @@ class CycInt:
     def __pow__(self, n: int) -> "CycInt":
         if n < 0:
             raise ValueError("negative powers are not defined in Z[zeta_p]")
-        out = CycInt.from_integer(self.p, 1)
+        out = None
         base = self
         while n:
             if n & 1:
-                out = out * base
+                out = base if out is None else out * base
             n >>= 1
             if n:
                 base = base * base
-        return out
+        return CycInt.from_integer(self.p, 1) if out is None else out
 
     def galois(self, k: int) -> "CycInt":
         """Ring automorphism zeta -> zeta**k for k coprime to p."""
@@ -237,6 +237,8 @@ class RootLimbs:
     """
 
     def __init__(self, roots) -> None:
+        import numpy as np  # only the float route needs numpy; start-up skips it
+
         self.offset = max(0, -min(lo for lo, _ in roots))
         top = max(hi for _, hi in roots) + self.offset
         self.count = max(1, -(-top.bit_length() // _LIMB_BITS))
@@ -269,6 +271,8 @@ def enclose_sum(rows, roots) -> list[tuple[int, int]]:
     matmuls against the limbs, exact while sum_t |c_t| < WEIGHT_LIMIT;
     a row above that raises ValueError.
     """
+    import numpy as np
+
     if not isinstance(roots, RootLimbs):
         roots = RootLimbs(roots)
     try:

@@ -16,19 +16,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cyclotomic import CycInt, _cached_roots, enclose_sum
 from .errors import BudgetExceeded, NotReal, ZeroParameter
 from .ffprime import Prime, inverse_table, is_prime
 
+if TYPE_CHECKING:
+    import numpy as np
+
 DEFAULT_KLN_BUDGET = 10**10
 
 
 @lru_cache(maxsize=64)
-def _cached_inverse_table(p: int) -> np.ndarray:
+def _inverses(p: int) -> tuple[int, ...]:
     """inv[x] = x^-1 mod p for x in F_p (inv[0] = 0)."""
+    return tuple(inverse_table(p))
+
+
+@lru_cache(maxsize=64)
+def _cached_inverse_table(p: int) -> np.ndarray:
+    """inverse_table(p) as an int64 array."""
+    import numpy as np  # only the float route and the n-variable DP need numpy
+
     return np.array(inverse_table(p), dtype=np.int64)
 
 
@@ -54,8 +64,11 @@ def kl2_count_rows(p: int, a_values) -> np.ndarray:
     """Exponent distributions of the 2-variable sum for a block of a.
 
     Row i holds counts[t] = #{x in F_p^* : x + a_i * x^-1 = t}, one
-    bincount over row * p + t for the whole block; O(p) per row.
+    bincount over row * p + t for the whole block; O(p) per row. This is
+    the float route's counter; kl2_counts counts one row without numpy.
     """
+    import numpy as np
+
     p = Prime(p)
     a = [v % p for v in a_values]
     if 0 in a:
@@ -68,10 +81,19 @@ def kl2_count_rows(p: int, a_values) -> np.ndarray:
 
 
 def kl2_counts(p: int, a: int) -> ExponentCounts:
-    """Exponent distribution of the 2-variable sum; one row of kl2_count_rows."""
+    """Exponent distribution of the 2-variable sum, in p - 1 steps.
+
+    The same row as kl2_count_rows(p, [a]), counted in Python ints.
+    """
     p = Prime(p)
     a %= p
-    return ExponentCounts(p, a, 2, tuple(kl2_count_rows(p, [a])[0].tolist()))
+    if a == 0:
+        raise ZeroParameter("Kl_2(p; 0) is excluded; see the moments module")
+    inv = _inverses(p)
+    counts = [0] * p
+    for x in range(1, p):
+        counts[(x + a * inv[x]) % p] += 1
+    return ExponentCounts(p, a, 2, tuple(counts))
 
 
 def kl2_value(p: int, a: int) -> CycInt:
@@ -87,6 +109,8 @@ def _kln_table(p: int, n: int) -> list[list[int]]:
     O(n * p^3). Counts can exceed int64 for large n, so the DP runs mod
     several word-sized primes and lifts by CRT (the recurrence is linear).
     """
+    import numpy as np
+
     inv = _cached_inverse_table(p)
     max_count = (p - 1) ** (n - 1)
     if max_count * p < 2**62:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, gcd
+from operator import mul
 
 from .cyclotomic import CycInt, _cached_roots, as_integer, enclose_sum
 from .errors import (
@@ -120,6 +121,18 @@ def _field_trace(x: CycInt) -> int:
     return -sum(x.coeffs)
 
 
+def _paired_trace(y: CycInt, z: CycInt) -> int:
+    """Tr(y * z) without the product, in O(p).
+
+    Tr(zeta**k) = p - 1 when p | k and -1 otherwise, so
+    Tr(y z) = p * sum_t y_t z_(-t) - (sum y)(sum z) (Washington,
+    Introduction to Cyclotomic Fields, ch. 2).
+    """
+    yc, zc = y.coeffs, z.coeffs
+    dot = yc[0] * zc[0] + sum(map(mul, yc[1:], reversed(zc[1:])))
+    return y.p * dot - sum(yc) * sum(zc)
+
+
 def _orbit_sum(e: int, traces: int, what: str) -> int:
     q, r = divmod(traces, e)
     if r:
@@ -165,7 +178,9 @@ def power_sums_exact(
 
     Kl_2(p; .) has one orbit at p = 2 and two (squares, non-squares)
     otherwise, so S_n(p) = sum over representatives r of
-    Tr(Kl_2(p; r)**n) / gcd(2, p - 1), computed in Z[zeta_p]. Every table
+    Tr(Kl_2(p; r)**n) / gcd(2, p - 1), computed in Z[zeta_p]. The chain
+    stops at h = ceil(nmax / 2): Tr(x**n) for n > h is Tr(x**h * x**(n-h))
+    by _paired_trace, so no power above x**h is formed. Every table
     is checked against the parity of that sum, S_1 = 1, S_2 = p^2 - p - 1,
     the Weil bound and the completed congruence mod p^2; a failure raises
     IdentityFailure.
@@ -178,14 +193,16 @@ def power_sums_exact(
     if convention not in (RESTRICTED, COMPLETED):
         raise WrongConvention(f"unknown convention {convention!r}")
     reps = _orbit_representatives(p, 2)
+    h = (nmax + 1) // 2
     traces = [0] * (nmax + 1)
     for r in reps:
-        base = kl2_counts(p, r).value()
-        cum = base
-        traces[1] += _field_trace(cum)
-        for n in range(2, nmax + 1):
-            cum = cum * base
-            traces[n] += _field_trace(cum)
+        powers = [None, kl2_counts(p, r).value()]
+        for k in range(2, h + 1):
+            powers.append(powers[k // 2] * powers[k - k // 2])
+        for n in range(1, h + 1):
+            traces[n] += _field_trace(powers[n])
+        for n in range(h + 1, nmax + 1):
+            traces[n] += _paired_trace(powers[h], powers[n - h])
     values = {
         n: _orbit_sum(len(reps), traces[n], f"S_{n}({p})") for n in range(1, nmax + 1)
     }
@@ -351,8 +368,9 @@ def tensor_moment(
 ) -> int:
     """Tensor-power moment: sum over a of ((-1)**(n-1) Kl_n(p; a))**d.
 
-    Summed over Galois orbits: one d-th power per coset of the n-th powers
-    (see _orbit_representatives).
+    Summed over Galois orbits, one trace per coset of the n-th powers (see
+    _orbit_representatives): Tr(x**d) = Tr(x**h * x**(d-h)) with
+    h = ceil(d / 2), by _paired_trace, so no power above x**h is formed.
     """
     p = Prime(p)
     if d < 0:
@@ -363,6 +381,10 @@ def tensor_moment(
         raise BudgetExceeded(f"n*p^3 = {n * p**3} exceeds budget {budget}")
     sign = (-1) ** ((n - 1) * d)
     reps = _orbit_representatives(p, n)
-    traces = sum(_field_trace(kln_value(p, r, n, budget) ** d) for r in reps)
+    traces = 0
+    for r in reps:
+        x = kln_value(p, r, n, budget)
+        low = x ** (d // 2)
+        traces += _paired_trace(low if d % 2 == 0 else low * x, low)
     return sign * _orbit_sum(len(reps), traces, f"tensor moment n={n}, d={d} at p={p}")
 

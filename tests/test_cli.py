@@ -288,18 +288,19 @@ class TestTrace:
 STARTUP_PROBE = """
 import contextlib, io, json, sys
 import klmoments.cli
-lazy = ("mpmath", "concurrent.futures.process")
+lazy = ("mpmath", "concurrent.futures.process", "numpy")
 after_import = [m for m in lazy if m in sys.modules]
 with contextlib.redirect_stdout(io.StringIO()):
     code = klmoments.cli.main(["evans", "--d", "6", "--pmin", "2", "--pmax", "31", "--no-cache"])
-print(json.dumps([after_import, code, "mpmath" in sys.modules]))
+print(json.dumps([after_import, code, "mpmath" in sys.modules, "numpy" in sys.modules]))
 """
 
 
 class TestStartup:
     def test_import_and_exact_sweep_skip_mpmath_and_the_pool(self):
-        # a fresh interpreter: importing the CLI loads neither mpmath nor the
-        # process pool, and an exact-only --jobs 1 sweep never needs mpmath
+        # a fresh interpreter: importing the CLI loads neither mpmath, numpy
+        # nor the process pool, and an exact-only --jobs 1 sweep needs
+        # neither mpmath nor numpy
         src = Path(cli.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
         env.pop("KLMOMENTS_CACHE_DIR", None)
@@ -307,4 +308,4 @@ class TestStartup:
             [sys.executable, "-c", STARTUP_PROBE],
             env=env, capture_output=True, text=True, check=True,
         )
-        assert json.loads(done.stdout) == [[], 0, False]
+        assert json.loads(done.stdout) == [[], 0, False, False]

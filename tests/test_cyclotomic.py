@@ -106,7 +106,7 @@ class TestMultiplication:
                     assert (x + y).galois(k) == x.galois(k) + y.galois(k)
 
     def test_big_coefficients_take_split_path(self):
-        # force coefficients far beyond int64
+        # coefficients far beyond int64: slots wider than any struct size
         rng = random.Random(9)
         p = 11
         x = CycInt.from_coeffs(p, [rng.randrange(-(10**25), 10**25) for _ in range(p)])
@@ -117,6 +117,50 @@ class TestMultiplication:
                 direct[(i + j) % p] += a * b
         expected = CycInt.from_coeffs(p, direct)
         assert x * y == expected
+
+
+# each signed slot width's edges, 2**(8k - 1) and one less, k = 1..8
+SLOT_EDGES = [
+    sign * (2 ** (8 * k - 1) - less)
+    for k in range(1, 9)
+    for less in (0, 1)
+    for sign in (1, -1)
+]
+KRONECKER_ENTRIES = st.one_of(
+    st.integers(-(2**200), 2**200),
+    st.integers(-300, 300),
+    st.sampled_from(SLOT_EDGES),
+)
+
+
+def naive_convolution(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+class TestConvolveExact:
+    @given(
+        a=st.lists(KRONECKER_ENTRIES, min_size=1, max_size=40),
+        b=st.lists(KRONECKER_ENTRIES, min_size=1, max_size=40),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_naive_double_loop(self, a, b):
+        assert convolve.convolve_exact(a, b) == naive_convolution(a, b)
+        # a square packs its one operand once
+        assert convolve.convolve_exact(a, a) == naive_convolution(a, a)
+
+    @pytest.mark.parametrize("edge", SLOT_EDGES)
+    def test_slot_edges(self, edge):
+        # the bound lands exactly on the edge, then one step past it
+        for a, b in (([edge], [1]), ([edge, -edge, 1], [1, 1]), ([edge], [edge, 3])):
+            assert convolve.convolve_exact(a, b) == naive_convolution(a, b)
+
+    def test_zero_operand_and_empty(self):
+        assert convolve.convolve_exact([2**300, -5], [0, 0, 0]) == [0] * 4
+        assert convolve.convolve_exact([], [1, 2]) == []
 
 
 class TestNttBackend:

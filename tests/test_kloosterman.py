@@ -50,6 +50,7 @@ class TestKl2CountRows:
                 for x in range(1, p):
                     want[(x + a * pow(x, -1, p)) % p] += 1
                 assert rows[a - 1].tolist() == want, (p, a)
+                assert list(kl2_counts(p, a).counts) == want, (p, a)
 
     def test_parameters_reduced_mod_p(self):
         assert kl2_count_rows(7, [3, 10, -4]).tolist() == [list(kl2_counts(7, 3).counts)] * 3

@@ -79,6 +79,31 @@ class TestGaloisOrbits:
         values = power_sums_exact(5, 10).values
         assert values == {n: lucas(2 * n) + (-2) ** n * lucas(n) for n in range(1, 11)}
 
+    @given(data=st.data(), p=st.sampled_from(primes_in_range(2, 31)))
+    @settings(max_examples=40, deadline=None)
+    def test_paired_trace_equals_trace_of_product(self, data, p):
+        entries = st.one_of(st.integers(-9, 9), st.integers(-(2**130), 2**130))
+        coeffs = st.lists(entries, min_size=p, max_size=p)
+        y = CycInt.from_coeffs(p, data.draw(coeffs))
+        z = CycInt.from_coeffs(p, data.draw(coeffs))
+        product = y * z
+        trace = as_integer(sum((product.galois(k) for k in range(2, p)), product))
+        assert moments._paired_trace(y, z) == trace
+
+    def test_products_stop_at_half_the_chain(self, monkeypatch):
+        # x**2..x**h with h = ceil(d / 2) per orbit; the rest is paired
+        calls = []
+        mul = CycInt.__mul__
+        monkeypatch.setattr(CycInt, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+        power_sums_exact(13, 8)
+        assert len(calls) == 2 * 3  # two orbits, x**2, x**3, x**4
+        calls.clear()
+        power_sums_exact(13, 6)
+        assert len(calls) == 2 * 2
+        calls.clear()
+        tensor_moment(13, 3, 6)
+        assert len(calls) == 3 * 2  # three orbits, x**3 by x * x**2
+
     @pytest.mark.parametrize("p", [5, 7, 13, 31])
     def test_corrupted_chain_fails_parity(self, monkeypatch, p):
         # moving one unit of the non-residue's count from exponent 0 to
@@ -109,7 +134,8 @@ class TestGaloisOrbits:
         one = CycInt.from_integer(7, 1)
         monkeypatch.setattr(CycInt, "__mul__", lambda x, y: mul(x, y) - one)
         with pytest.raises(IdentityFailure, match=r"S_2\(7\)"):
-            power_sums_exact(7, 2)
+            # nmax 4 forms x**2 by a product; at nmax 2 the pairing needs none
+            power_sums_exact(7, 4)
 
     def test_broken_congruence_fails_identities(self, monkeypatch):
         # S_3 one off: the parity, S_1, S_2 and the Weil bound still hold,
