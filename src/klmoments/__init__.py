@@ -33,7 +33,7 @@ from .invariants import (
     molien_frob_series,
     swan_sym,
 )
-from .kloosterman import kl2_counts, kl2_float, kl2_value, kln_counts
+from .kloosterman import kl2_counts, kl2_value
 from .modforms import (
     EtaQuotient,
     QSeries,
@@ -51,7 +51,6 @@ from .moments import (
     sym_moment_appendix8,
     sym_moment_direct,
     sym_moment_girard,
-    tensor_moment,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

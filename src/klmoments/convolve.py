@@ -27,7 +27,7 @@ from math import isqrt
 from operator import add, mul
 from typing import TYPE_CHECKING, Sequence
 
-from .ffprime import is_prime
+from .ffprime import is_prime, primitive_root
 
 if TYPE_CHECKING:
     import numpy as np
@@ -133,26 +133,8 @@ def _ntt_primes(two_power: int, count: int) -> tuple[tuple[int, int], ...]:
             raise ValueError("not enough NTT primes below 2**26")
         if not is_prime(q):
             continue
-        found.append((q, _primitive_root(q)))
+        found.append((q, primitive_root(q)))
     return tuple(found)
-
-
-def _primitive_root(q: int) -> int:
-    fac = []
-    m = q - 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            fac.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        fac.append(m)
-    for g in range(2, q):
-        if all(pow(g, (q - 1) // f, q) != 1 for f in fac):
-            return g
-    raise ValueError(f"no primitive root for {q}")  # unreachable for prime q
 
 
 def _ntt(vec: np.ndarray, q: int, root: int, invert: bool) -> np.ndarray:

@@ -17,12 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
+from math import gcd
 from operator import add, sub
 from typing import Iterable, Sequence
 
 from . import convolve
 from .errors import ModulusMismatch, NotRational
-from .ffprime import Prime
+from .ffprime import Prime, primitive_root
 
 def _canonical(coeffs: Sequence[int]) -> tuple[int, ...]:
     c0 = coeffs[0]
@@ -223,84 +224,54 @@ def unit_root_intervals(p: int, precision: int):
     return cos_iv, sin_iv
 
 
-_LIMB_BITS = 32
-# a-priori bound on sum_t |c_t| per row: each limb is below 2**32, so every
-# int64 dot product of a row with a limb column stays below 2**62
-WEIGHT_LIMIT = 1 << 30
-
-
-class RootLimbs:
-    """One root table's endpoints cut into offset 32-bit limbs.
-
-    limbs[t] holds the limbs of lo_t + offset, then those of hi_t + offset,
-    least significant first; the offset makes every endpoint non-negative.
-    """
-
-    def __init__(self, roots) -> None:
-        import numpy as np  # only the float route needs numpy; start-up skips it
-
-        self.offset = max(0, -min(lo for lo, _ in roots))
-        top = max(hi for _, hi in roots) + self.offset
-        self.count = max(1, -(-top.bit_length() // _LIMB_BITS))
-        mask = (1 << _LIMB_BITS) - 1
-        shifts = [_LIMB_BITS * k for k in range(self.count)]
-        self.limbs = np.array(
-            [
-                [(e + self.offset) >> s & mask for e in pair for s in shifts]
-                for pair in roots
-            ],
-            dtype=np.int64,
-        ).reshape(len(roots), 2 * self.count)
-
-
 @lru_cache(maxsize=64)
-def _cached_roots(p: int, precision: int) -> tuple[RootLimbs, RootLimbs]:
-    """The cos and sin tables of unit_root_intervals, cut into limbs once."""
-    cos_iv, sin_iv = unit_root_intervals(p, precision)
-    return RootLimbs(cos_iv), RootLimbs(sin_iv)
+def _cached_roots(p: int, precision: int) -> tuple[tuple[int, ...], ...]:
+    """The cosine table of unit_root_intervals in generator order.
 
-
-def enclose_sum(rows, roots) -> list[tuple[int, int]]:
-    """Integer bounds (lo, hi) of sum_t c_t * r_t at the roots' scale, per row.
-
-    rows is a batch of integer coefficient rows (a single vector is a
-    one-row batch); roots is one table of unit_root_intervals, (lo, hi) per
-    exponent t, or its RootLimbs. Each row is split as C+ - C-: a positive
-    coefficient takes lo into the lower bound and a negative one takes hi,
-    so every result encloses the exact sum. The dot products run as int64
-    matmuls against the limbs, exact while sum_t |c_t| < WEIGHT_LIMIT;
-    a row above that raises ValueError.
+    Returns g**j mod p for j < p - 1 with g = primitive_root(p), and the lo
+    and hi endpoints Q_m of cos(2*pi*g**m/p) for m below the orbit length
+    L = (p - 1) / gcd(2, p - 1). Q has period L: at odd p,
+    g**(m+L) = -g**m, and the table's second half mirrors the first
+    exactly.
     """
-    import numpy as np
+    cos_iv, _ = unit_root_intervals(p, precision)
+    g = primitive_root(p)
+    powers = [1]
+    for _ in range(p - 2):
+        powers.append(powers[-1] * g % p)
+    length = (p - 1) // gcd(2, p - 1)
+    lo = tuple(cos_iv[t][0] for t in powers[:length])
+    hi = tuple(cos_iv[t][1] for t in powers[:length])
+    return tuple(powers), lo, hi
 
-    if not isinstance(roots, RootLimbs):
-        roots = RootLimbs(roots)
-    try:
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
-    except OverflowError:
-        raise ValueError(f"coefficients beyond the enclosure bound {WEIGHT_LIMIT}") from None
-    width = roots.limbs.shape[0]
-    if rows.ndim != 2 or rows.shape[1] != width:
-        raise ValueError(f"need rows of {width} coefficients, got shape {rows.shape}")
-    # entrywise first, so that the row sums of |c| cannot wrap
-    lowest = rows.min(initial=0)
-    if lowest <= -WEIGHT_LIMIT or rows.max(initial=0) >= WEIGHT_LIMIT:
-        raise ValueError(f"a coefficient reaches the enclosure bound {WEIGHT_LIMIT}")
-    pos = np.maximum(rows, 0)
-    neg = pos - rows
-    pos_weight, neg_weight = pos.sum(axis=1), neg.sum(axis=1)
-    if (pos_weight + neg_weight).max(initial=0) >= WEIGHT_LIMIT:
-        raise ValueError(f"a row's sum of |c| reaches the enclosure bound {WEIGHT_LIMIT}")
-    k = roots.count
-    acc = pos @ roots.limbs
-    if lowest < 0:
-        # -C- takes -hi into the lower bound and -lo into the upper one
-        acc -= np.roll(neg @ roots.limbs, k, axis=1)
-    shifts = [_LIMB_BITS * j for j in range(k)]
-    out = []
-    for limbs, total in zip(acc.tolist(), (pos_weight - neg_weight).tolist()):
-        base = -roots.offset * total
-        lo = base + sum(v << s for v, s in zip(limbs[:k], shifts))
-        hi = base + sum(v << s for v, s in zip(limbs[k:], shifts))
-        out.append((lo, hi))
-    return out
+
+def enclose_sum(counts: Sequence[int], precision: int) -> list[tuple[int, int]]:
+    """Integer bounds (lo, hi) of sum_t c_t cos(2*pi*g**i*t/p) at scale
+    2**-precision, for i = 0..L-1.
+
+    counts holds c_t >= 0 for t = 0..p-1, and g and L are those of
+    _cached_roots. When counts are the fibre sizes of Kl_2(p; r), entry i
+    encloses Kl_2(p; g**(2i) r), since zeta -> zeta**k sends Kl_2(p; r) to
+    Kl_2(p; k**2 r): the entries are the orbit of r. The counts are
+    non-negative, so lo pairs with lo and hi with hi. With t = g**j
+    (Rader's reindexing), C_j = c_(g**j) and Q's period L, each bound is
+    the cyclic correlation
+        E_i = c_0 2**precision + sum_(j<L) D_j Q_(i+j),
+    where D_j = sum_k C_(j+kL) folds C onto one period; one exact
+    cyclic_convolve per endpoint computes all L of them.
+    """
+    p = Prime(len(counts))
+    if min(counts) < 0:
+        raise ValueError("enclose_sum needs non-negative counts")
+    powers, q_lo, q_hi = _cached_roots(p, precision)
+    length = len(q_lo)
+    reordered = [counts[t] for t in powers]
+    folded = [sum(col) for col in zip(*(
+        reordered[k : k + length] for k in range(0, p - 1, length)
+    ))]
+    # correlation as convolution: E_i = sum_m Q_m D_(m-i), D reversed cyclically
+    flipped = folded[:1] + folded[:0:-1]
+    base = counts[0] << precision
+    lo = convolve.cyclic_convolve(q_lo, flipped)
+    hi = convolve.cyclic_convolve(q_hi, flipped)
+    return [(base + a, base + b) for a, b in zip(lo, hi)]

@@ -3,10 +3,10 @@
 Every error raised by this package derives from KlmomentsError so callers
 can catch the whole family at a pipeline boundary. The leaf classes mirror
 the failure modes of the arithmetic contracts: most signal a caller mistake
-(bad argument, missing data), while NotRational, NotReal,
-DivisibilityFailure, RangeFailure and IdentityFailure signal that a
-quantity the underlying theory forces has come out wrong, i.e. an
-implementation bug or an identity that genuinely fails.
+(bad argument, missing data), while NotRational, DivisibilityFailure,
+RangeFailure and IdentityFailure signal that a quantity the underlying
+theory forces has come out wrong, i.e. an implementation bug or an
+identity that genuinely fails.
 """
 
 
@@ -34,16 +34,8 @@ class NotRational(KlmomentsError):
     """A cyclotomic integer expected to be rational is not."""
 
 
-class NotReal(KlmomentsError):
-    """An enclosure of a quantity expected to be real excludes every real."""
-
-
 class ZeroParameter(KlmomentsError):
     """Kloosterman sum requested at the excluded parameter a = 0."""
-
-
-class BudgetExceeded(KlmomentsError):
-    """Requested computation exceeds the configured work budget."""
 
 
 class ExactLimitExceeded(KlmomentsError):

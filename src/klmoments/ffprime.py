@@ -85,6 +85,29 @@ def inverse_table(p: int) -> list[int]:
     return inv
 
 
+def primitive_root(p: int) -> int:
+    """The least generator of F_p^* for the prime p (1 at p = 2).
+
+    g generates when g**((p-1)/q) != 1 for every prime q dividing p - 1;
+    p - 1 is factored by trial division.
+    """
+    factors = []
+    m = p - 1
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            factors.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        factors.append(m)
+    for g in range(1, p):
+        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
+            return g
+    raise ValueError(f"no primitive root for {p}")  # unreachable for prime p
+
+
 def jacobi_symbol(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd n >= 1, by binary reciprocity.
 

@@ -10,6 +10,12 @@ The congruence S'_n(p) == (-1)**(n-1) * (n-1) * p  (mod p**2) holds for the
 completed convention only; the restricted S_2 = p**2 - p - 1 already breaks
 it. The float path therefore always recovers completed values.
 
+Both power-sum routes work orbit by orbit: zeta -> zeta**k sends
+Kl_2(p; a) to Kl_2(p; k**2 a), so one exponent count per Galois orbit
+(_orbit_representatives) serves all p - 1 parameters. The exact route
+takes field traces of powers in Z[zeta_p]; the float route encloses the
+whole orbit at once (cyclotomic.enclose_sum) and sums interval powers.
+
 Three independent routes to m^d_2(p) are provided and must agree:
 
 girard       m^d = (-1)**d * sum_k (-1)**k C(d-k, k) p**k S_{d-2k}
@@ -29,22 +35,16 @@ from dataclasses import dataclass
 from math import comb, gcd
 from operator import mul
 
-from .cyclotomic import CycInt, _cached_roots, as_integer, enclose_sum
+from .cyclotomic import CycInt, as_integer, enclose_sum
 from .errors import (
     AmbiguousRounding,
-    BudgetExceeded,
     ExactLimitExceeded,
     IdentityFailure,
     MissingPowerSum,
     WrongConvention,
 )
-from .ffprime import Prime
-from .kloosterman import (
-    DEFAULT_KLN_BUDGET,
-    kl2_count_rows,
-    kl2_counts,
-    kln_value,
-)
+from .ffprime import Prime, primitive_root
+from .kloosterman import kl2_counts
 
 DEFAULT_EXACT_LIMIT = 257
 PRECISION_START = 64
@@ -55,10 +55,6 @@ COMPLETED = "completed"
 
 METHOD_EXACT = "exact-cyclotomic"
 METHOD_FLOAT = "float-congruence"
-
-# The float path counts and encloses Kl_2(p; a) for a block of a at a time;
-# a block's count array holds at most this many int64 entries (64 KB).
-BLOCK_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -93,24 +89,18 @@ class MomentValue:
     method: str
 
 
-def _orbit_representatives(p: int, n: int) -> list[int]:
-    """The least parameter of each Galois orbit of Kl_n(p; .).
+def _orbit_representatives(p: int) -> tuple[int, ...]:
+    """One parameter per Galois orbit of Kl_2(p; .): 1, then g = primitive_root(p).
 
-    sigma_k: zeta -> zeta**k sends Kl_n(p; a) to Kl_n(p; k**n * a)
-    (substitute x_i -> k x_i), so the orbits are the cosets of the n-th
-    powers in F_p^*. There are e = gcd(n, p - 1) of them, and the sum of
-    Kl_n(p; .)**d over the orbit of r is Tr(Kl_n(p; r)**d) / e: the trace
+    sigma_k: zeta -> zeta**k sends Kl_2(p; a) to Kl_2(p; k**2 * a)
+    (substitute x -> k x), so the orbits are the cosets of the squares in
+    F_p^*. There are e = gcd(2, p - 1) of them: one at p = 2, and the
+    squares and the non-squares (g is a non-square) otherwise. The sum of
+    Kl_2(p; .)**n over the orbit of r is Tr(Kl_2(p; r)**n) / e: the trace
     sums over all p - 1 conjugations, and each orbit member is reached e
-    times. Two parameters share a coset exactly when their ((p-1)/e)-th
-    powers agree.
+    times.
     """
-    e = gcd(n, p - 1)
-    reps: dict[int, int] = {}
-    for a in range(1, p):
-        reps.setdefault(pow(a, (p - 1) // e, p), a)
-        if len(reps) == e:
-            break
-    return list(reps.values())
+    return (1, primitive_root(p))[: gcd(2, p - 1)]
 
 
 def _field_trace(x: CycInt) -> int:
@@ -192,7 +182,7 @@ def power_sums_exact(
         raise ValueError("nmax must be >= 1")
     if convention not in (RESTRICTED, COMPLETED):
         raise WrongConvention(f"unknown convention {convention!r}")
-    reps = _orbit_representatives(p, 2)
+    reps = _orbit_representatives(p)
     h = (nmax + 1) // 2
     traces = [0] * (nmax + 1)
     for r in reps:
@@ -221,9 +211,10 @@ def completed_congruence_class(n: int, p: int) -> int:
 def power_sums_float(p: int, nmax: int, precision: int = PRECISION_START) -> PowerSumTable:
     """Completed S'_n(p) from rigorous enclosures plus the mod-p**2 congruence.
 
-    Kl_2(p; a) is counted by kl2_count_rows and enclosed by enclose_sum for
-    a block of a at a time, as integer bounds at scale 2**-precision. Powers
-    and the a-sum stay integer intervals, the n-th power at scale
+    Each Galois orbit of Kl_2(p; .) is counted once by kl2_counts at its
+    representative and enclosed by enclose_sum, as integer bounds at scale
+    2**-precision for every a of the orbit. Powers and the a-sum stay
+    integer intervals, the n-th power at scale
     2**-(n*precision): products of integer endpoints are exact, so the final
     enclosure is certified without further rounding.
     The unique admissible integer is the one in the enclosure congruent to
@@ -235,12 +226,9 @@ def power_sums_float(p: int, nmax: int, precision: int = PRECISION_START) -> Pow
     p = Prime(p)
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    cos_limbs, _ = _cached_roots(p, precision)
-    block = max(1, BLOCK_ENTRIES // p)
     totals = [(0, 0)] * (nmax + 1)
-    for start in range(1, p, block):
-        counts = kl2_count_rows(p, range(start, min(start + block, p)))
-        for kl_lo, kl_hi in enclose_sum(counts, cos_limbs):
+    for r in _orbit_representatives(p):
+        for kl_lo, kl_hi in enclose_sum(kl2_counts(p, r).counts, precision):
             lo, hi = kl_lo, kl_hi
             for n in range(1, nmax + 1):
                 if n > 1:
@@ -361,30 +349,3 @@ def sym_moment_appendix8(p: int, table: PowerSumTable) -> MomentValue:
         - 1
     )
     return MomentValue(p, 8, value, "appendix8")
-
-
-def tensor_moment(
-    p: int, n: int, d: int, budget: int = DEFAULT_KLN_BUDGET
-) -> int:
-    """Tensor-power moment: sum over a of ((-1)**(n-1) Kl_n(p; a))**d.
-
-    Summed over Galois orbits, one trace per coset of the n-th powers (see
-    _orbit_representatives): Tr(x**d) = Tr(x**h * x**(d-h)) with
-    h = ceil(d / 2), by _paired_trace, so no power above x**h is formed.
-    """
-    p = Prime(p)
-    if d < 0:
-        raise ValueError("d must be >= 0")
-    if d == 0:
-        return p - 1
-    if n * p**3 > budget:
-        raise BudgetExceeded(f"n*p^3 = {n * p**3} exceeds budget {budget}")
-    sign = (-1) ** ((n - 1) * d)
-    reps = _orbit_representatives(p, n)
-    traces = 0
-    for r in reps:
-        x = kln_value(p, r, n, budget)
-        low = x ** (d // 2)
-        traces += _paired_trace(low if d % 2 == 0 else low * x, low)
-    return sign * _orbit_sum(len(reps), traces, f"tensor moment n={n}, d={d} at p={p}")
-

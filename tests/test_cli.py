@@ -292,15 +292,19 @@ lazy = ("mpmath", "concurrent.futures.process", "numpy")
 after_import = [m for m in lazy if m in sys.modules]
 with contextlib.redirect_stdout(io.StringIO()):
     code = klmoments.cli.main(["evans", "--d", "6", "--pmin", "2", "--pmax", "31", "--no-cache"])
-print(json.dumps([after_import, code, "mpmath" in sys.modules, "numpy" in sys.modules]))
+exact = [code, "mpmath" in sys.modules, "numpy" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = klmoments.cli.main(["evans", "--d", "5", "--pmin", "258", "--pmax", "270", "--no-cache"])
+print(json.dumps([after_import, exact, [code, "numpy" in sys.modules]]))
 """
 
 
 class TestStartup:
     def test_import_and_exact_sweep_skip_mpmath_and_the_pool(self):
         # a fresh interpreter: importing the CLI loads neither mpmath, numpy
-        # nor the process pool, and an exact-only --jobs 1 sweep needs
-        # neither mpmath nor numpy
+        # nor the process pool, an exact-only --jobs 1 sweep needs neither
+        # mpmath nor numpy, and a float sweep (263 and 269 lie above the
+        # exact limit) still loads no numpy
         src = Path(cli.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
         env.pop("KLMOMENTS_CACHE_DIR", None)
@@ -308,4 +312,4 @@ class TestStartup:
             [sys.executable, "-c", STARTUP_PROBE],
             env=env, capture_output=True, text=True, check=True,
         )
-        assert json.loads(done.stdout) == [[], 0, False, False]
+        assert json.loads(done.stdout) == [[], [0, False, False], [0, False]]

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from klmoments import convolve
 from klmoments.cyclotomic import (
-    WEIGHT_LIMIT,
     CycInt,
     _scaled_bound,
     as_integer,
@@ -16,7 +15,8 @@ from klmoments.cyclotomic import (
     unit_root_intervals,
 )
 from klmoments.errors import ModulusMismatch, NotRational
-from klmoments.ffprime import primes_in_range
+from klmoments.ffprime import primes_in_range, primitive_root
+from klmoments.kloosterman import kl2_counts
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
@@ -184,11 +184,19 @@ class TestAsInteger:
             as_integer(CycInt.from_coeffs(3, (0, 1, 0)))
 
 
+def naive_enclosure(row, roots):
+    """sum_t c_t r_t term by term: the sign of c_t picks the endpoint."""
+    lo = hi = 0
+    for c, (r_lo, r_hi) in zip(row, roots):
+        lo += c * (r_lo if c > 0 else r_hi)
+        hi += c * (r_hi if c > 0 else r_lo)
+    return lo, hi
+
+
 def enclose_complex(x, precision):
     """Integer bounds of Re(x) and Im(x) at scale 2**-precision."""
     cos_iv, sin_iv = unit_root_intervals(x.p, precision)
-    [re], [im] = enclose_sum(x.coeffs, cos_iv), enclose_sum(x.coeffs, sin_iv)
-    return re, im
+    return naive_enclosure(x.coeffs, cos_iv), naive_enclosure(x.coeffs, sin_iv)
 
 
 def contains_real(enc, value, precision):
@@ -197,7 +205,7 @@ def contains_real(enc, value, precision):
 
 
 class TestApproxComplex:
-    # the complex value of an element, enclosed by enclose_sum against the
+    # the complex value of an element, enclosed term by term against the
     # cosine and the sine table
     def test_zero_has_zero_radius(self):
         assert enclose_complex(CycInt.zero(5), 64) == ((0, 0), (0, 0))
@@ -225,62 +233,53 @@ class TestApproxComplex:
 
     def test_negative_coefficients_take_the_opposite_endpoint(self):
         cos_iv, _ = unit_root_intervals(7, 32)
-        [(lo, hi)] = enclose_sum((0, -3, 0, 0, 0, 0, 2), cos_iv)
+        lo, hi = naive_enclosure((0, -3, 0, 0, 0, 0, 2), cos_iv)
         assert lo == -3 * cos_iv[1][1] + 2 * cos_iv[6][0]
         assert hi == -3 * cos_iv[1][0] + 2 * cos_iv[6][1]
-
-
-def naive_enclosure(row, roots):
-    """sum_t c_t r_t term by term: the sign of c_t picks the endpoint."""
-    lo = hi = 0
-    for c, (r_lo, r_hi) in zip(row, roots):
-        lo += c * (r_lo if c > 0 else r_hi)
-        hi += c * (r_hi if c > 0 else r_lo)
-    return lo, hi
 
 
 class TestEncloseSum:
     @settings(max_examples=40, deadline=None)
     @given(
-        p=st.sampled_from(SMALL_PRIMES + [53, 101, 151, 199]),
+        p=st.sampled_from(list(primes_in_range(2, 600))),
         precision=st.integers(8, 256),
-        nrows=st.integers(1, 5),
-        seed=st.integers(0, 2**32),
+        non_residue=st.booleans(),
     )
-    def test_batch_equals_naive_sum(self, p, precision, nrows, seed):
-        # rows mix signs and magnitudes up to the weight bound, so every
-        # limb and both halves of C+ - C- carry
-        rng = random.Random(seed)
-        rows = []
-        for _ in range(nrows):
-            span = rng.choice([1, 9, 10**4, (WEIGHT_LIMIT - 1) // p])
-            rows.append([rng.randint(-span, span) for _ in range(p)])
-        for roots in unit_root_intervals(p, precision):
-            assert enclose_sum(rows, roots) == [naive_enclosure(r, roots) for r in rows]
+    def test_orbit_equals_per_a_naive_sum(self, p, precision, non_residue):
+        # entry i of the orbit of r encloses Kl_2(p; g^(2i) r); the per-a
+        # reference counts that a itself and sums c_t r_t term by term
+        g = primitive_root(p)
+        r = g if non_residue else 1
+        cos_iv, _ = unit_root_intervals(p, precision)
+        orbit = enclose_sum(kl2_counts(p, r).counts, precision)
+        assert len(orbit) == (p - 1) // math.gcd(2, p - 1)
+        for i, enclosure in enumerate(orbit):
+            a = pow(g, 2 * i, p) * r % p
+            assert enclosure == naive_enclosure(kl2_counts(p, a).counts, cos_iv), (p, a)
 
-    def test_single_vector_is_one_row(self):
-        cos_iv, _ = unit_root_intervals(5, 64)
-        row = (1, 0, 2, -1, 0)
-        assert enclose_sum(row, cos_iv) == enclose_sum([row], cos_iv) == [naive_enclosure(row, cos_iv)]
+    def test_any_non_negative_counts(self):
+        # entry i encloses sum_t c_t cos(2 pi g^i t / p) for every i below
+        # the orbit length, whatever the counts
+        rng = random.Random(23)
+        for p in (2, 3, 5, 13, 101):
+            cos_iv, _ = unit_root_intervals(p, 64)
+            g = primitive_root(p)
+            counts = [rng.randrange(10**6) for _ in range(p)]
+            for i, enclosure in enumerate(enclose_sum(counts, 64)):
+                k = pow(g, i, p)
+                dilated = [0] * p
+                for t, c in enumerate(counts):
+                    dilated[k * t % p] += c
+                assert enclosure == naive_enclosure(dilated, cos_iv), (p, i)
 
-    def test_weight_bound_raises(self):
-        cos_iv, _ = unit_root_intervals(5, 64)
-        below = [WEIGHT_LIMIT - 1, 0, 0, 0, 0]
-        assert enclose_sum([below], cos_iv) == [naive_enclosure(below, cos_iv)]
-        for heavy in (
-            [WEIGHT_LIMIT // 2, -(WEIGHT_LIMIT // 2), 0, 0, 0],
-            [WEIGHT_LIMIT - 1, 1, 0, 0, 0],
-            [0, 0, -WEIGHT_LIMIT, 0, 0],
-            [2**70, 0, 0, 0, 0],
-            [2**62, 2**62, 0, 0, 0],
-        ):
-            with pytest.raises(ValueError):
-                enclose_sum([below, heavy], cos_iv)
+    def test_negative_count_raises(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            enclose_sum([0, 1, -1, 2, 0], 64)
 
     def test_row_length_must_match_the_table(self):
-        cos_iv, _ = unit_root_intervals(5, 64)
+        # the length of the counts is the prime of the root table
         with pytest.raises(ValueError):
-            enclose_sum([1, 2, 3], cos_iv)
+            enclose_sum([1, 2, 3, 4], 64)
 
 
 def reference_roots(p, precision):

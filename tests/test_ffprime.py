@@ -9,6 +9,7 @@ from klmoments.ffprime import (
     is_prime,
     jacobi_symbol,
     primes_in_range,
+    primitive_root,
 )
 
 
@@ -53,6 +54,17 @@ class TestModInverse:
             for a in range(1, p):
                 assert inv_mod(inv_mod(a, p), p) == a
                 assert a * inv_mod(a, p) % p == 1
+
+
+class TestPrimitiveRoot:
+    def test_order_is_p_minus_one_below_2000(self):
+        for p in primes_in_range(2, 2000):
+            g = primitive_root(p)
+            powers = {pow(g, k, p) for k in range(p - 1)}
+            assert powers == set(range(1, p)), p
+
+    def test_least_generator(self):
+        assert [primitive_root(p) for p in (2, 3, 5, 7, 23, 41)] == [1, 2, 2, 3, 5, 6]
 
 
 class TestJacobi:

@@ -1,19 +1,11 @@
-from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from klmoments import kloosterman
-from klmoments.cyclotomic import as_integer
-from klmoments.errors import BudgetExceeded, KlmomentsError, NotReal, ZeroParameter
-from klmoments.ffprime import primes_in_range
-from klmoments.kloosterman import (
-    kl2_count_rows,
-    kl2_counts,
-    kl2_float,
-    kl2_value,
-    kln_counts,
-    kln_value,
-)
+from klmoments.cyclotomic import as_integer, enclose_sum
+from klmoments.errors import ZeroParameter
+from klmoments.ffprime import primes_in_range, primitive_root
+from klmoments.kloosterman import kl2_counts, kl2_value
 
 
 class TestKl2Counts:
@@ -39,25 +31,16 @@ class TestKl2Counts:
                 c = kl2_counts(p, a).counts
                 assert all(c[t] == c[(p - t) % p] for t in range(p))
 
-
-class TestKl2CountRows:
-    def test_rows_equal_brute_force_counts(self):
+    def test_equal_brute_force_counts(self):
         for p in primes_in_range(2, 50):
-            rows = kl2_count_rows(p, range(1, p))
-            assert rows.shape == (p - 1, p)
             for a in range(1, p):
                 want = [0] * p
                 for x in range(1, p):
                     want[(x + a * pow(x, -1, p)) % p] += 1
-                assert rows[a - 1].tolist() == want, (p, a)
                 assert list(kl2_counts(p, a).counts) == want, (p, a)
 
     def test_parameters_reduced_mod_p(self):
-        assert kl2_count_rows(7, [3, 10, -4]).tolist() == [list(kl2_counts(7, 3).counts)] * 3
-
-    def test_zero_in_block_rejected(self):
-        with pytest.raises(ZeroParameter):
-            kl2_count_rows(7, [1, 7, 2])
+        assert kl2_counts(7, 10).counts == kl2_counts(7, -4).counts == kl2_counts(7, 3).counts
 
 
 class TestKl2Value:
@@ -81,90 +64,48 @@ class TestKl2Value:
         assert kl2_value(5, 1) != kl2_value(5, 4)
 
 
-class TestKlnCounts:
-    def test_n2_matches_kl2(self):
-        for p in primes_in_range(2, 31):
-            for a in range(1, p):
-                assert kln_counts(p, a, 2).counts == kl2_counts(p, a).counts
-
-    def test_total_p3_n3(self):
-        assert sum(kln_counts(3, 1, 3).counts) == 4
-
-    def test_brute_force_p5_n3(self):
-        p = 5
-        for a in range(1, p):
-            brute = [0] * p
-            for x in range(1, p):
-                for y in range(1, p):
-                    for z in range(1, p):
-                        if x * y * z % p == a:
-                            brute[(x + y + z) % p] += 1
-            assert kln_counts(p, a, 3).counts == tuple(brute)
-            assert kln_value(p, a, 3) == kln_counts(p, a, 3).value()
-
-    def test_budget_guard(self):
-        with pytest.raises(BudgetExceeded):
-            kln_counts(211, 1, 10**6)
-
-    def test_budget_guard_on_cached_table(self):
-        kln_counts(7, 1, 3)
-        with pytest.raises(BudgetExceeded):
-            kln_counts(7, 1, 3, budget=10)
-        with pytest.raises(BudgetExceeded):
-            kln_counts(11, 1, 3, budget=10)
-
-    def test_zero_parameter(self):
-        with pytest.raises(ZeroParameter):
-            kln_counts(5, 0, 3)
-
-    def test_n_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            kln_counts(5, 1, 1)
+def orbit_enclosures(p, precision):
+    """{a: (lo, hi)} for every a in F_p^*, at scale 2**-precision, from
+    enclose_sum over the orbits of 1 and of g: entry i of the orbit of r
+    is a = g^(2i) r."""
+    g = primitive_root(p)
+    out = {}
+    for r in (1, g)[: gcd(2, p - 1)]:
+        for i, enclosure in enumerate(enclose_sum(kl2_counts(p, r).counts, precision)):
+            out[pow(g, 2 * i, p) * r % p] = enclosure
+    assert sorted(out) == list(range(1, p))
+    return out
 
 
-class TestKl2Float:
+class TestOrbitEnclosures:
     def test_known_rational_values(self):
-        assert kl2_float(3, 1).contains(-1)
-        assert kl2_float(3, 2).contains(2)
-
-    def test_imaginary_residue_is_typed_error(self, monkeypatch):
-        # an enclosure that excludes the real axis must surface as a
-        # KlmomentsError, which the CLI turns into its JSON error object
-        monkeypatch.setattr(kloosterman, "enclose_sum", lambda rows, roots: [(1, 2)])
-        with pytest.raises(NotReal) as info:
-            kl2_float(3, 1)
-        assert isinstance(info.value, KlmomentsError)
+        # Kl_2(3; 1) = -1 and Kl_2(3; 2) = 2
+        enc = orbit_enclosures(3, 64)
+        for a, value in ((1, -1), (2, 2)):
+            lo, hi = enc[a]
+            assert lo <= value << 64 <= hi
 
     def test_interval_paths_agree_enclosing_same_value(self):
         # enclosures at 64 and 128 bits nest around the same value
         for p in primes_in_range(3, 61):
-            for a in (1, 2, p - 1):
-                coarse = kl2_float(p, a, 64)
-                fine = kl2_float(p, a, 128)
-                assert coarse.lo <= fine.midpoint <= coarse.hi
-                assert fine.radius <= coarse.radius
+            coarse, fine = orbit_enclosures(p, 64), orbit_enclosures(p, 128)
+            for a in range(1, p):
+                (c_lo, c_hi), (f_lo, f_hi) = coarse[a], fine[a]
+                assert c_lo << 65 <= f_lo + f_hi <= c_hi << 65
+                assert f_hi - f_lo <= (c_hi - c_lo) << 64
 
     def test_weil_bound_all_p_up_to_200(self):
         # |Kl_2(p; a)| <= 2 sqrt(p): check (hi)^2 and (lo)^2 against 4p,
         # allowing only the interval's own width beyond the bound
         for p in primes_in_range(2, 200):
-            for a in range(1, p):
-                enc = kl2_float(p, a, 64)
-                assert enc.hi - enc.lo < Fraction(1, 10**6)
-                for endpoint in (enc.lo, enc.hi):
-                    slack = endpoint * endpoint - 4 * p
-                    assert slack <= Fraction(1, 10**3), (p, a)
-
-    def test_zero_parameter(self):
-        with pytest.raises(ZeroParameter):
-            kl2_float(5, 0)
+            for a, (lo, hi) in orbit_enclosures(p, 64).items():
+                assert hi - lo < 2**64 // 10**6
+                for endpoint in (lo, hi):
+                    slack = endpoint * endpoint - (4 * p << 128)
+                    assert slack <= 2**128 // 10**3, (p, a)
 
     def test_restricted_first_power_sum_is_one(self):
         # sum over a of Kl_2(p; a) = 1 by character orthogonality
         for p in primes_in_range(2, 60):
-            lo = hi = Fraction(0)
-            for a in range(1, p):
-                enc = kl2_float(p, a, 64)
-                lo += enc.lo
-                hi += enc.hi
-            assert lo <= 1 <= hi
+            enc = orbit_enclosures(p, 64).values()
+            assert sum(lo for lo, _ in enc) <= 1 << 64 <= sum(hi for _, hi in enc)

@@ -1,6 +1,3 @@
-from itertools import product
-
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +5,6 @@ from klmoments import evans, moments
 from klmoments.cyclotomic import CycInt, as_integer
 from klmoments.errors import (
     AmbiguousRounding,
-    BudgetExceeded,
     ExactLimitExceeded,
     IdentityFailure,
     MissingPowerSum,
@@ -27,7 +23,6 @@ from klmoments.moments import (
     sym_moment_appendix8,
     sym_moment_direct,
     sym_moment_girard,
-    tensor_moment,
 )
 
 
@@ -100,9 +95,6 @@ class TestGaloisOrbits:
         calls.clear()
         power_sums_exact(13, 6)
         assert len(calls) == 2 * 2
-        calls.clear()
-        tensor_moment(13, 3, 6)
-        assert len(calls) == 3 * 2  # three orbits, x**3 by x * x**2
 
     @pytest.mark.parametrize("p", [5, 7, 13, 31])
     def test_corrupted_chain_fails_parity(self, monkeypatch, p):
@@ -274,11 +266,12 @@ class TestPowerSumsFloat:
 
     def test_identities_checked_on_fresh_tables(self, monkeypatch):
         # integer stand-ins for Kl_2(5; a) whose completed sums meet the
-        # mod-25 congruence, with S_1 = 1 but S_2 = 69 instead of 19
-        fake = {1: 7, 2: -4, 3: -2, 4: 0}
+        # mod-25 congruence, with S_1 = 1 but S_2 = 69 instead of 19; with
+        # g = 2 the orbit of 1 is a = 1, 4 and the orbit of 2 is a = 2, 3
+        fake = {kl2_counts(5, 1).counts: [7, 0], kl2_counts(5, 2).counts: [-4, -2]}
         monkeypatch.setattr(
-            moments, "kl2_count_rows",
-            lambda p, a_values: np.array([(fake[a], 0, 0, 0, 0) for a in a_values]),
+            moments, "enclose_sum",
+            lambda counts, precision: [(v << precision,) * 2 for v in fake[counts]],
         )
         with pytest.raises(IdentityFailure, match="S_2"):
             power_sums_float(5, 2, 64)
@@ -354,49 +347,6 @@ class TestAppendix8:
         assert (-m7 - 1 - 7**4) // 7**2 == 176
 
 
-class TestTensorMoment:
-    def test_sign_convention_n2_d1(self):
-        for p in (3, 5, 7):
-            assert tensor_moment(p, 2, 1) == -1  # = -S_1
-
-    def test_degree_zero(self):
-        assert tensor_moment(11, 3, 0) == 10
-
-    def test_p3_n3_brute_force(self):
-        p = 3
-        total = CycInt.zero(p)
-        for a in range(1, p):
-            brute = [0] * p
-            for x in range(1, p):
-                for y in range(1, p):
-                    for z in range(1, p):
-                        if x * y * z % p == a:
-                            brute[(x + y + z) % p] += 1
-            total = total + CycInt.from_coeffs(p, brute)
-        # (-1)**(n-1) = +1 at n = 3, so the signs drop out
-        assert tensor_moment(p, 3, 1) == as_integer(total)
-
-    @pytest.mark.parametrize("p", [2, 3, 5, 7])
-    def test_orbit_form_equals_per_a_brute_force(self, p):
-        for n in (2, 3, 4):
-            counts = [[0] * p for _ in range(p)]
-            for xs in product(range(1, p), repeat=n):
-                prod = 1
-                for x in xs:
-                    prod = prod * x % p
-                counts[prod][sum(xs) % p] += 1
-            for d in range(1, 6):
-                total = CycInt.zero(p)
-                for a in range(1, p):
-                    total = total + CycInt.from_coeffs(p, counts[a]) ** d
-                want = (-1) ** ((n - 1) * d) * as_integer(total)
-                assert tensor_moment(p, n, d) == want, (p, n, d)
-
-    def test_budget(self):
-        with pytest.raises(BudgetExceeded):
-            tensor_moment(211, 100000, 1)
-
-
 class TestLargePrimePaths:
     def test_float_matches_raised_exact_limit_at_263(self):
         # p = 263 sits above the default exact limit; the congruence path
@@ -406,11 +356,9 @@ class TestLargePrimePaths:
         assert flt.values == exact.values
 
     @pytest.mark.parametrize("p", [127, 211, 353])
-    def test_partial_last_block(self, p):
-        # p - 1 is not a multiple of the block's row count, so the last
-        # block of a is shorter than the others
-        rows = moments.BLOCK_ENTRIES // p
-        assert 1 < rows < p - 1 and (p - 1) % rows
+    def test_float_equals_exact_at_odd_and_even_orbit_lengths(self, p):
+        # the orbits of Kl_2(p; .) have (p - 1) / 2 = 63 and 105 members,
+        # odd, at 127 and 211, and 176, even, at 353
         flt = power_sums_float(p, 8, 64)
         assert flt.values == power_sums_exact(p, 8, COMPLETED, exact_limit=p).values
 
