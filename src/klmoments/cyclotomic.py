@@ -142,34 +142,84 @@ def as_integer(x: CycInt) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _scaled_bound(raw, precision: int, upper: bool) -> int:
-    """An mpf endpoint times 2**precision, rounded outward to an int."""
-    sign, man, exp, _ = raw
-    if man == 0:
-        if exp == 0:
-            return 0
-        raise OverflowError("non-finite interval endpoint")
-    value = -int(man) if sign else int(man)
-    shift = exp + precision
-    if shift >= 0:
-        return value << shift
-    # >> floors; the upper bound rounds up as the negated floor of -value
-    return -(-value >> -shift) if upper else value >> -shift
+def _atan_inv(n: int, one: int) -> tuple[int, int]:
+    """one * atan(1/n) by its alternating series, and a bound on the error.
+
+    Each term floor(one / (k n**k)) is short by less than one unit, and the
+    first omitted term, below one unit, bounds the tail.
+    """
+    total, power, k = 0, one // n, 1
+    while power:
+        total += -(power // k) if k & 2 else power // k
+        power //= n * n
+        k += 2
+    return total, k // 2 + 1
+
+
+def _cos_sin_seed(p: int, w: int) -> tuple[tuple[int, int], ...]:
+    """Floor and ceiling of 2**w cos(2*pi/p) and of 2**w sin(2*pi/p).
+
+    Integer series at scale 2**-v, v = w + 16, as unit_root_intervals'
+    error argument describes.
+    """
+    v = w + 16
+    one = 1 << v
+    a5, e5 = _atan_inv(5, one)
+    a239, e239 = _atan_inv(239, one)
+    pi, err = 16 * a5 - 4 * a239, 16 * e5 + 4 * e239
+    x_lo, x_hi = 2 * (pi - err) // p, -(-2 * (pi + err) // p)
+    bounds = [one, one, 0, 0]  # cos lo, cos hi, sin lo, sin hi
+    t_lo = t_hi = one
+    k = 0
+    while k << v <= x_hi or t_hi > 1:
+        k += 1
+        t_lo = t_lo * x_lo // (k << v)
+        t_hi = -(-t_hi * x_hi // (k << v))
+        i = 2 * (k & 1)  # odd k: sin; k mod 4 in (2, 3): subtract
+        if k & 2:
+            bounds[i] -= t_hi
+            bounds[i + 1] -= t_lo
+        else:
+            bounds[i] += t_lo
+            bounds[i + 1] += t_hi
+    # widen by the tails, clamp to [-1, 1], drop the guard bits outward
+    return tuple(
+        (max(lo - t_hi, -one) >> 16, -(-min(hi + t_hi, one) >> 16))
+        for lo, hi in (bounds[:2], bounds[2:])
+    )
 
 
 def unit_root_intervals(p: int, precision: int):
     """Interval enclosures of cos and sin of 2*pi*t/p for t = 0..p-1.
 
-    Each endpoint is an int at scale 2**-precision. One mpmath interval,
-    cos and sin of 2*pi/p at g + 8 bits with g = precision +
-    p.bit_length() + 16, seeds an integer-ball recurrence at scale 2**-g;
+    Each endpoint is an int at scale 2**-precision. Integer series for pi,
+    cos and sin of 2*pi/p at scale 2**-(g + 8), with g = precision +
+    p.bit_length() + 16, seed an integer-ball recurrence at scale 2**-g;
     t = 0 is exact and t = 1 is the seed's bounds rounded outward.
 
-    Error argument. Write w_t = 2**g * exp(2*pi*i*t/p). The seed's bounds,
-    floored and ceiled to ints at scale 2**-g, give a centre z_1 (each
-    midpoint floored) and a radius r_1 (the sum of the two component
-    half-widths, hi - centre), so |z_1 - w_1| <= r_1. The recurrence is
-    z_(t+1) = floor(z_t * z_1 / 2**g), componentwise. From
+    Error argument, the seed. It works at scale 2**-v with v = g + 24: 16
+    guard bits below the seed's scale. Machin's formula pi = 16 atan(1/5)
+    - 4 atan(1/239) encloses pi: each arctangent's alternating series is
+    summed with every term floored, which loses less than one unit per
+    term, and the first omitted term, below one unit, bounds the tail
+    (Brent and Zimmermann, Modern Computer Arithmetic, 4.2 and 4.4). x =
+    2*pi/p is floored from the lower bound and ceiled from the upper. The
+    Taylor terms x**k/k! are an integer interval: the lo term is
+    floor(lo_(k-1) x_lo / (k 2**v)) and the hi term ceil(hi_(k-1) x_hi /
+    (k 2**v)). Everything is positive, so each chain bounds x**k/k! from
+    its side. Term k adds to cos (k even) or sin (k odd), subtracted when
+    k mod 4 is 2 or 3, lo endpoint to lo bound and hi to hi, swapped when
+    subtracted. The loop stops once k > x and the hi term is at most one
+    unit; beyond k both series alternate with decreasing terms, so each
+    tail is below that hi term, which widens both sums. cos and sin lie
+    in [-1, 1], so both bounds are clamped there (cos pi = -1 at p = 2 is
+    then exact at the lower end), and the guard bits are dropped outward.
+
+    Error argument, the recurrence. Write w_t = 2**g * exp(2*pi*i*t/p). The
+    seed's bounds, floored and ceiled to ints at scale 2**-g, give a centre
+    z_1 (each midpoint floored) and a radius r_1 (the sum of the two
+    component half-widths, hi - centre), so |z_1 - w_1| <= r_1. The
+    recurrence is z_(t+1) = floor(z_t * z_1 / 2**g), componentwise. From
         z_t z_1 - w_t w_1 = (z_t - w_t) z_1 + z_t (z_1 - w_1)
                             - (z_t - w_t)(z_1 - w_1)
     and |z_s| <= 2**g + r_s, |z_t z_1 - w_t w_1| is at most
@@ -188,26 +238,13 @@ def unit_root_intervals(p: int, precision: int):
     Only t <= p/2 is evaluated; t > p/2 follows exactly from
     cos(2*pi*(p-t)/p) = cos(2*pi*t/p) and sin(2*pi*(p-t)/p) = -sin(2*pi*t/p).
     """
-    from mpmath import libmp  # only root tables need mpmath; start-up skips it
-
     g = precision + p.bit_length() + 16
-    work = g + 8
-    two_pi = tuple(
-        libmp.mpf_shift(libmp.mpf_pi(work, rnd), 1)
-        for rnd in (libmp.round_floor, libmp.round_ceiling)
-    )
-    arg = libmp.mpi_div(two_pi, (libmp.from_int(p),) * 2, work)
-    (c_lo, c_hi), (s_lo, s_hi) = libmp.mpi_cos_sin(arg, work)
-    cos_iv = [
-        (1 << precision, 1 << precision),
-        (_scaled_bound(c_lo, precision, False), _scaled_bound(c_hi, precision, True)),
-    ]
-    sin_iv = [
-        (0, 0),
-        (_scaled_bound(s_lo, precision, False), _scaled_bound(s_hi, precision, True)),
-    ]
-    x_lo, x_hi = _scaled_bound(c_lo, g, False), _scaled_bound(c_hi, g, True)
-    y_lo, y_hi = _scaled_bound(s_lo, g, False), _scaled_bound(s_hi, g, True)
+    seed = _cos_sin_seed(p, g + 8)
+    cut = g + 8 - precision
+    c1, s1 = ((lo >> cut, -(-hi >> cut)) for lo, hi in seed)
+    cos_iv = [(1 << precision, 1 << precision), c1]
+    sin_iv = [(0, 0), s1]
+    (x_lo, x_hi), (y_lo, y_hi) = ((lo >> 8, -(-hi >> 8)) for lo, hi in seed)
     x1, y1 = (x_lo + x_hi) >> 1, (y_lo + y_hi) >> 1
     r1 = (x_hi - x1) + (y_hi - y1)
     one, drop = 1 << g, g - precision
@@ -228,11 +265,11 @@ def unit_root_intervals(p: int, precision: int):
 def _cached_roots(p: int, precision: int) -> tuple[tuple[int, ...], ...]:
     """The cosine table of unit_root_intervals in generator order.
 
-    Returns g**j mod p for j < p - 1 with g = primitive_root(p), and the lo
-    and hi endpoints Q_m of cos(2*pi*g**m/p) for m below the orbit length
-    L = (p - 1) / gcd(2, p - 1). Q has period L: at odd p,
-    g**(m+L) = -g**m, and the table's second half mirrors the first
-    exactly.
+    Returns g**j mod p for j < p - 1 with g = primitive_root(p), the lo
+    endpoints Q_m of cos(2*pi*g**m/p) for m below the orbit length
+    L = (p - 1) / gcd(2, p - 1), and their widths hi - lo (0 to 2 units).
+    Q has period L: at odd p, g**(m+L) = -g**m, and the table's second
+    half mirrors the first exactly.
     """
     cos_iv, _ = unit_root_intervals(p, precision)
     g = primitive_root(p)
@@ -241,8 +278,8 @@ def _cached_roots(p: int, precision: int) -> tuple[tuple[int, ...], ...]:
         powers.append(powers[-1] * g % p)
     length = (p - 1) // gcd(2, p - 1)
     lo = tuple(cos_iv[t][0] for t in powers[:length])
-    hi = tuple(cos_iv[t][1] for t in powers[:length])
-    return tuple(powers), lo, hi
+    widths = tuple(cos_iv[t][1] - cos_iv[t][0] for t in powers[:length])
+    return tuple(powers), lo, widths
 
 
 def enclose_sum(counts: Sequence[int], precision: int) -> list[tuple[int, int]]:
@@ -258,12 +295,14 @@ def enclose_sum(counts: Sequence[int], precision: int) -> list[tuple[int, int]]:
     the cyclic correlation
         E_i = c_0 2**precision + sum_(j<L) D_j Q_(i+j),
     where D_j = sum_k C_(j+kL) folds C onto one period; one exact
-    cyclic_convolve per endpoint computes all L of them.
+    cyclic_convolve computes all L lo bounds, and a second one, with the
+    widths of Q in place of Q, adds what each hi bound exceeds its lo by:
+    its products fit slots of a byte or two instead of ten.
     """
     p = Prime(len(counts))
     if min(counts) < 0:
         raise ValueError("enclose_sum needs non-negative counts")
-    powers, q_lo, q_hi = _cached_roots(p, precision)
+    powers, q_lo, q_widths = _cached_roots(p, precision)
     length = len(q_lo)
     reordered = [counts[t] for t in powers]
     folded = [sum(col) for col in zip(*(
@@ -273,5 +312,5 @@ def enclose_sum(counts: Sequence[int], precision: int) -> list[tuple[int, int]]:
     flipped = folded[:1] + folded[:0:-1]
     base = counts[0] << precision
     lo = convolve.cyclic_convolve(q_lo, flipped)
-    hi = convolve.cyclic_convolve(q_hi, flipped)
-    return [(base + a, base + b) for a, b in zip(lo, hi)]
+    spread = convolve.cyclic_convolve(q_widths, flipped)
+    return [(base + a, base + a + b) for a, b in zip(lo, spread)]

@@ -295,7 +295,8 @@ with contextlib.redirect_stdout(io.StringIO()):
 exact = [code, "mpmath" in sys.modules, "numpy" in sys.modules]
 with contextlib.redirect_stdout(io.StringIO()):
     code = klmoments.cli.main(["evans", "--d", "5", "--pmin", "258", "--pmax", "270", "--no-cache"])
-print(json.dumps([after_import, exact, [code, "numpy" in sys.modules]]))
+float_route = [code, "mpmath" in sys.modules, "numpy" in sys.modules]
+print(json.dumps([after_import, exact, float_route]))
 """
 
 
@@ -304,7 +305,8 @@ class TestStartup:
         # a fresh interpreter: importing the CLI loads neither mpmath, numpy
         # nor the process pool, an exact-only --jobs 1 sweep needs neither
         # mpmath nor numpy, and a float sweep (263 and 269 lie above the
-        # exact limit) still loads no numpy
+        # exact limit) loads neither either: its root tables are seeded
+        # from integer series
         src = Path(cli.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
         env.pop("KLMOMENTS_CACHE_DIR", None)
@@ -312,4 +314,4 @@ class TestStartup:
             [sys.executable, "-c", STARTUP_PROBE],
             env=env, capture_output=True, text=True, check=True,
         )
-        assert json.loads(done.stdout) == [[], [0, False, False], [0, False]]
+        assert json.loads(done.stdout) == [[], [0, False, False], [0, False, False]]

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from klmoments import convolve
 from klmoments.cyclotomic import (
     CycInt,
-    _scaled_bound,
+    _cos_sin_seed,
     as_integer,
     enclose_sum,
     unit_root_intervals,
@@ -282,6 +282,21 @@ class TestEncloseSum:
             enclose_sum([1, 2, 3, 4], 64)
 
 
+def _scaled_bound(raw, precision, upper):
+    """An mpf endpoint times 2**precision, rounded outward to an int."""
+    sign, man, exp, _ = raw
+    if man == 0:
+        if exp == 0:
+            return 0
+        raise OverflowError("non-finite interval endpoint")
+    value = -int(man) if sign else int(man)
+    shift = exp + precision
+    if shift >= 0:
+        return value << shift
+    # >> floors; the upper bound rounds up as the negated floor of -value
+    return -(-value >> -shift) if upper else value >> -shift
+
+
 def reference_roots(p, precision):
     """cos and sin pairs of 2 pi t / p for t <= p/2, one mpi_cos_sin per t.
 
@@ -301,6 +316,28 @@ def reference_roots(p, precision):
             for lo, hi in mpmath.libmp.mpi_cos_sin(arg, precision)
         ))
     return pairs
+
+
+class TestCosSinSeed:
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.sampled_from(list(primes_in_range(2, 5000))), w=st.integers(8, 600))
+    def test_brackets_mpmath_and_at_most_eight_units_wide(self, p, w):
+        # the integer series against mpmath's cos and sin of 2 pi / p,
+        # computed 64 bits beyond the seed's scale 2**-w
+        seed = _cos_sin_seed(p, w)
+        with mpmath.workprec(w + 64):
+            arg = 2 * mpmath.pi / p
+            values = (mpmath.cos(arg), mpmath.sin(arg))
+            for (lo, hi), exact in zip(seed, values):
+                assert isinstance(lo, int) and isinstance(hi, int)
+                assert lo <= mpmath.ldexp(exact, w) <= hi, (p, w)
+                assert hi - lo <= 8, (p, w)
+
+    @pytest.mark.parametrize("w", [8, 64, 600])
+    def test_clamp_makes_cos_pi_exact_at_the_lower_end(self, w):
+        # at p = 2 the series' lower bound of cos pi = -1 falls below -1
+        (c_lo, c_hi), (s_lo, s_hi) = _cos_sin_seed(2, w)
+        assert c_lo == -(1 << w) <= c_hi and s_lo <= 0 <= s_hi
 
 
 class TestUnitRootIntervals:
