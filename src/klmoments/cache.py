@@ -19,9 +19,7 @@ same (p, n) - that raises CacheMismatch.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import logging
 import os
 import tempfile
 from pathlib import Path
@@ -35,8 +33,6 @@ from .moments import (
     PowerSumTable,
     _check_power_sums,
 )
-
-log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 
@@ -68,6 +64,8 @@ def _payload(table: PowerSumTable) -> dict:
 
 
 def _checksum(payload: dict) -> str:
+    import hashlib
+
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -131,7 +129,11 @@ class PowerSumStore:
         except (
             OSError, ValueError, KeyError, TypeError, json.JSONDecodeError, IdentityFailure
         ) as exc:
-            log.warning("discarding corrupt cache entry %s: %s", path, exc)
+            import logging
+
+            logging.getLogger(__name__).warning(
+                "discarding corrupt cache entry %s: %s", path, exc
+            )
             try:
                 path.unlink()
             except OSError:

@@ -23,18 +23,10 @@ from .evans import (
     MomentEngine,
     batch_report,
     reports_to_csv,
-    reports_to_json,
+    reports_to_dict,
     trace_middle,
 )
 from .ffprime import Prime
-from .invariants import (
-    dims_table,
-    fuwan_det,
-    molien_dim_series,
-    molien_frob_series,
-    render_dims_csv,
-    render_dims_text,
-)
 from .modforms import EtaQuotient, eta_quotient_series, load_coefficient_table
 from .moments import (
     COMPLETED,
@@ -176,15 +168,7 @@ def _cmd_moments(args, engine: MomentEngine) -> int:
     return 0
 
 
-def _cmd_evans(args, engine: MomentEngine) -> int:
-    table = None
-    if args.table:
-        with open(args.table) as fh:
-            table = load_coefficient_table(fh.read())
-    rows, summary = batch_report(
-        args.d, args.pmin, args.pmax,
-        engine=engine, table=table, jobs=args.jobs,
-    )
+def _evans_lines(rows, summary) -> list[str]:
     lines = [
         f"evans d={summary.d} primes in [{summary.pmin}, {summary.pmax}]: "
         f"{summary.rows} rows, {summary.passed} passed, "
@@ -198,12 +182,30 @@ def _cmd_evans(args, engine: MomentEngine) -> int:
             f"{c.name}={'ok' if c.passed else 'FAIL'}" for c in r.checks
         )
         lines.append(f"p={r.p}: m={r.moment} derived={r.derived} {marks}")
-    doc = json.loads(reports_to_json(rows, summary))
-    _emit(doc, args.format, lines, reports_to_csv(rows))
+    return lines
+
+
+def _cmd_evans(args, engine: MomentEngine) -> int:
+    table = None
+    if args.table:
+        with open(args.table) as fh:
+            table = load_coefficient_table(fh.read())
+    rows, summary = batch_report(
+        args.d, args.pmin, args.pmax,
+        engine=engine, table=table, jobs=args.jobs,
+    )
+    if args.format == "json":
+        _emit(reports_to_dict(rows, summary), args.format, [])
+    elif args.format == "csv":
+        _emit({}, args.format, [], reports_to_csv(rows))
+    else:
+        _emit({}, args.format, _evans_lines(rows, summary))
     return 0 if summary.errors == 0 else 1
 
 
 def _cmd_dims(args) -> int:
+    from .invariants import dims_table, render_dims_csv, render_dims_text
+
     table = dims_table(args.dmax)
     doc = {
         "dmax": table.dmax,
@@ -215,6 +217,8 @@ def _cmd_dims(args) -> int:
 
 
 def _cmd_det(args) -> int:
+    from .invariants import fuwan_det
+
     rows = [(p, fuwan_det(args.d, p)) for p in args.p]
     lines = [f"det d={args.d} p={p}: {v:+d}" for p, v in rows]
     csv_text = "p,det\n" + "".join(f"{p},{v}\n" for p, v in rows)
@@ -254,6 +258,8 @@ def _cmd_eta(args) -> int:
 
 
 def _cmd_molien(args) -> int:
+    from .invariants import molien_dim_series, molien_frob_series
+
     series = (
         molien_dim_series(args.dmax)
         if args.kind == "dim"

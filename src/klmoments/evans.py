@@ -27,13 +27,11 @@ divisibility and bound facts as named check rows in the report.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
+from typing import TYPE_CHECKING
 
 from .errors import (
     DivisibilityFailure,
@@ -41,7 +39,6 @@ from .errors import (
     RangeFailure,
 )
 from .ffprime import Prime, jacobi_symbol, primes_in_range
-from .invariants import GOOD, dim_m_middle
 from .modforms import REGISTRY, hecke_validate, prime_coefficients, registry_expansion
 from .moments import (
     COMPLETED,
@@ -57,6 +54,9 @@ from .moments import (
     power_sums_float_auto,
     sym_moment_girard,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -257,6 +257,8 @@ def trace_middle(
     leave a remainder inside the Weil bound dim * p**((d+1)/2), and the
     pattern minimizing the remainder is reported.
     """
+    from .invariants import GOOD, dim_m_middle
+
     p = Prime(p)
     engine = engine or MomentEngine()
     if d % 2 == 1:
@@ -277,6 +279,8 @@ def trace_middle(
             raise DivisibilityFailure(
                 f"{p}^{e} does not divide -m^{d}_2({p}) - 1 = {num}"
             )
+        from fractions import Fraction
+
         return Fraction(num, p**e)
     # even d
     if p == 2 and d != 2:
@@ -431,6 +435,8 @@ def evans_d7(
         raise RangeFailure(
             f"degree-7 trace out of the SO_3 range at p = {p}: candidate = {candidate}"
         )
+    from fractions import Fraction
+
     t = Fraction(candidate, p**2) - 1
     checks = [
         CheckResult("divisible_p4", num % p**4 == 0, f"-m-1 = {num}"),
@@ -562,6 +568,9 @@ def batch_report(
 
 
 def reports_to_csv(rows: list[EvansReport]) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
@@ -570,8 +579,8 @@ def reports_to_csv(rows: list[EvansReport]) -> str:
     return buf.getvalue()
 
 
-def reports_to_json(rows: list[EvansReport], summary: BatchSummary) -> str:
-    doc = {
+def reports_to_dict(rows: list[EvansReport], summary: BatchSummary) -> dict:
+    return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "summary": {
             "d": summary.d,
@@ -584,4 +593,7 @@ def reports_to_json(rows: list[EvansReport], summary: BatchSummary) -> str:
         },
         "reports": [r.to_json_dict() for r in rows],
     }
-    return json.dumps(doc, sort_keys=True, indent=1)
+
+
+def reports_to_json(rows: list[EvansReport], summary: BatchSummary) -> str:
+    return json.dumps(reports_to_dict(rows, summary), sort_keys=True, indent=1)

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
+from typing import TYPE_CHECKING
 
 from . import convolve
 from .errors import (
@@ -26,6 +26,9 @@ from .errors import (
     TruncationTooShort,
 )
 from .ffprime import is_prime, primes_in_range
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 TABLE_SCHEMA_VERSION = 1
 
@@ -160,6 +163,8 @@ class EtaQuotient:
 
     @property
     def weight(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(sum(e for _, e in self.factors), 2)
 
     @property

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, gcd
 from operator import mul
+from typing import Iterable
 
 from .cyclotomic import CycInt, as_integer, enclose_sum
 from .errors import (
@@ -208,13 +209,42 @@ def completed_congruence_class(n: int, p: int) -> int:
     return ((-1) ** (n - 1) * (n - 1) * p) % p**2
 
 
+def _interval_power_sums(
+    intervals: Iterable[tuple[int, int]], nmax: int
+) -> tuple[list[int], list[int]]:
+    """Lower and upper bounds, indexed by n = 1..nmax, on the sum of x**n
+    over one x from each integer interval [lo, hi].
+
+    Each term is the exact range of x**n on its interval, from the running
+    powers of the endpoints: in order for odd n (x**n is monotone) and for
+    even n when lo >= 0, swapped for even n when hi <= 0, and [0, the larger]
+    for even n when the interval straddles 0.
+    """
+    sum_lo = [0] * (nmax + 1)
+    sum_hi = [0] * (nmax + 1)
+    for lo, hi in intervals:
+        lo_n = hi_n = 1
+        for n in range(1, nmax + 1):
+            lo_n *= lo
+            hi_n *= hi
+            if n & 1 or lo >= 0:
+                sum_lo[n] += lo_n
+                sum_hi[n] += hi_n
+            elif hi <= 0:
+                sum_lo[n] += hi_n
+                sum_hi[n] += lo_n
+            else:
+                sum_hi[n] += max(lo_n, hi_n)
+    return sum_lo, sum_hi
+
+
 def power_sums_float(p: int, nmax: int, precision: int = PRECISION_START) -> PowerSumTable:
     """Completed S'_n(p) from rigorous enclosures plus the mod-p**2 congruence.
 
     Each Galois orbit of Kl_2(p; .) is counted once by kl2_counts at its
     representative and enclosed by enclose_sum, as integer bounds at scale
     2**-precision for every a of the orbit. Powers and the a-sum stay
-    integer intervals, the n-th power at scale
+    integer intervals (_interval_power_sums), the n-th power at scale
     2**-(n*precision): products of integer endpoints are exact, so the final
     enclosure is certified without further rounding.
     The unique admissible integer is the one in the enclosure congruent to
@@ -226,23 +256,21 @@ def power_sums_float(p: int, nmax: int, precision: int = PRECISION_START) -> Pow
     p = Prime(p)
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    totals = [(0, 0)] * (nmax + 1)
-    for r in _orbit_representatives(p):
-        for kl_lo, kl_hi in enclose_sum(kl2_counts(p, r).counts, precision):
-            lo, hi = kl_lo, kl_hi
-            for n in range(1, nmax + 1):
-                if n > 1:
-                    products = (lo * kl_lo, lo * kl_hi, hi * kl_lo, hi * kl_hi)
-                    lo, hi = min(products), max(products)
-                t_lo, t_hi = totals[n]
-                totals[n] = (t_lo + lo, t_hi + hi)
+    sum_lo, sum_hi = _interval_power_sums(
+        (
+            interval
+            for r in _orbit_representatives(p)
+            for interval in enclose_sum(kl2_counts(p, r).counts, precision)
+        ),
+        nmax,
+    )
     values = {}
     modulus = p**2
     for n in range(1, nmax + 1):
         bits = n * precision
         a_zero = (-1) ** n << bits
-        lo = totals[n][0] + a_zero
-        hi = totals[n][1] + a_zero
+        lo = sum_lo[n] + a_zero
+        hi = sum_hi[n] + a_zero
         if hi - lo >= modulus << bits:
             raise AmbiguousRounding(
                 f"S'_{n}({p}): enclosure width {(hi - lo) / (1 << bits):.3g} >= p^2"

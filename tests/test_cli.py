@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import klmoments
 from klmoments import cli, evans
 from klmoments.cache import PowerSumStore
 from klmoments.cli import main
@@ -289,24 +290,59 @@ STARTUP_PROBE = """
 import contextlib, io, json, sys
 import klmoments.cli
 lazy = ("mpmath", "concurrent.futures.process", "numpy")
-after_import = [m for m in lazy if m in sys.modules]
-with contextlib.redirect_stdout(io.StringIO()):
-    code = klmoments.cli.main(["evans", "--d", "6", "--pmin", "2", "--pmax", "31", "--no-cache"])
-exact = [code, "mpmath" in sys.modules, "numpy" in sys.modules]
-with contextlib.redirect_stdout(io.StringIO()):
-    code = klmoments.cli.main(["evans", "--d", "5", "--pmin", "258", "--pmax", "270", "--no-cache"])
-float_route = [code, "mpmath" in sys.modules, "numpy" in sys.modules]
+deferred = ("klmoments.invariants", "fractions", "csv", "hashlib", "logging")
+traced = ("evans", "moments", "kloosterman", "cyclotomic", "convolve", "modforms", "cache")
+after_import = [
+    [m for m in lazy + deferred if m in sys.modules],
+    [m for m in traced if "klmoments." + m not in sys.modules],
+]
+def sweep(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = klmoments.cli.main(["evans", *argv, "--no-cache"])
+    return [code, [m for m in lazy + deferred if m in sys.modules]]
+exact = sweep("--d", "6", "--pmin", "2", "--pmax", "31", "--format", "json")
+float_route = sweep("--d", "5", "--pmin", "258", "--pmax", "270")
 print(json.dumps([after_import, exact, float_route]))
 """
+
+# Every public name of the package, by the module that defines it; the
+# submodules themselves are public names too.
+PUBLIC_NAMES = {
+    "cyclotomic": ["CycInt", "as_integer"],
+    "errors": ["KlmomentsError"],
+    "evans": [
+        "EvansReport", "MomentEngine", "batch_report", "evans_d5", "evans_d6",
+        "evans_d7", "evans_d8", "trace_middle",
+    ],
+    "ffprime": ["Prime", "double_factorial", "is_prime", "jacobi_symbol"],
+    "invariants": [
+        "GOOD", "det_character_check", "dim_m_middle", "dim_m_shriek", "dims_table",
+        "fuwan_det", "local_inv_inf", "molien_dim_series", "molien_frob_series",
+        "swan_sym",
+    ],
+    "kloosterman": ["kl2_counts", "kl2_value"],
+    "modforms": [
+        "EtaQuotient", "QSeries", "eta_quotient_series", "eta_unit_series",
+        "hecke_validate", "prime_coefficients",
+    ],
+    "moments": [
+        "MomentValue", "PowerSumTable", "power_sums_exact", "power_sums_float",
+        "power_sums_float_auto", "sym_moment_appendix8", "sym_moment_direct",
+        "sym_moment_girard",
+    ],
+    "convolve": [],
+}
 
 
 class TestStartup:
     def test_import_and_exact_sweep_skip_mpmath_and_the_pool(self):
-        # a fresh interpreter: importing the CLI loads neither mpmath, numpy
-        # nor the process pool, an exact-only --jobs 1 sweep needs neither
-        # mpmath nor numpy, and a float sweep (263 and 269 lie above the
-        # exact limit) loads neither either: its root tables are seeded
-        # from integer series
+        # a fresh interpreter: importing the CLI loads neither mpmath, numpy,
+        # the process pool, nor the modules only other commands or formats
+        # use (invariants, fractions, csv) or only the cache uses (hashlib,
+        # logging), but every layer the benchmark tracer wraps; an exact
+        # --jobs 1 JSON sweep and a float sweep (263 and 269 lie above the
+        # exact limit; its root tables are seeded from integer series) load
+        # none of those either
         src = Path(cli.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
         env.pop("KLMOMENTS_CACHE_DIR", None)
@@ -314,4 +350,16 @@ class TestStartup:
             [sys.executable, "-c", STARTUP_PROBE],
             env=env, capture_output=True, text=True, check=True,
         )
-        assert json.loads(done.stdout) == [[], [0, False, False], [0, False, False]]
+        assert json.loads(done.stdout) == [[[], []], [0, []], [0, []]]
+
+    def test_public_names_resolve_to_their_modules(self):
+        expected = sorted([*PUBLIC_NAMES, *(n for ns in PUBLIC_NAMES.values() for n in ns)])
+        assert len(expected) == 50
+        assert sorted(klmoments.__all__) == expected
+        for module_name, names in PUBLIC_NAMES.items():
+            module = getattr(klmoments, module_name)
+            assert module is sys.modules[f"klmoments.{module_name}"]
+            for name in names:
+                assert getattr(klmoments, name) is getattr(module, name)
+        with pytest.raises(AttributeError):
+            klmoments.no_such_name

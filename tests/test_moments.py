@@ -248,6 +248,25 @@ class TestPowerSumsFloat:
             return
         assert flt.values == power_sums_exact(p, nmax, COMPLETED).values
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ends=st.lists(st.integers(-40, 40), min_size=2, max_size=2).map(sorted),
+        nmax=st.integers(1, 8),
+    )
+    def test_interval_powers_are_the_exact_range(self, ends, nmax):
+        # one interval, which may straddle 0 or be a single point: each
+        # bound is the brute-force min or max of x**n over its integers
+        lo, hi = ends
+        sum_lo, sum_hi = moments._interval_power_sums([(lo, hi)], nmax)
+        for n in range(1, nmax + 1):
+            powers = [x**n for x in range(lo, hi + 1)]
+            assert (sum_lo[n], sum_hi[n]) == (min(powers), max(powers))
+
+    def test_interval_powers_add_over_intervals(self):
+        sum_lo, sum_hi = moments._interval_power_sums([(-3, 2), (-5, -4), (1, 2)], 3)
+        assert sum_lo[1:] == [-3 - 5 + 1, 0 + 16 + 1, -27 - 125 + 1]
+        assert sum_hi[1:] == [2 - 4 + 2, 9 + 25 + 4, 8 - 64 + 8]
+
     @pytest.mark.parametrize("precision_start", [0, -8])
     def test_precision_below_one_rejected(self, monkeypatch, precision_start):
         # doubling 0 or a negative precision never reaches the cap; a stub
