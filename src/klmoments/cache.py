@@ -1,6 +1,8 @@
 """Persistent cache of power-sum tables.
 
-One JSON document per (p, convention, method):
+One JSON document per (p, method), in the method's convention: restricted
+for exact tables, completed for float tables (the convention their
+congruence pins). sums/p{p}-{convention}-{method}.json holds, e.g.:
 
     {"schema_version": 1, "p": 199, "convention": "completed",
      "method": "float-congruence",
@@ -35,6 +37,8 @@ from .moments import (
 )
 
 SCHEMA_VERSION = 1
+
+CONVENTION = {METHOD_EXACT: RESTRICTED, METHOD_FLOAT: COMPLETED}
 
 ENV_CACHE_DIR = "KLMOMENTS_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".klmoments-cache"
@@ -76,14 +80,15 @@ class PowerSumStore:
     def __init__(self, root: Path | str):
         self.root = Path(root) / "sums"
 
-    def _path(self, p: int, convention: str, method: str) -> Path:
-        return self.root / f"p{p}-{convention}-{method}.json"
+    def _path(self, p: int, method: str) -> Path:
+        return self.root / f"p{p}-{CONVENTION[method]}-{method}.json"
 
     def store(self, table: PowerSumTable) -> Path:
+        """Write table, in its method's convention."""
         self.root.mkdir(parents=True, exist_ok=True)
-        payload = _payload(table)
+        payload = _payload(table.to_convention(CONVENTION[table.method]))
         payload["checksum"] = _checksum(payload)
-        path = self._path(table.p, table.convention, table.method)
+        path = self._path(table.p, table.method)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
@@ -95,23 +100,22 @@ class PowerSumStore:
             raise
         return path
 
-    def load(self, p: int, convention: str, method: str) -> PowerSumTable | None:
-        """Load one table, or None when absent/corrupt. Cross-checks every
-        record of the other method (either convention) when present."""
-        table = self._load_raw(p, convention, method)
+    def load(self, p: int, method: str) -> PowerSumTable | None:
+        """Load one table in its method's convention, or None when
+        absent/corrupt. Cross-checks the other method's record when present."""
+        table = self._load_raw(p, method)
         if table is None:
             return None
-        other_method = METHOD_FLOAT if method == METHOD_EXACT else METHOD_EXACT
-        for other_convention in (RESTRICTED, COMPLETED):
-            sibling = self._load_raw(p, other_convention, other_method)
-            if sibling is not None:
-                _check_agreement(table, sibling)
+        sibling = self._load_raw(p, METHOD_FLOAT if method == METHOD_EXACT else METHOD_EXACT)
+        if sibling is not None:
+            _check_agreement(table, sibling)
         return table
 
-    def _load_raw(self, p: int, convention: str, method: str) -> PowerSumTable | None:
-        path = self._path(p, convention, method)
+    def _load_raw(self, p: int, method: str) -> PowerSumTable | None:
+        path = self._path(p, method)
         if not path.exists():
             return None
+        convention = CONVENTION[method]
         try:
             with open(path) as fh:
                 doc = json.load(fh)
@@ -140,15 +144,16 @@ class PowerSumStore:
                 pass
             return None
 
-    def get_or_compute(self, p: int, nmax: int, convention: str, method: str, compute):
-        """Cached lookup; `compute` runs on miss and its result is stored.
+    def get_or_compute(self, p: int, nmax: int, method: str, compute):
+        """Cached lookup in the method's convention; `compute` runs on miss
+        and its result is stored.
 
         A cached table is only a hit when it covers n <= nmax.
         """
-        cached = self.load(p, convention, method)
+        cached = self.load(p, method)
         if cached is not None and all(n in cached.values for n in range(1, nmax + 1)):
             return cached
-        table = compute()
+        table = compute().to_convention(CONVENTION[method])
         if cached is not None:
             merged = dict(cached.values)
             for n, v in table.values.items():
@@ -157,7 +162,7 @@ class PowerSumStore:
                         f"recomputed S_{n}({p}) = {v} disagrees with cached {merged[n]}"
                     )
                 merged[n] = v
-            table = PowerSumTable(p, convention, merged, method)
+            table = PowerSumTable(p, table.convention, merged, method)
         self.store(table)
         return table
 

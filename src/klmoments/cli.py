@@ -33,8 +33,6 @@ from .moments import (
     DEFAULT_EXACT_LIMIT,
     METHOD_EXACT,
     METHOD_FLOAT,
-    PRECISION_CAP,
-    PRECISION_START,
     RESTRICTED,
 )
 
@@ -46,8 +44,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--no-cache", action="store_true")
     parser.add_argument("--exact-limit", type=int, default=DEFAULT_EXACT_LIMIT)
-    parser.add_argument("--precision", type=int, default=PRECISION_START)
-    parser.add_argument("--precision-cap", type=int, default=PRECISION_CAP)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,7 +118,7 @@ def _emit(doc: dict, fmt: str, text_lines: list[str], csv_text: str | None = Non
 def _engine(args) -> MomentEngine:
     """The moment engine, and its cache store, that the run's flags describe."""
     store = None if args.no_cache else PowerSumStore(resolve_cache_dir(args.cache_dir))
-    return MomentEngine(args.exact_limit, args.precision, args.precision_cap, store)
+    return MomentEngine(args.exact_limit, store)
 
 
 def _cmd_sums(args, engine: MomentEngine) -> int:

@@ -14,10 +14,6 @@ class KlmomentsError(Exception):
     """Base class for all errors raised by klmoments."""
 
 
-class ZeroInverse(KlmomentsError):
-    """Attempt to invert 0 in a prime field."""
-
-
 class EvenModulus(KlmomentsError):
     """Jacobi symbol requested for an even lower argument."""
 

@@ -45,8 +45,6 @@ from .moments import (
     DEFAULT_EXACT_LIMIT,
     METHOD_EXACT,
     METHOD_FLOAT,
-    PRECISION_CAP,
-    PRECISION_START,
     RESTRICTED,
     MomentValue,
     PowerSumTable,
@@ -125,13 +123,10 @@ class MomentEngine:
 
     Power-sum tables are memoized per prime (and optionally persisted
     through `store`), since one sweep touches many degrees of the same
-    prime. Settings the routes cannot run with raise ValueError on
-    construction.
+    prime. An exact_limit below 3 raises ValueError on construction.
     """
 
     exact_limit: int = DEFAULT_EXACT_LIMIT
-    precision_start: int = PRECISION_START
-    precision_cap: int = PRECISION_CAP
     store: object | None = None  # cache.PowerSumStore
     _tables: dict[tuple[int, int], PowerSumTable] = field(default_factory=dict)
     float_primes: list[int] = field(default_factory=list)
@@ -139,10 +134,6 @@ class MomentEngine:
     def __post_init__(self) -> None:
         if self.exact_limit < 3:
             raise ValueError("exact_limit must be >= 3")
-        if self.precision_start < 1:
-            raise ValueError("precision must be >= 1")
-        if self.precision_start > self.precision_cap:
-            raise ValueError("precision start exceeds cap")
 
     def table(self, p: int, nmax: int) -> PowerSumTable:
         """Restricted S_1..S_nmax at p: exact up to exact_limit, float beyond."""
@@ -165,20 +156,14 @@ class MomentEngine:
         (the convention their congruence pins). Nothing is routed or memoized.
         """
         if method == METHOD_EXACT:
-            convention = RESTRICTED
-
             def compute():
                 return power_sums_exact(p, nmax, RESTRICTED, self.exact_limit)
         else:
-            convention = COMPLETED
-
             def compute():
-                return power_sums_float_auto(
-                    p, nmax, self.precision_start, self.precision_cap
-                )[0]
+                return power_sums_float_auto(p, nmax)[0]
         if self.store is None:
             return compute()
-        return self.store.get_or_compute(p, nmax, convention, method, compute)
+        return self.store.get_or_compute(p, nmax, method, compute)
 
     def seed(self, table: PowerSumTable) -> None:
         """Serve table's prime from a precomputed table, in place of any other.

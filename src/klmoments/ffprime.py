@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import isqrt
 
-from .errors import EvenInput, EvenModulus, ZeroInverse
+from .errors import EvenInput, EvenModulus
 
 # Jaeschke/Sorenson-Webster witness set: deterministic for n < 3.3e24,
 # which covers every 64-bit integer.
@@ -65,14 +65,6 @@ class Prime(int):
         if not is_prime(value):
             raise ValueError(f"{value} is not prime")
         return super().__new__(cls, value)
-
-
-def inv_mod(a: int, p: int) -> int:
-    """Inverse of a modulo the prime p."""
-    a %= p
-    if a == 0:
-        raise ZeroInverse(f"0 has no inverse mod {p}")
-    return pow(a, p - 2, p)
 
 
 def inverse_table(p: int) -> list[int]:

@@ -28,16 +28,18 @@ def _inverses(p: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ExponentCounts:
-    """Fiber sizes counts[t] = #{x in (F_p^*)^n : prod x_i = a, sum x_i = t}."""
+    """Fiber sizes counts[t] = #{(x, y) in (F_p^*)^2 : x y = a, x + y = t}.
+
+    y = a / x, so the fibres partition the p - 1 choices of x.
+    """
 
     p: int
     a: int
-    n: int
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if sum(self.counts) != (self.p - 1) ** (self.n - 1):
-            raise ValueError("fiber sizes do not sum to (p-1)**(n-1)")
+        if sum(self.counts) != self.p - 1:
+            raise ValueError("fiber sizes do not sum to p - 1")
 
     def value(self) -> CycInt:
         """The sum itself, as sum_t counts[t] * zeta**t."""
@@ -58,7 +60,7 @@ def kl2_counts(p: int, a: int) -> ExponentCounts:
     counts = [0] * p
     for x in range(1, p):
         counts[(x + a * inv[x]) % p] += 1
-    return ExponentCounts(p, a, 2, tuple(counts))
+    return ExponentCounts(p, a, tuple(counts))
 
 
 def kl2_value(p: int, a: int) -> CycInt:

@@ -32,7 +32,7 @@ appendix8    the fixed degree-8 polynomial in completed sums
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb, gcd, isqrt
 from operator import mul
 from typing import Iterable
 
@@ -48,8 +48,6 @@ from .ffprime import Prime, primitive_root
 from .kloosterman import kl2_counts
 
 DEFAULT_EXACT_LIMIT = 257
-PRECISION_START = 64
-PRECISION_CAP = 4096
 
 RESTRICTED = "restricted"
 COMPLETED = "completed"
@@ -238,7 +236,7 @@ def _interval_power_sums(
     return sum_lo, sum_hi
 
 
-def power_sums_float(p: int, nmax: int, precision: int = PRECISION_START) -> PowerSumTable:
+def power_sums_float(p: int, nmax: int, precision: int) -> PowerSumTable:
     """Completed S'_n(p) from rigorous enclosures plus the mod-p**2 congruence.
 
     Each Galois orbit of Kl_2(p; .) is counted once by kl2_counts at its
@@ -249,7 +247,7 @@ def power_sums_float(p: int, nmax: int, precision: int = PRECISION_START) -> Pow
     enclosure is certified without further rounding.
     The unique admissible integer is the one in the enclosure congruent to
     (-1)**(n-1)(n-1)p mod p**2; zero or several candidates raise
-    AmbiguousRounding and the caller must retry at higher precision. The
+    AmbiguousRounding, which float_precision(p, nmax) bits rule out. The
     restricted S_1, S_2 and the Weil bound are checked like exact tables
     (IdentityFailure).
     """
@@ -288,27 +286,35 @@ def power_sums_float(p: int, nmax: int, precision: int = PRECISION_START) -> Pow
     return PowerSumTable(p, COMPLETED, values, METHOD_FLOAT)
 
 
-def power_sums_float_auto(
-    p: int,
-    nmax: int,
-    precision_start: int = PRECISION_START,
-    precision_cap: int = PRECISION_CAP,
-) -> tuple[PowerSumTable, int]:
-    """Run the float path, doubling precision until rounding is unambiguous.
+def float_precision(p: int, nmax: int) -> int:
+    """The bits P at which power_sums_float pins S'_1..S'_nmax at p:
 
-    Returns the table and the precision that succeeded. Raises the last
-    AmbiguousRounding if the cap is reached without success.
+        P = max(bitlen(p - 1), bitlen(2 nmax c**(nmax - 1))),  c = isqrt(4p) + 3.
+
+    Proof. enclose_sum gives each 2**P Kl_2(p; a) an integer interval of
+    width w <= 2(p - 1): its counts sum to p - 1, and each cosine interval
+    of unit_root_intervals is at most 2 units wide. The interval holds
+    2**P Kl_2(p; a), |Kl_2| <= 2 sqrt p (Weil) and 2**P >= p - 1, so every
+    point x of it has |x| <= M = 2**P (2 sqrt p + 2) <= c 2**P, as
+    isqrt(4p) > 2 sqrt p - 1. By the mean value theorem
+    the range of x**n over the interval is at most n M**(n-1) w wide, so
+    summed over the p - 1 values of a the enclosure of 2**(nP) S'_n (the
+    a = 0 term is exact) has width
+        W_n <= 2n (p - 1)**2 c**(n-1) 2**((n-1)P),
+    which is below p**2 2**(nP) once 2**P > 2n c**(n-1). Admissible
+    integers are p**2 apart, so exactly one lies in the enclosure. The
+    bound grows with n, so n = nmax covers every n.
     """
-    if precision_start < 1:
-        raise ValueError("precision_start must be >= 1, or doubling never reaches the cap")
-    precision = precision_start
-    while True:
-        try:
-            return power_sums_float(p, nmax, precision), precision
-        except AmbiguousRounding:
-            if precision >= precision_cap:
-                raise
-            precision = min(2 * precision, precision_cap)
+    if nmax < 1:
+        raise ValueError("nmax must be >= 1")
+    c = isqrt(4 * p) + 3
+    return max((p - 1).bit_length(), (2 * nmax * c ** (nmax - 1)).bit_length())
+
+
+def power_sums_float_auto(p: int, nmax: int) -> tuple[PowerSumTable, int]:
+    """The float route at float_precision(p, nmax): the table and its bits."""
+    precision = float_precision(p, nmax)
+    return power_sums_float(p, nmax, precision), precision
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,28 @@ class TestRoundTrip:
     def test_store_and_load(self, store):
         table = power_sums_exact(7, 6)
         store.store(table)
-        loaded = store.load(7, RESTRICTED, METHOD_EXACT)
+        loaded = store.load(7, METHOD_EXACT)
         assert loaded == table
 
     def test_missing_returns_none(self, store):
-        assert store.load(11, RESTRICTED, METHOD_EXACT) is None
+        assert store.load(11, METHOD_EXACT) is None
+
+    @pytest.mark.parametrize("method, convention", [
+        (METHOD_EXACT, RESTRICTED), (METHOD_FLOAT, COMPLETED),
+    ])
+    def test_stored_in_the_methods_convention(self, store, method, convention):
+        # either convention in, one file out, in the method's convention
+        exact = power_sums_exact(7, 4)
+        paths, texts = set(), set()
+        for given in (RESTRICTED, COMPLETED):
+            values = exact.to_convention(given).values
+            path = store.store(PowerSumTable(7, given, values, method))
+            paths.add(path.name)
+            texts.add(path.read_text())
+        assert paths == {f"p7-{convention}-{method}.json"} and len(texts) == 1
+        loaded = store.load(7, method)
+        assert loaded.convention == convention
+        assert loaded.values == exact.to_convention(convention).values
 
     def test_decimal_string_values(self, store):
         path = store.store(power_sums_exact(7, 3))
@@ -41,7 +58,7 @@ class TestCorruption:
         path = store.store(power_sums_exact(5, 3))
         path.write_text(path.read_text()[:40])
         with caplog.at_level("WARNING"):
-            assert store.load(5, RESTRICTED, METHOD_EXACT) is None
+            assert store.load(5, METHOD_EXACT) is None
         assert "discarding corrupt cache entry" in caplog.text
         assert not path.exists()
 
@@ -51,19 +68,19 @@ class TestCorruption:
         doc["entries"][0]["value"] = "999"
         path.write_text(json.dumps(doc))
         with caplog.at_level("WARNING"):
-            assert store.load(5, RESTRICTED, METHOD_EXACT) is None
+            assert store.load(5, METHOD_EXACT) is None
         assert "checksum" in caplog.text
 
     @pytest.mark.parametrize("convention", [RESTRICTED, COMPLETED])
     def test_identity_breaking_entry_discarded(self, store, caplog, convention):
-        # a valid checksum over a wrong S_2, as a float table would be cached
+        # a valid checksum over a wrong S_2, handed over in either convention
         good = power_sums_exact(13, 4).to_convention(convention)
         path = store.store(
             PowerSumTable(13, convention, {**good.values, 2: good.values[2] + 13**2},
                           METHOD_FLOAT)
         )
         with caplog.at_level("WARNING"):
-            assert store.load(13, convention, METHOD_FLOAT) is None
+            assert store.load(13, METHOD_FLOAT) is None
         assert "S_2(13)" in caplog.text
         assert not path.exists()
 
@@ -74,7 +91,7 @@ class TestCorruption:
             PowerSumTable(13, RESTRICTED, {**good.values, 8: 12 * 52**4 + 1}, METHOD_FLOAT)
         )
         with caplog.at_level("WARNING"):
-            assert store.load(13, RESTRICTED, METHOD_FLOAT) is None
+            assert store.load(13, METHOD_FLOAT) is None
         assert "Weil bound" in caplog.text
         assert not path.exists()
 
@@ -90,7 +107,7 @@ class TestCrossMethodConsistency:
                 METHOD_FLOAT,
             )
         )
-        assert store.load(7, RESTRICTED, METHOD_EXACT) is not None
+        assert store.load(7, METHOD_EXACT) is not None
 
     def test_disagreeing_records_fail_loudly(self, store):
         exact = power_sums_exact(7, 4)
@@ -99,7 +116,7 @@ class TestCrossMethodConsistency:
         wrong[3] += 1  # S_1 and S_2 intact, so only the agreement check sees it
         store.store(PowerSumTable(7, RESTRICTED, wrong, METHOD_FLOAT))
         with pytest.raises(CacheMismatch):
-            store.load(7, RESTRICTED, METHOD_EXACT)
+            store.load(7, METHOD_EXACT)
 
     def test_cross_convention_disagreement_detected(self, store):
         # exact tables persist restricted, float tables completed; the
@@ -110,7 +127,7 @@ class TestCrossMethodConsistency:
         wrong[3] -= 7**2  # same congruence class, different value
         store.store(PowerSumTable(7, COMPLETED, wrong, METHOD_FLOAT))
         with pytest.raises(CacheMismatch):
-            store.load(7, RESTRICTED, METHOD_EXACT)
+            store.load(7, METHOD_EXACT)
 
 
 class TestGetOrCompute:
@@ -121,24 +138,20 @@ class TestGetOrCompute:
             calls.append(1)
             return power_sums_exact(11, 5)
 
-        first = store.get_or_compute(11, 5, RESTRICTED, METHOD_EXACT, compute)
-        second = store.get_or_compute(11, 5, RESTRICTED, METHOD_EXACT, compute)
+        first = store.get_or_compute(11, 5, METHOD_EXACT, compute)
+        second = store.get_or_compute(11, 5, METHOD_EXACT, compute)
         assert first == second and len(calls) == 1
 
     def test_extends_partial_table(self, store):
         store.store(power_sums_exact(11, 3))
-        table = store.get_or_compute(
-            11, 6, RESTRICTED, METHOD_EXACT, lambda: power_sums_exact(11, 6)
-        )
+        table = store.get_or_compute(11, 6, METHOD_EXACT, lambda: power_sums_exact(11, 6))
         assert set(table.values) == set(range(1, 7))
 
     def test_recompute_disagreement_raises(self, store):
         # S_1 and S_2 intact, so the entry loads and only S_3 disagrees
         store.store(PowerSumTable(11, RESTRICTED, {1: 1, 2: 109, 3: 999}, METHOD_EXACT))
         with pytest.raises(CacheMismatch):
-            store.get_or_compute(
-                11, 4, RESTRICTED, METHOD_EXACT, lambda: power_sums_exact(11, 4)
-            )
+            store.get_or_compute(11, 4, METHOD_EXACT, lambda: power_sums_exact(11, 4))
 
 
 class TestCacheDirResolution:

@@ -11,13 +11,7 @@ from klmoments import cli, evans
 from klmoments.cache import PowerSumStore
 from klmoments.cli import main
 from klmoments.modforms import CoefficientTable, table_to_json
-from klmoments.moments import (
-    COMPLETED,
-    DEFAULT_EXACT_LIMIT,
-    METHOD_FLOAT,
-    PRECISION_CAP,
-    PRECISION_START,
-)
+from klmoments.moments import DEFAULT_EXACT_LIMIT, METHOD_FLOAT
 
 GOLDEN = Path(__file__).parent / "data" / "golden_dims.txt"
 
@@ -55,8 +49,6 @@ class TestParser:
     def test_route_defaults_are_the_library_constants(self, argv):
         args = cli.build_parser().parse_args(argv)
         assert args.exact_limit == DEFAULT_EXACT_LIMIT
-        assert args.precision == PRECISION_START
-        assert args.precision_cap == PRECISION_CAP
 
     @pytest.mark.parametrize("argv", [
         ["dims", "--no-cache"],
@@ -112,19 +104,6 @@ class TestSums:
             main(["sums", "--p", "3"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("precision", ["0", "-64"])
-    def test_precision_below_one_is_usage_error(self, monkeypatch, precision):
-        # doubling such a precision never reaches the cap; the stub makes
-        # that a fast failure instead of a hang
-        def unreachable(*args):
-            raise AssertionError("a precision below 1 reached the float path")
-
-        monkeypatch.setattr(evans, "power_sums_float_auto", unreachable)
-        with pytest.raises(SystemExit) as exc:
-            main(["sums", "--p", "263", "--nmax", "4", "--method", "float",
-                  "--no-cache", "--precision", precision])
-        assert exc.value.code == 2
-
     def test_float_table_read_back_not_overwritten(self, capsys, tmp_path):
         base = ("sums", "--p", "13", "--method", "float", "--cache-dir", str(tmp_path))
         code, long_out, _ = run(capsys, *base, "--nmax", "8")
@@ -132,7 +111,7 @@ class TestSums:
         code, short_out, _ = run(capsys, *base, "--nmax", "3")
         assert code == 0
         assert short_out.splitlines() == long_out.splitlines()[:4]
-        cached = PowerSumStore(tmp_path).load(13, COMPLETED, METHOD_FLOAT)
+        cached = PowerSumStore(tmp_path).load(13, METHOD_FLOAT)
         assert sorted(cached.values) == list(range(1, 9))
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from klmoments import evans
+from klmoments import evans, moments
 from klmoments.cache import PowerSumStore
 from klmoments.errors import DivisibilityFailure, KlmomentsError
 from klmoments.evans import (
@@ -21,7 +21,7 @@ from klmoments.evans import (
 )
 from klmoments.ffprime import jacobi_symbol, primes_in_range
 from klmoments.modforms import CoefficientTable, prime_coefficients, registry_expansion
-from klmoments.moments import PowerSumTable, sym_moment_girard
+from klmoments.moments import PowerSumTable, float_precision, sym_moment_girard
 
 
 def checks_by_name(report):
@@ -277,6 +277,22 @@ class TestBatchReport:
         assert any(r.method == "girard-float" for r in rows)
         assert all(r.passed for r in rows)
 
+    def test_one_float_attempt_per_float_table(self, monkeypatch):
+        # the precision is derived from (p, nmax), so nothing is retried
+        calls = []
+        real = moments.power_sums_float
+
+        def recording(p, nmax, precision):
+            calls.append((p, nmax, precision))
+            return real(p, nmax, precision)
+
+        monkeypatch.setattr(moments, "power_sums_float", recording)
+        engine = MomentEngine()
+        _, summary = batch_report(5, 258, 300, engine=engine)
+        assert summary.errors == 0
+        assert sorted(engine.float_primes) == primes_in_range(258, 300)
+        assert calls == [(p, 5, float_precision(p, 5)) for p in engine.float_primes]
+
     def test_audit_catches_corrupted_float_table(self):
         engine = MomentEngine(exact_limit=11)
         engine.moment(13, 6)
@@ -344,18 +360,18 @@ class TestEngineCache:
         first = MomentEngine(exact_limit=11, store=store)
         v_exact = first.moment(11, 8).value
         v_float = first.moment(13, 8).value
-        assert store.load(11, "restricted", "exact-cyclotomic") is not None
-        assert store.load(13, "completed", "float-congruence") is not None
+        assert store.load(11, "exact-cyclotomic").convention == "restricted"
+        assert store.load(13, "float-congruence").convention == "completed"
 
         calls = []
         orig = PowerSumStore.get_or_compute
 
-        def counting(self, p, nmax, convention, method, compute):
+        def counting(self, p, nmax, method, compute):
             def wrapped():
                 calls.append(p)
                 return compute()
 
-            return orig(self, p, nmax, convention, method, wrapped)
+            return orig(self, p, nmax, method, wrapped)
 
         def no_float(*args):
             raise AssertionError("a warm engine recomputed a float table")

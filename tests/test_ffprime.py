@@ -1,11 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from klmoments.errors import EvenInput, EvenModulus, ZeroInverse
+from klmoments.errors import EvenInput, EvenModulus
 from klmoments.ffprime import (
     Prime,
     double_factorial,
-    inv_mod,
+    inverse_table,
     is_prime,
     jacobi_symbol,
     primes_in_range,
@@ -37,23 +37,23 @@ class TestPrimality:
 
 
 class TestModInverse:
+    # inverse_table is the inverse kl2_counts uses
     def test_identity(self):
-        assert inv_mod(1, 7) == 1
+        assert inverse_table(7)[1] == 1
 
     def test_example(self):
-        assert inv_mod(3, 7) == 5
+        assert inverse_table(7)[3] == 5
 
     def test_zero(self):
-        with pytest.raises(ZeroInverse):
-            inv_mod(0, 5)
-        with pytest.raises(ZeroInverse):
-            inv_mod(10, 5)
+        # 0 has no inverse; the table holds 0 in its place
+        assert inverse_table(5)[0] == 0
 
     def test_involution(self):
-        for p in (3, 5, 7, 11, 101):
-            for a in range(1, p):
-                assert inv_mod(inv_mod(a, p), p) == a
-                assert a * inv_mod(a, p) % p == 1
+        for p in (2, 3, 5, 7, 11, 101):
+            inv = inverse_table(p)
+            for x in range(1, p):
+                assert x * inv[x] % p == 1
+                assert inv[inv[x]] == x
 
 
 class TestPrimitiveRoot:

@@ -17,6 +17,7 @@ from klmoments.moments import (
     COMPLETED,
     RESTRICTED,
     completed_congruence_class,
+    float_precision,
     power_sums_exact,
     power_sums_float,
     power_sums_float_auto,
@@ -105,7 +106,7 @@ class TestGaloisOrbits:
             if a != 1:
                 counts[0] -= 1
                 counts[1] += 1
-            return ExponentCounts(q, a, 2, tuple(counts))
+            return ExponentCounts(q, a, tuple(counts))
 
         monkeypatch.setattr(moments, "kl2_counts", corrupted)
         with pytest.raises(IdentityFailure, match="not a multiple of 2"):
@@ -217,9 +218,16 @@ class TestPowerSumsFloat:
     def test_agrees_with_exact_up_to_61(self):
         for p in primes_in_range(2, 61):
             exact = power_sums_exact(p, 8).to_convention(COMPLETED)
-            flt, used = power_sums_float_auto(p, 8)
+            flt, _ = power_sums_float_auto(p, 8)
             assert flt.values == exact.values
-            assert used <= 4096
+
+    @pytest.mark.parametrize("nmax", [1, 2, 5, 8, 13])
+    def test_derived_precision_agrees_with_exact_to_200(self, sum_tables_200, nmax):
+        for p, table in sum_tables_200.items():
+            flt, used = power_sums_float_auto(p, nmax)
+            assert used == float_precision(p, nmax)
+            completed = table.to_convention(COMPLETED).values
+            assert flt.values == {n: completed[n] for n in range(1, nmax + 1)}
 
     def test_insufficient_precision_is_ambiguous(self):
         # S'_16(101) needs far more than 53 bits: the enclosure is wider
@@ -227,11 +235,10 @@ class TestPowerSumsFloat:
         with pytest.raises(AmbiguousRounding):
             power_sums_float(101, 16, 53)
 
-    def test_auto_escalation_recovers(self):
-        flt, used = power_sums_float_auto(101, 16, precision_start=53)
-        exact = power_sums_exact(101, 16).to_convention(COMPLETED)
-        assert flt.values == exact.values
-        assert used > 53
+    def test_derived_precision_pins_101_16(self):
+        flt, used = power_sums_float_auto(101, 16)
+        assert used == 73
+        assert flt.values == power_sums_exact(101, 16, COMPLETED).values
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -266,22 +273,6 @@ class TestPowerSumsFloat:
         sum_lo, sum_hi = moments._interval_power_sums([(-3, 2), (-5, -4), (1, 2)], 3)
         assert sum_lo[1:] == [-3 - 5 + 1, 0 + 16 + 1, -27 - 125 + 1]
         assert sum_hi[1:] == [2 - 4 + 2, 9 + 25 + 4, 8 - 64 + 8]
-
-    @pytest.mark.parametrize("precision_start", [0, -8])
-    def test_precision_below_one_rejected(self, monkeypatch, precision_start):
-        # doubling 0 or a negative precision never reaches the cap; a stub
-        # float path turns that loop into a fast failure instead of a hang
-        calls = []
-
-        def ambiguous(p, nmax, precision):
-            calls.append(precision)
-            assert len(calls) < 50, "precision never reaches the cap"
-            raise AmbiguousRounding("stub")
-
-        monkeypatch.setattr(moments, "power_sums_float", ambiguous)
-        with pytest.raises(ValueError):
-            power_sums_float_auto(263, 4, precision_start=precision_start)
-        assert calls == []
 
     def test_identities_checked_on_fresh_tables(self, monkeypatch):
         # integer stand-ins for Kl_2(5; a) whose completed sums meet the
@@ -427,9 +418,8 @@ class TestMomentSelector:
         assert mv.method == "girard-exact"
 
     @pytest.mark.parametrize("kwargs, message", [
-        ({"precision_start": 0}, "precision must be >= 1"),
+        ({"exact_limit": -1}, "exact_limit must be >= 3"),
         ({"exact_limit": 2}, "exact_limit must be >= 3"),
-        ({"precision_start": 128, "precision_cap": 64}, "precision start exceeds cap"),
     ])
     def test_invalid_settings_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
