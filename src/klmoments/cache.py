@@ -119,6 +119,8 @@ class PowerSumStore:
         try:
             with open(path) as fh:
                 doc = json.load(fh)
+            if not isinstance(doc, dict):
+                raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
             checksum = doc.pop("checksum")
             if doc.get("schema_version") != SCHEMA_VERSION:
                 raise ValueError(f"schema_version {doc.get('schema_version')}")

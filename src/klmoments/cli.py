@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from functools import partial
+from pathlib import Path
 
 from . import __version__
 from .cache import PowerSumStore, resolve_cache_dir
@@ -22,8 +23,7 @@ from .evans import (
     EvenTrace,
     MomentEngine,
     batch_report,
-    reports_to_csv,
-    reports_to_dict,
+    render_reports,
     trace_middle,
 )
 from .ffprime import Prime
@@ -104,12 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _emit(doc: dict, fmt: str, text_lines: list[str], csv_text: str | None = None) -> None:
+def _emit(doc: dict, fmt: str, text_lines: list[str], csv_text: str) -> None:
     if fmt == "json":
         doc = {"schema_version": SCHEMA_VERSION, **doc}
         print(json.dumps(doc, sort_keys=True, indent=1))
     elif fmt == "csv":
-        sys.stdout.write(csv_text if csv_text is not None else "")
+        sys.stdout.write(csv_text)
     else:
         for line in text_lines:
             print(line)
@@ -164,38 +164,13 @@ def _cmd_moments(args, engine: MomentEngine) -> int:
     return 0
 
 
-def _evans_lines(rows, summary) -> list[str]:
-    lines = [
-        f"evans d={summary.d} primes in [{summary.pmin}, {summary.pmax}]: "
-        f"{summary.rows} rows, {summary.passed} passed, "
-        f"{summary.failed} failed, {summary.errors} errors"
-    ]
-    for r in rows:
-        if r.error is not None:
-            lines.append(f"p={r.p}: ERROR {r.error}")
-            continue
-        marks = " ".join(
-            f"{c.name}={'ok' if c.passed else 'FAIL'}" for c in r.checks
-        )
-        lines.append(f"p={r.p}: m={r.moment} derived={r.derived} {marks}")
-    return lines
-
-
 def _cmd_evans(args, engine: MomentEngine) -> int:
-    table = None
-    if args.table:
-        with open(args.table) as fh:
-            table = load_coefficient_table(fh.read())
+    table = load_coefficient_table(Path(args.table).read_text()) if args.table else None
     rows, summary = batch_report(
         args.d, args.pmin, args.pmax,
         engine=engine, table=table, jobs=args.jobs,
     )
-    if args.format == "json":
-        _emit(reports_to_dict(rows, summary), args.format, [])
-    elif args.format == "csv":
-        _emit({}, args.format, [], reports_to_csv(rows))
-    else:
-        _emit({}, args.format, _evans_lines(rows, summary))
+    sys.stdout.write(render_reports(rows, summary, args.format))
     return 0 if summary.errors == 0 else 1
 
 
@@ -316,6 +291,8 @@ def main(argv: list[str] | None = None) -> int:
     run = _COMMANDS[args.command]
     if "jobs" in args and args.jobs < 1:
         parser.error("jobs must be >= 1")  # exits 2
+    if "table" in args and args.table and args.d not in (5, 8):
+        parser.error("--table applies to --d 5 and --d 8 only")
     if "exact_limit" in args:  # the command computes through a MomentEngine
         try:
             run = partial(run, engine=_engine(args))

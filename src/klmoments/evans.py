@@ -84,27 +84,19 @@ class EvansReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "d": self.d,
-            "p": self.p,
+            **vars(self),
             "moment": None if self.moment is None else str(self.moment),
             "derived": None if self.derived is None else str(self.derived),
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
-            "source": self.source,
-            "method": self.method,
+            "checks": [vars(c) for c in self.checks],
             "extra": {k: str(v) for k, v in self.extra.items()},
-            "error": self.error,
         }
 
-    def csv_row(self) -> list[str]:
+    def csv_row(self) -> list:
+        # csv writes None as an empty field and an int in decimal
         return [
-            str(self.p),
-            "" if self.moment is None else str(self.moment),
-            "" if self.derived is None else str(self.derived),
-            str(sum(c.passed for c in self.checks)),
-            str(sum(not c.passed for c in self.checks)),
+            self.p, self.moment, self.derived,
+            sum(c.passed for c in self.checks),
+            sum(not c.passed for c in self.checks),
             self.method if self.error is None else f"error:{self.error}",
         ]
 
@@ -224,6 +216,12 @@ class EvenTrace:
     pure_dim: int         # dim of the pure middle part at this p
 
 
+def _middle_trace(d: int, p: int, m: int) -> int:
+    """-m - 1 - [4 | d] p^(d/2): by the identities above, the trace of
+    Frob_p on the middle part (odd d) or on the inertia invariants (even d)."""
+    return -m - 1 - (p ** (d // 2) if d % 4 == 0 else 0)
+
+
 def trace_middle(
     d: int,
     p: int,
@@ -245,34 +243,29 @@ def trace_middle(
     from .invariants import GOOD, dim_m_middle
 
     p = Prime(p)
-    engine = engine or MomentEngine()
+    if d % 2 == 1 and not (p > d or p == 2):
+        raise ValueError(f"odd-degree trace needs p > d or p = 2, got p = {p}")
+    if d % 2 == 0 and p == 2 and d != 2:
+        raise ValueError("even-degree trace at p = 2 is only defined for d = 2")
+    u = _middle_trace(d, p, (engine or MomentEngine()).moment(p, d).value)
     if d % 2 == 1:
-        if not (p > d or p == 2):
-            raise ValueError(f"odd-degree trace needs p > d or p = 2, got p = {p}")
-        m = engine.moment(p, d).value
-        num = -m - 1
         e = (d + 1) // 2
         dim = dim_m_middle(d, GOOD)
-        if num * num > dim * dim * p ** (2 * e):
+        if u * u > dim * dim * p ** (2 * e):
             raise RangeFailure(
-                f"|{num}| exceeds {dim} * {p}^{e} for d = {d}, p = {p}"
+                f"|{u}| exceeds {dim} * {p}^{e} for d = {d}, p = {p}"
             )
-        q, r = divmod(num, p**e)
+        q, r = divmod(u, p**e)
         if r == 0:
             return q
         if strict:
             raise DivisibilityFailure(
-                f"{p}^{e} does not divide -m^{d}_2({p}) - 1 = {num}"
+                f"{p}^{e} does not divide -m^{d}_2({p}) - 1 = {u}"
             )
         from fractions import Fraction
 
-        return Fraction(num, p**e)
+        return Fraction(u, p**e)
     # even d
-    if p == 2 and d != 2:
-        raise ValueError("even-degree trace at p = 2 is only defined for d = 2")
-    m = engine.moment(p, d).value
-    correction = p ** (d // 2) if d % 4 == 0 else 0
-    u = -m - 1 - correction
     blocks = d // (2 * p)
     magnitude = p ** (d // 2)
     dim = dim_m_middle(d, p)
@@ -307,32 +300,46 @@ _EXCLUDED = {
 }
 
 
-def _admissible(d: int, p: int) -> Prime:
+def _p2_quotient(
+    d: int, p: int, engine: MomentEngine | None
+) -> tuple[Prime, MomentValue, int]:
+    """The prime, its moment m^d_2(p), and the middle trace divided by p^2.
+
+    p must be admissible for the degree (ValueError otherwise); p^2 must
+    divide the middle trace (DivisibilityFailure otherwise).
+    """
     p = Prime(p)
     excluded, reason = _EXCLUDED[d]
     if p in excluded:
         raise ValueError(reason)
-    return p
-
-
-def _require_p2_quotient(d: int, p: int, num: int) -> int:
-    q, r = divmod(num, p**2)
+    mv = (engine or MomentEngine()).moment(p, d)
+    q, r = divmod(_middle_trace(d, p, mv.value), p**2)
     if r:
         raise DivisibilityFailure(
             f"p^2 does not divide the degree-{d} combination at p = {p}"
         )
-    return q
+    return p, mv, q
 
 
-def _with_table(
-    d: int, p: int, mv: MomentValue, a: int, checks: list[CheckResult], table
+# The references a pipeline compares a(p) with: the check row's name, the
+# label in its detail, and the report's source.
+_REFERENCES = {
+    "table": ("table_match", "table", "imported-table"),
+    "registry": ("registry_match", "eta-quotient", "registry-form"),
+}
+
+
+def _compared(
+    d: int, p: int, mv: MomentValue, a: int, checks: list[CheckResult],
+    kind: str, reference,
 ) -> EvansReport:
-    """The report, with a table_match row where an imported table has a(p)."""
-    want = None if table is None else table.get(p)
+    """The report, with a comparison row where the reference (an imported
+    table or the registry's coefficients, or None) has a(p)."""
+    want = None if reference is None else reference.get(p)
     source = "none"
     if want is not None:
-        checks.append(CheckResult("table_match", want == a, f"table a({p}) = {want}"))
-        source = "imported-table"
+        name, label, source = _REFERENCES[kind]
+        checks.append(CheckResult(name, want == a, f"{label} a({p}) = {want}"))
     return EvansReport(d, p, mv.value, a, tuple(checks), source, mv.method)
 
 
@@ -350,10 +357,7 @@ def evans_d5(
     |a| <= 2p, and the vanishing a(p) = 0 forced at primes inert in
     Q(sqrt(-15)), i.e. with Jacobi symbol (p/15) = -1.
     """
-    p = _admissible(5, p)
-    engine = engine or MomentEngine()
-    mv = engine.moment(p, 5)
-    a = _require_p2_quotient(5, p, -mv.value - 1)
+    p, mv, a = _p2_quotient(5, p, engine)
     chi = jacobi_symbol(p, 15)
     checks = [
         CheckResult("p_divides_a", a % p == 0, f"a = {a}"),
@@ -364,7 +368,7 @@ def evans_d5(
             f"(p/15) = {chi}",
         ),
     ]
-    return _with_table(5, p, mv, a, checks, table)
+    return _compared(5, p, mv, a, checks, "table", table)
 
 
 def evans_d6(
@@ -377,24 +381,11 @@ def evans_d6(
     When the validated registry expansion is supplied, equality with its
     p-th coefficient is recorded.
     """
-    p = _admissible(6, p)
-    engine = engine or MomentEngine()
-    mv = engine.moment(p, 6)
-    a = _require_p2_quotient(6, p, -mv.value - 1)
+    p, mv, a = _p2_quotient(6, p, engine)
     checks = [
         CheckResult("deligne_weight4", a * a <= 4 * p**3, f"a = {a}"),
     ]
-    source = "none"
-    if registry_coeffs is not None and p in registry_coeffs:
-        checks.append(
-            CheckResult(
-                "registry_match",
-                registry_coeffs[p] == a,
-                f"eta-quotient a({p}) = {registry_coeffs[p]}",
-            )
-        )
-        source = "registry-form"
-    return EvansReport(6, p, mv.value, a, tuple(checks), source, mv.method)
+    return _compared(6, p, mv, a, checks, "registry", registry_coeffs)
 
 
 def evans_d7(
@@ -409,11 +400,8 @@ def evans_d7(
     p^2 (t + 1) = a_f(p)^2 eps_f(p)^{-1}, the candidate squared-coefficient
     combination; it must lie in [0, 4p^2].
     """
-    p = _admissible(7, p)
-    engine = engine or MomentEngine()
-    mv = engine.moment(p, 7)
-    num = -mv.value - 1
-    q2 = _require_p2_quotient(7, p, num)
+    p, mv, q2 = _p2_quotient(7, p, engine)
+    num = q2 * p**2  # -m - 1
     chi = jacobi_symbol(p, 105)
     candidate = chi * q2 + p**2  # = p^2 (t + 1)
     if not 0 <= candidate <= 4 * p**2:
@@ -448,14 +436,11 @@ def evans_d8(
 
     The eigenform has weight 6, so Deligne's bound is |a| <= 2 p^(5/2).
     """
-    p = _admissible(8, p)
-    engine = engine or MomentEngine()
-    mv = engine.moment(p, 8)
-    a = _require_p2_quotient(8, p, -mv.value - 1 - p**4)
+    p, mv, a = _p2_quotient(8, p, engine)
     checks = [
         CheckResult("deligne_weight6", a * a <= 4 * p**5, f"a = {a}"),
     ]
-    return _with_table(8, p, mv, a, checks, table)
+    return _compared(8, p, mv, a, checks, "table", table)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +482,6 @@ def batch_report(
     engine: MomentEngine | None = None,
     table=None,
     jobs: int = 1,
-    audit_seed: int = 0,
 ) -> tuple[list[EvansReport], BatchSummary]:
     """Run one degree's pipeline over every admissible prime in [pmin, pmax].
 
@@ -510,13 +494,10 @@ def batch_report(
     """
     if d not in _PIPELINES:
         raise ValueError(f"no pipeline for degree {d}; have {sorted(_PIPELINES)}")
-    if pmin > pmax:
-        primes = []
-    else:
-        excluded, _ = _EXCLUDED[d]
-        primes = [p for p in primes_in_range(pmin, pmax) if p not in excluded]
+    excluded, _ = _EXCLUDED[d]
+    primes = [p for p in primes_in_range(pmin, pmax) if p not in excluded]
     engine = engine or MomentEngine()
-    kwargs = {}
+    kwargs = {"table": table} if d in (5, 8) else {}
     if d == 6 and primes:
         series = registry_expansion(6, max(primes))
         form = REGISTRY[6]
@@ -524,8 +505,6 @@ def batch_report(
         kwargs["registry_coeffs"] = (
             prime_coefficients(series, max(primes)) if report.passed else None
         )
-    if d in (5, 8) and table is not None:
-        kwargs["table"] = table
 
     run = partial(_sweep_one, engine, d, kwargs)
     workers = min(jobs, len(primes))
@@ -537,9 +516,8 @@ def batch_report(
         engine.float_primes.extend(row.p for row, was_float in results if was_float)
     else:
         results = [run(p) for p in primes]
-    rows = [row for row, _ in results]
-    engine.audit(random.Random(audit_seed), d)
-    rows.sort(key=lambda r: r.p)
+    rows = [row for row, _ in results]  # in the order of primes, ascending
+    engine.audit(random.Random(0), d)
     summary = BatchSummary(
         d,
         pmin,
@@ -552,33 +530,35 @@ def batch_report(
     return rows, summary
 
 
-def reports_to_csv(rows: list[EvansReport]) -> str:
-    import csv
-    import io
+def render_reports(rows: list[EvansReport], summary: BatchSummary, fmt: str) -> str:
+    """The sweep's report as the CLI prints it: fmt is text, csv or json."""
+    if fmt == "json":
+        doc = {
+            "schema_version": REPORT_SCHEMA_VERSION,
+            "summary": vars(summary),
+            "reports": [r.to_json_dict() for r in rows],
+        }
+        return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    if fmt == "csv":
+        import csv
+        import io
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        writer.writerows(r.csv_row() for r in rows)
+        return buf.getvalue()
+    lines = [
+        f"evans d={summary.d} primes in [{summary.pmin}, {summary.pmax}]: "
+        f"{summary.rows} rows, {summary.passed} passed, "
+        f"{summary.failed} failed, {summary.errors} errors"
+    ]
     for r in rows:
-        writer.writerow(r.csv_row())
-    return buf.getvalue()
-
-
-def reports_to_dict(rows: list[EvansReport], summary: BatchSummary) -> dict:
-    return {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "summary": {
-            "d": summary.d,
-            "pmin": summary.pmin,
-            "pmax": summary.pmax,
-            "rows": summary.rows,
-            "passed": summary.passed,
-            "failed": summary.failed,
-            "errors": summary.errors,
-        },
-        "reports": [r.to_json_dict() for r in rows],
-    }
-
-
-def reports_to_json(rows: list[EvansReport], summary: BatchSummary) -> str:
-    return json.dumps(reports_to_dict(rows, summary), sort_keys=True, indent=1)
+        if r.error is not None:
+            lines.append(f"p={r.p}: ERROR {r.error}")
+            continue
+        marks = " ".join(
+            f"{c.name}={'ok' if c.passed else 'FAIL'}" for c in r.checks
+        )
+        lines.append(f"p={r.p}: m={r.moment} derived={r.derived} {marks}")
+    return "".join(line + "\n" for line in lines)

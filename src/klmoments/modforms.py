@@ -382,16 +382,21 @@ def load_coefficient_table(text: str) -> CoefficientTable:
     trusted; a violation rejects the whole table.
     """
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"coefficient table: expected a JSON object, got {type(doc).__name__}")
     if doc.get("schema_version") != TABLE_SCHEMA_VERSION:
         raise ValueError(f"unsupported table schema {doc.get('schema_version')}")
-    entries = {int(e["n"]): int(e["a"]) for e in doc["entries"]}
-    table = CoefficientTable(
-        label=str(doc["label"]),
-        weight=int(doc["weight"]),
-        level=int(doc["level"]),
-        nebentypus_modulus=int(doc["nebentypus_modulus"]),
-        entries=entries,
-    )
+    try:
+        entries = {int(e["n"]): int(e["a"]) for e in doc["entries"]}
+        table = CoefficientTable(
+            label=str(doc["label"]),
+            weight=int(doc["weight"]),
+            level=int(doc["level"]),
+            nebentypus_modulus=int(doc["nebentypus_modulus"]),
+            entries=entries,
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed coefficient table: {type(exc).__name__} {exc}") from exc
     for n, value in entries.items():
         if is_prime(n) and value**2 > 4 * n ** (table.weight - 1):
             raise ValueError(

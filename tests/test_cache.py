@@ -62,6 +62,16 @@ class TestCorruption:
         assert "discarding corrupt cache entry" in caplog.text
         assert not path.exists()
 
+    @pytest.mark.parametrize("content", ["42", "null", '"x"'])
+    def test_non_object_discarded(self, store, caplog, content):
+        # valid JSON, but not the object a table is stored as
+        path = store.store(power_sums_exact(7, 4))
+        path.write_text(content)
+        with caplog.at_level("WARNING"):
+            assert store.load(7, METHOD_EXACT) is None
+        assert "expected a JSON object" in caplog.text
+        assert not path.exists()
+
     def test_tampered_value_fails_checksum(self, store, caplog):
         path = store.store(power_sums_exact(5, 3))
         doc = json.loads(path.read_text())

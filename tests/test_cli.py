@@ -56,6 +56,8 @@ class TestParser:
         ["sums", "--p", "5", "--nmax", "2", "--jobs", "2"],
         ["sums", "--p", "5", "--nmax", "2", "--precision", "128", "--precision-cap", "64"],
         ["evans", "--d", "8", "--pmin", "3", "--pmax", "5", "--exact-limit", "2"],
+        ["evans", "--d", "6", "--pmin", "2", "--pmax", "5", "--table", "t.json"],
+        ["evans", "--d", "7", "--pmin", "2", "--pmax", "5", "--table", "t.json"],
     ])
     def test_usage_errors(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -203,7 +205,18 @@ class TestEvans:
             "--table", str(path), "--no-cache",
         )
         assert code == 0
-        assert "table_match=ok" in out
+        assert out.count("table_match=ok") == 2
+
+    @pytest.mark.parametrize("text", ["[1]", '{"schema_version": 1}'])
+    def test_malformed_table_is_json_error(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, _ = run(
+            capsys, "evans", "--d", "8", "--pmin", "5", "--pmax", "7",
+            "--table", str(path), "--no-cache", "--format", "json",
+        )
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "ValueError"
 
 
 class TestDet:

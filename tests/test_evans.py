@@ -15,8 +15,7 @@ from klmoments.evans import (
     evans_d6,
     evans_d7,
     evans_d8,
-    reports_to_csv,
-    reports_to_json,
+    render_reports,
     trace_middle,
 )
 from klmoments.ffprime import jacobi_symbol, primes_in_range
@@ -268,11 +267,12 @@ class TestBatchReport:
     def test_parallel_matches_sequential(self):
         seq_rows, seq_sum = batch_report(6, 2, 40, jobs=1)
         par_rows, par_sum = batch_report(6, 2, 40, jobs=2)
-        assert reports_to_json(seq_rows, seq_sum) == reports_to_json(par_rows, par_sum)
+        for fmt in ("text", "csv", "json"):
+            assert render_reports(seq_rows, seq_sum, fmt) == render_reports(par_rows, par_sum, fmt)
 
     def test_float_path_with_audit(self):
         engine = MomentEngine(exact_limit=11)
-        rows, summary = batch_report(6, 2, 31, engine=engine, audit_seed=0)
+        rows, summary = batch_report(6, 2, 31, engine=engine)
         assert summary.errors == 0
         assert any(r.method == "girard-float" for r in rows)
         assert all(r.passed for r in rows)
@@ -398,14 +398,14 @@ class TestEngineCache:
 
 class TestSerialization:
     def test_csv_shape(self, engine_200):
-        rows, _ = batch_report(8, 3, 20, engine=engine_200)
-        text = reports_to_csv(rows)
+        rows, summary = batch_report(8, 3, 20, engine=engine_200)
+        text = render_reports(rows, summary, "csv")
         lines = text.strip().splitlines()
         assert lines[0] == "p,m,derived,checks_passed,checks_failed,method"
         assert len(lines) == len(rows) + 1
 
     def test_json_deterministic(self, engine_200):
         rows, summary = batch_report(8, 3, 20, engine=engine_200)
-        assert reports_to_json(rows, summary) == reports_to_json(rows, summary)
-        doc = reports_to_json(rows, summary)
+        doc = render_reports(rows, summary, "json")
+        assert doc == render_reports(rows, summary, "json")
         assert '"schema_version": 1' in doc

@@ -199,3 +199,18 @@ class TestCoefficientTables:
         doc["schema_version"] = 99
         with pytest.raises(ValueError):
             load_coefficient_table(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", [
+        "[1]",
+        "42",
+        "null",
+        '{"schema_version": 1}',
+        '{"schema_version": 1, "entries": [1], "label": "x", "weight": 2,'
+        ' "level": 11, "nebentypus_modulus": 1}',
+        '{"schema_version": 1, "entries": [], "label": "x", "weight": null,'
+        ' "level": 11, "nebentypus_modulus": 1}',
+    ])
+    def test_malformed_document_is_value_error(self, text):
+        # valid JSON of the wrong shape is rejected like invalid JSON
+        with pytest.raises(ValueError):
+            load_coefficient_table(text)
