@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
-from pathlib import Path
 
 from . import __version__
 from .cache import PowerSumStore, resolve_cache_dir
@@ -27,7 +27,7 @@ from .evans import (
     trace_middle,
 )
 from .ffprime import Prime
-from .modforms import EtaQuotient, eta_quotient_series, load_coefficient_table
+from .modforms import EtaQuotient, eta_quotient_series
 from .moments import (
     COMPLETED,
     DEFAULT_EXACT_LIMIT,
@@ -71,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True, choices=(5, 6, 7, 8))
     p.add_argument("--pmin", type=int, required=True)
     p.add_argument("--pmax", type=int, required=True)
-    p.add_argument("--table", default=None, help="coefficient table JSON file")
     p.add_argument("--jobs", type=int, default=1)
     _add_engine_flags(p)
 
@@ -165,10 +164,8 @@ def _cmd_moments(args, engine: MomentEngine) -> int:
 
 
 def _cmd_evans(args, engine: MomentEngine) -> int:
-    table = load_coefficient_table(Path(args.table).read_text()) if args.table else None
     rows, summary = batch_report(
-        args.d, args.pmin, args.pmax,
-        engine=engine, table=table, jobs=args.jobs,
+        args.d, args.pmin, args.pmax, engine=engine, jobs=args.jobs
     )
     sys.stdout.write(render_reports(rows, summary, args.format))
     return 0 if summary.errors == 0 else 1
@@ -291,15 +288,18 @@ def main(argv: list[str] | None = None) -> int:
     run = _COMMANDS[args.command]
     if "jobs" in args and args.jobs < 1:
         parser.error("jobs must be >= 1")  # exits 2
-    if "table" in args and args.table and args.d not in (5, 8):
-        parser.error("--table applies to --d 5 and --d 8 only")
     if "exact_limit" in args:  # the command computes through a MomentEngine
         try:
             run = partial(run, engine=_engine(args))
         except ValueError as exc:
             parser.error(str(exc))
     try:
-        return run(args)
+        code = run(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:  # the reader has gone: write nothing more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (KlmomentsError, ValueError, OSError) as exc:
         if args.format == "json":
             print(json.dumps(

@@ -115,9 +115,6 @@ class CycInt:
 
     # -- queries ------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def is_rational(self) -> bool:
         tail = self.coeffs[1:]
         return all(c == tail[0] for c in tail)

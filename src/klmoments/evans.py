@@ -321,32 +321,24 @@ def _p2_quotient(
     return p, mv, q
 
 
-# The references a pipeline compares a(p) with: the check row's name, the
-# label in its detail, and the report's source.
-_REFERENCES = {
-    "table": ("table_match", "table", "imported-table"),
-    "registry": ("registry_match", "eta-quotient", "registry-form"),
-}
-
-
 def _compared(
     d: int, p: int, mv: MomentValue, a: int, checks: list[CheckResult],
-    kind: str, reference,
+    registry_coeffs: dict[int, int] | None,
 ) -> EvansReport:
-    """The report, with a comparison row where the reference (an imported
-    table or the registry's coefficients, or None) has a(p)."""
-    want = None if reference is None else reference.get(p)
-    source = "none"
+    """The report, with a registry_match row where the registry form's
+    coefficients (or None) have a(p)."""
+    want = None if registry_coeffs is None else registry_coeffs.get(p)
     if want is not None:
-        name, label, source = _REFERENCES[kind]
-        checks.append(CheckResult(name, want == a, f"{label} a({p}) = {want}"))
+        detail = f"{REGISTRY[d].label} a({p}) = {want}"
+        checks.append(CheckResult("registry_match", want == a, detail))
+    source = "none" if want is None else "registry-form"
     return EvansReport(d, p, mv.value, a, tuple(checks), source, mv.method)
 
 
 def evans_d5(
     p: int,
     engine: MomentEngine | None = None,
-    table=None,
+    registry_coeffs: dict[int, int] | None = None,
 ) -> EvansReport:
     """Degree 5: a(p) = (-m^5 - 1)/p^2 against the weight-3 CM structure.
 
@@ -355,7 +347,8 @@ def evans_d5(
     at primes inert in Q(sqrt(-15)); false at every split prime <= 500,
     where a(p) is the trace of an element of norm p^2), the weight-3 bound
     |a| <= 2p, and the vanishing a(p) = 0 forced at primes inert in
-    Q(sqrt(-15)), i.e. with Jacobi symbol (p/15) = -1.
+    Q(sqrt(-15)), i.e. with Jacobi symbol (p/15) = -1. With the registry
+    form's coefficients, equality with a(p) is recorded.
     """
     p, mv, a = _p2_quotient(5, p, engine)
     chi = jacobi_symbol(p, 15)
@@ -368,7 +361,7 @@ def evans_d5(
             f"(p/15) = {chi}",
         ),
     ]
-    return _compared(5, p, mv, a, checks, "table", table)
+    return _compared(5, p, mv, a, checks, registry_coeffs)
 
 
 def evans_d6(
@@ -385,7 +378,7 @@ def evans_d6(
     checks = [
         CheckResult("deligne_weight4", a * a <= 4 * p**3, f"a = {a}"),
     ]
-    return _compared(6, p, mv, a, checks, "registry", registry_coeffs)
+    return _compared(6, p, mv, a, checks, registry_coeffs)
 
 
 def evans_d7(
@@ -430,17 +423,18 @@ def evans_d7(
 def evans_d8(
     p: int,
     engine: MomentEngine | None = None,
-    table=None,
+    registry_coeffs: dict[int, int] | None = None,
 ) -> EvansReport:
     """Degree 8: a(p) = (-m^8 - 1 - p^4)/p^2 against the weight-6 bound.
 
     The eigenform has weight 6, so Deligne's bound is |a| <= 2 p^(5/2).
+    With the registry form's coefficients, equality with a(p) is recorded.
     """
     p, mv, a = _p2_quotient(8, p, engine)
     checks = [
         CheckResult("deligne_weight6", a * a <= 4 * p**5, f"a = {a}"),
     ]
-    return _compared(8, p, mv, a, checks, "table", table)
+    return _compared(8, p, mv, a, checks, registry_coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +474,6 @@ def batch_report(
     pmin: int,
     pmax: int,
     engine: MomentEngine | None = None,
-    table=None,
     jobs: int = 1,
 ) -> tuple[list[EvansReport], BatchSummary]:
     """Run one degree's pipeline over every admissible prime in [pmin, pmax].
@@ -497,14 +490,15 @@ def batch_report(
     excluded, _ = _EXCLUDED[d]
     primes = [p for p in primes_in_range(pmin, pmax) if p not in excluded]
     engine = engine or MomentEngine()
-    kwargs = {"table": table} if d in (5, 8) else {}
+    kwargs = {}
+    # Degrees 5 and 8 have registry forms too, compared in the tests: their
+    # registry_match rows reach stdout with the report's schema 2 (ROADMAP
+    # item 5), so that stdout changes once, on purpose.
     if d == 6 and primes:
-        series = registry_expansion(6, max(primes))
-        form = REGISTRY[6]
-        report = hecke_validate(series, form.weight, form.level, min(200, series.trunc))
-        kwargs["registry_coeffs"] = (
-            prime_coefficients(series, max(primes)) if report.passed else None
-        )
+        form, series = REGISTRY[6], registry_expansion(6, max(primes))
+        bound = min(200, series.trunc)
+        if hecke_validate(series, form.weight, form.level, bound, form.character).passed:
+            kwargs["registry_coeffs"] = prime_coefficients(series, max(primes))
 
     run = partial(_sweep_one, engine, d, kwargs)
     workers = min(jobs, len(primes))

@@ -5,18 +5,17 @@ of q**(lead + i), and every coefficient of exponent <= trunc is exact.
 Arithmetic tracks validity: products are only trusted through the order
 both operands support.
 
-The form registry maps a moment degree to a candidate eta-quotient
-realization of the matching eigenform. Candidates are hypotheses: nothing
-downstream uses one until hecke_validate has passed on it. Degree 8 has no
-registry expansion; its coefficients come from an imported table or from
-the moment pipeline itself.
+The form registry maps a moment degree to the eigenform whose a(p) its
+pipeline derives: degrees 6 and 8 as integer combinations of eta
+quotients, degree 5 as the theta series of Q(sqrt(-15)). Forms are
+hypotheses: nothing downstream uses one until hecke_validate has passed on
+it, with the form's weight, level and character.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 from typing import TYPE_CHECKING
 
 from . import convolve
@@ -25,12 +24,10 @@ from .errors import (
     NotNormalized,
     TruncationTooShort,
 )
-from .ffprime import is_prime, primes_in_range
+from .ffprime import jacobi_symbol, primes_in_range
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-TABLE_SCHEMA_VERSION = 1
 
 
 class QSeries:
@@ -213,20 +210,12 @@ def eta_quotient_series(eq: EtaQuotient, terms: int) -> QSeries:
         return QSeries(0, [], terms)
     unit_parts = QSeries(0, [1], rel)
     for div, e in eq.factors:
-        base = eta_unit_series(max(rel, 1))
+        # prod_n (1 - q^(div n)): the Euler product's coefficients, spread out
         rescaled = [0] * (rel + 1)
-        for i, c in enumerate(base.coeffs):
-            if div * i <= rel:
-                rescaled[div * i] = c
-            else:
-                break
-        factor = QSeries(0, rescaled, rel)
-        unit_parts = unit_parts * (factor**e)
-    out = [0] * (rel + 1)
-    for i, c in enumerate(unit_parts.coeffs):
-        if i <= rel:
-            out[i] = c
-    return QSeries(lead, out, terms)
+        rescaled[::div] = eta_unit_series(max(rel // div, 1)).coeffs[: rel // div + 1]
+        unit_parts = unit_parts * (QSeries(0, rescaled, rel) ** e)
+    # unit_parts starts at q^0 with constant term 1, and is exact through rel
+    return QSeries(lead, unit_parts.coeffs, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -249,17 +238,22 @@ class HeckeReport:
         return not self.violations
 
 
-def hecke_validate(s: QSeries, weight: int, level: int, bound: int) -> HeckeReport:
+def hecke_validate(
+    s: QSeries, weight: int, level: int, bound: int, character: int = 1
+) -> HeckeReport:
     """Check eigenform identities on a normalized q-expansion.
 
-    The character is taken trivial. Verifies a(mn) = a(m)a(n) for coprime
-    m, n; the prime-power recursion
-    a(p**(r+1)) = a(p)a(p**r) - p**(weight-1) a(p**(r-1)) for p not dividing
-    the level; at p dividing the level exactly once, a(p)**2 = p**(weight-2)
-    and a(p**(r+1)) = a(p)a(p**r) (Atkin-Lehner), which old forms from
-    lower levels break; and the bound |a(p)| <= 2 p**((weight-1)/2), all for
-    indices up to min(bound, truncation). recursion_checked counts the
-    relations at primes not dividing the level.
+    The nebentypus is chi(p) = jacobi_symbol(p, character), for an odd
+    character dividing the level; 1, the default, is the trivial one. Verifies
+    a(mn) = a(m)a(n) for coprime m, n; the prime-power recursion
+    a(p**(r+1)) = a(p)a(p**r) - chi(p) p**(weight-1) a(p**(r-1)) for p not
+    dividing the level; at p dividing the level exactly once,
+    a(p**(r+1)) = a(p)a(p**r) and a(p)**2 = p**(weight-2), or
+    a(p)**2 = p**(weight-1) where p also divides the character
+    (Atkin-Lehner; old forms from lower levels break these); and the bound
+    |a(p)| <= 2 p**((weight-1)/2), all for indices up to
+    min(bound, truncation). recursion_checked counts the relations at
+    primes not dividing the level.
     """
     if s.coefficient(1) != 1:
         raise NotNormalized(f"a(1) = {s.coefficient(1)}, expected 1")
@@ -281,11 +275,13 @@ def hecke_validate(s: QSeries, weight: int, level: int, bound: int) -> HeckeRepo
     for p in primes:
         if level % (p * p) == 0:
             continue
-        # chi(p) p^(weight-1) with chi the trivial character mod level
-        step = 0 if level % p == 0 else p ** (weight - 1)
-        if not step and a[p] ** 2 != p ** (weight - 2):
+        # chi(p) p^(weight-1), zero where p divides the level; there a(p)^2
+        # is p^(weight-1) if p divides the character too, else p^(weight-2)
+        step = 0 if level % p == 0 else jacobi_symbol(p, character) * p ** (weight - 1)
+        e = weight - 1 if character % p == 0 else weight - 2
+        if not step and a[p] ** 2 != p**e:
             violations.append(
-                f"a({p})^2 = {a[p] ** 2} != {p}^{weight - 2} at a prime dividing "
+                f"a({p})^2 = {a[p] ** 2} != {p}^{e} at a prime dividing "
                 f"the level once"
             )
         r = 1
@@ -313,93 +309,82 @@ def prime_coefficients(s: QSeries, pmax: int) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Registry and coefficient tables
+# Registry
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class RegistryForm:
+    """The eigenform whose a(p) a degree's pipeline derives from moments.
+
+    `eta_terms` writes the form as an integer combination of eta
+    quotients; a form without them is the CM theta series `_cm15_series`.
+    The nebentypus is chi(p) = jacobi_symbol(p, character), trivial for 1.
+    """
+
     degree: int
-    quotient: EtaQuotient
     weight: int
     level: int
+    character: int = 1
+    eta_terms: tuple[tuple[int, EtaQuotient], ...] = ()
+    label: str = "eta-quotient"  # how a comparison row names the form
 
 
-# Candidate realizations of the moment-matching eigenforms. Degree 6 is the
-# weight-4 level-6 quotient; degrees 5, 7, 8 have no constructive expansion
-# here and rely on imported tables or the moment pipeline.
+def _eta6(a: int, b: int, c: int, d: int) -> EtaQuotient:
+    """eta(t)^a eta(2t)^b eta(3t)^c eta(6t)^d."""
+    return EtaQuotient(((1, a), (2, b), (3, c), (6, d)))
+
+
+# The moment-matching eigenforms. Degree 6 is the weight-4 level-6 eta
+# quotient. Degree 8 is the weight-6 level-6 newform, a combination of the
+# holomorphic eta quotients that Ligozat's criterion gives at that weight
+# and level. Degree 5 is the weight-3 level-15 CM form of Q(sqrt(-15)),
+# with character (p/15) (Ribet 1977; Peters, Top and van der Vlugt 1992).
+# Degree 7's weight-3 level-525 form is out of reach of both constructions.
 REGISTRY: dict[int, RegistryForm] = {
-    6: RegistryForm(
-        degree=6,
-        quotient=EtaQuotient(((1, 2), (2, 2), (3, 2), (6, 2))),
-        weight=4,
-        level=6,
-    ),
+    5: RegistryForm(5, weight=3, level=15, character=15, label="cm-theta"),
+    6: RegistryForm(6, weight=4, level=6, eta_terms=((1, _eta6(2, 2, 2, 2)),)),
+    8: RegistryForm(8, weight=6, level=6, eta_terms=(
+        (1, _eta6(5, 5, 1, 1)), (9, _eta6(0, 6, 0, 6)), (-9, _eta6(4, -2, -4, 14)),
+    )),
 }
-
 DEFAULT_TRUNCATION_PAD = 16
 
 
 def registry_expansion(degree: int, pmax: int) -> QSeries:
-    """Registry form's q-expansion, truncated to 2*pmax + 16 by default."""
+    """Registry form's q-expansion, truncated to 2*pmax + 16."""
     form = REGISTRY[degree]
     terms = 2 * pmax + DEFAULT_TRUNCATION_PAD
-    return eta_quotient_series(form.quotient, terms)
+    if not form.eta_terms:
+        return _cm15_series(terms)
+    total = QSeries(0, [], terms)
+    for c, eq in form.eta_terms:
+        s = eta_quotient_series(eq, terms)
+        total = total + QSeries(s.lead, [c * x for x in s.coeffs], s.trunc)
+    return total
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Imported eigenform coefficients a(n), exact integers."""
+def _cm15_series(terms: int) -> QSeries:
+    """The weight-3 CM form of Q(sqrt(-15)), exact through q**terms.
 
-    label: str
-    weight: int
-    level: int
-    nebentypus_modulus: int
-    entries: dict[int, int]
-
-    def get(self, n: int) -> int | None:
-        return self.entries.get(n)
-
-
-def table_to_json(table: CoefficientTable) -> str:
-    doc = {
-        "schema_version": TABLE_SCHEMA_VERSION,
-        "label": table.label,
-        "weight": table.weight,
-        "level": table.level,
-        "nebentypus_modulus": table.nebentypus_modulus,
-        "entries": [
-            {"n": n, "a": str(table.entries[n])} for n in sorted(table.entries)
-        ],
-    }
-    return json.dumps(doc, sort_keys=True, indent=1)
-
-
-def load_coefficient_table(text: str) -> CoefficientTable:
-    """Parse and vet an imported coefficient table.
-
-    Prime entries are subjected to the Deligne bound before the table is
-    trusted; a violation rejects the whole table.
+    Over O_K = Z[w], w = (1 + sqrt(-15))/2, with N(x + yw) = x^2 + xy + 4y^2
+    and the non-principal class A = 2Z + wZ,
+    a(m) = 1/2 sum_{N alpha = m} alpha^2 + 1/2 sum_{beta in A, N beta = 2m} beta^2 / w.
+    Both sums are closed under conjugation, so each is half its trace;
+    with beta^2 / w = beta^2 (1 - w) / 4 this reads, in integers,
+    16 a(m) = sum_{N(x+yw) = m} (8x^2 + 8xy - 28y^2)
+            + sum_{x even, N(x+yw) = 2m} (x^2 + 16xy + 4y^2).
     """
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError(f"coefficient table: expected a JSON object, got {type(doc).__name__}")
-    if doc.get("schema_version") != TABLE_SCHEMA_VERSION:
-        raise ValueError(f"unsupported table schema {doc.get('schema_version')}")
-    try:
-        entries = {int(e["n"]): int(e["a"]) for e in doc["entries"]}
-        table = CoefficientTable(
-            label=str(doc["label"]),
-            weight=int(doc["weight"]),
-            level=int(doc["level"]),
-            nebentypus_modulus=int(doc["nebentypus_modulus"]),
-            entries=entries,
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed coefficient table: {type(exc).__name__} {exc}") from exc
-    for n, value in entries.items():
-        if is_prime(n) and value**2 > 4 * n ** (table.weight - 1):
-            raise ValueError(
-                f"imported a({n}) = {value} violates the Deligne bound for weight {table.weight}"
-            )
-    return table
+    acc = [0] * (terms + 1)  # 16 a(m)
+    reach = 8 * terms  # 4 N(x + yw) = (2x + y)^2 + 15 y^2 <= 4 (2 terms)
+    for y in range(-isqrt(reach // 15), isqrt(reach // 15) + 1):
+        r = isqrt(reach - 15 * y * y)  # |2x + y| <= r
+        for x in range(-((r + y) // 2), (r - y) // 2 + 1):
+            n = x * x + x * y + 4 * y * y
+            if n <= terms:
+                acc[n] += 8 * x * x + 8 * x * y - 28 * y * y
+            if x % 2 == 0:  # then n is even
+                acc[n // 2] += x * x + 16 * x * y + 4 * y * y
+    if any(v % 16 for v in acc):
+        raise ArithmeticError("a coefficient of the CM form is not an integer")
+    return QSeries(0, [v // 16 for v in acc], terms)

@@ -19,8 +19,13 @@ from klmoments.evans import (
     trace_middle,
 )
 from klmoments.ffprime import jacobi_symbol, primes_in_range
-from klmoments.modforms import CoefficientTable, prime_coefficients, registry_expansion
-from klmoments.moments import PowerSumTable, float_precision, sym_moment_girard
+from klmoments.modforms import prime_coefficients, registry_expansion
+from klmoments.moments import (
+    PowerSumTable,
+    float_precision,
+    power_sums_exact,
+    sym_moment_girard,
+)
 
 
 def checks_by_name(report):
@@ -157,10 +162,15 @@ class TestEvansD5:
                 evans_d5(p, engine_200)
 
     def test_table_comparison(self, engine_200):
-        good = CoefficientTable("d5", 3, 15, 15, {7: 0, 17: -14})
-        assert checks_by_name(evans_d5(7, engine_200, table=good))["table_match"]
-        bad = CoefficientTable("d5", 3, 15, 15, {7: 5})
-        assert not checks_by_name(evans_d5(7, engine_200, table=bad))["table_match"]
+        good = {7: 0, 17: -14}
+        r = evans_d5(17, engine_200, registry_coeffs=good)
+        assert checks_by_name(r)["registry_match"] and r.source == "registry-form"
+        assert r.checks[-1].detail == "cm-theta a(17) = -14"
+        r = evans_d5(7, engine_200, registry_coeffs={7: 5})
+        assert not checks_by_name(r)["registry_match"]
+        # a prime the coefficients lack gets no comparison row
+        r = evans_d5(11, engine_200, registry_coeffs=good)
+        assert "registry_match" not in checks_by_name(r) and r.source == "none"
 
 
 class TestEvansD6:
@@ -224,9 +234,53 @@ class TestEvansD8:
             evans_d8(2, engine_200)
 
     def test_table_comparison(self, engine_200):
-        table = CoefficientTable("d8", 6, 6, 1, {5: -66, 7: 176})
-        r = evans_d8(5, engine_200, table=table)
-        assert checks_by_name(r)["table_match"] and r.source == "imported-table"
+        coeffs = {5: -66, 7: 176}
+        r = evans_d8(5, engine_200, registry_coeffs=coeffs)
+        assert checks_by_name(r)["registry_match"] and r.source == "registry-form"
+        assert r.checks[-1].detail == "eta-quotient a(5) = -66"
+        r = evans_d8(7, engine_200, registry_coeffs={7: -176})
+        assert not checks_by_name(r)["registry_match"] and not r.passed
+
+
+@pytest.fixture(scope="module")
+def engine_500(sum_tables_200):
+    """Exact tables S_1..S_8 (or more) for every prime p <= 500."""
+    engine = MomentEngine(exact_limit=500)
+    for tab in sum_tables_200.values():
+        engine.seed(tab)
+    for p in primes_in_range(201, 500):
+        engine.seed(power_sums_exact(p, 8, exact_limit=500))
+    return engine
+
+
+class TestRegistryForms:
+    @pytest.mark.parametrize("d, pipeline, admissible", [
+        (5, evans_d5, 93),
+        (6, evans_d6, 95),
+        (8, evans_d8, 94),
+    ])
+    def test_registry_match_to_500(self, engine_500, d, pipeline, admissible):
+        coeffs = prime_coefficients(registry_expansion(d, 500), 500)
+        excluded, _ = evans._EXCLUDED[d]
+        primes = [p for p in primes_in_range(2, 500) if p not in excluded]
+        assert len(primes) == admissible
+        for p in primes:
+            r = pipeline(p, engine_500, registry_coeffs=coeffs)
+            assert checks_by_name(r)["registry_match"], p
+            assert r.source == "registry-form"
+
+    @pytest.mark.parametrize("d", [5, 8])
+    def test_sweeps_of_5_and_8_build_no_series(self, engine_200, monkeypatch, d):
+        # their registry_match rows are not in the report yet, so a sweep
+        # neither expands nor validates a form
+        def unreachable(*args):
+            raise AssertionError("a degree-5 or degree-8 sweep built a form")
+
+        monkeypatch.setattr(evans, "registry_expansion", unreachable)
+        monkeypatch.setattr(evans, "hecke_validate", unreachable)
+        rows, summary = batch_report(d, 2, 60, engine=engine_200)
+        assert summary.errors == 0
+        assert all(r.source == "none" for r in rows)
 
 
 class TestBatchReport:

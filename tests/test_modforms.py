@@ -1,5 +1,3 @@
-import json
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,16 +8,13 @@ from klmoments.errors import (
 )
 from klmoments.modforms import (
     REGISTRY,
-    CoefficientTable,
     EtaQuotient,
     QSeries,
     eta_quotient_series,
     eta_unit_series,
     hecke_validate,
-    load_coefficient_table,
     prime_coefficients,
     registry_expansion,
-    table_to_json,
 )
 
 
@@ -152,6 +147,39 @@ class TestHeckeValidate:
         assert [newform.coefficient(n) for n in (2, 3, 5, 7)] == [4, -9, -66, 176]
         assert hecke_validate(newform, 6, 6, 60).passed
 
+    @pytest.mark.parametrize("degree", sorted(REGISTRY))
+    def test_every_registry_form_passes(self, degree):
+        form = REGISTRY[degree]
+        series = registry_expansion(degree, 100)
+        report = hecke_validate(series, form.weight, form.level, 200, form.character)
+        assert report.passed, report.violations[:3]
+        assert report.deligne_checked == 46
+
+    def test_registry_holds_degrees_5_6_8(self):
+        assert {d: (f.weight, f.level, f.character) for d, f in REGISTRY.items()} == {
+            5: (3, 15, 15), 6: (4, 6, 1), 8: (6, 6, 1),
+        }
+
+    def test_cm_form_first_coefficients(self):
+        # a(p) = 0 at primes inert in Q(sqrt(-15)) (p/15 = -1: 7, 11, 13);
+        # at 3 and 5, which divide level and character, a(p)^2 = p^2
+        series = registry_expansion(5, 10)
+        assert [series.coefficient(n) for n in range(1, 18)] == [
+            1, 1, -3, -3, 5, -3, 0, -7, 9, 5, 0, 9, 0, 0, -15, 5, -14,
+        ]
+
+    def test_cm_form_with_trivial_character_rejected(self):
+        # chi(7) = (7/15) = -1 and a(7) = 0, so the recursion gives
+        # a(49) = a(7)^2 - chi(7) 7^2 = 49; the trivial character wants -49.
+        # At 3 | 15, a(3)^2 = 3^(k-1) holds for the character (p/15), and
+        # the trivial character's a(3)^2 = 3^(k-2) does not
+        series = registry_expansion(5, 30)
+        assert series.coefficient(49) == 49
+        assert hecke_validate(series, 3, 15, 60, 15).passed
+        report = hecke_validate(series, 3, 15, 60)
+        assert "Hecke recursion fails at 7^2" in report.violations
+        assert "a(3)^2 = 9 != 3^1 at a prime dividing the level once" in report.violations
+
     def test_constant_series_not_normalized(self):
         with pytest.raises(NotNormalized):
             hecke_validate(QSeries(0, [1], 50), 4, 6, 50)
@@ -179,38 +207,3 @@ class TestPrimeCoefficients:
     def test_zero_series(self):
         zero = QSeries(0, [], 100)
         assert set(prime_coefficients(zero, 20).values()) == {0}
-
-
-class TestCoefficientTables:
-    def test_round_trip(self):
-        table = CoefficientTable("w6-l6", 6, 6, 1, {2: 4, 3: -9, 5: -66, 7: 176})
-        text = table_to_json(table)
-        loaded = load_coefficient_table(text)
-        assert loaded == table
-        assert json.loads(text)["schema_version"] == 1
-
-    def test_deligne_violation_rejected(self):
-        bad = CoefficientTable("bogus", 2, 11, 1, {3: 40})
-        with pytest.raises(ValueError):
-            load_coefficient_table(table_to_json(bad))
-
-    def test_unknown_schema_rejected(self):
-        doc = json.loads(table_to_json(CoefficientTable("x", 2, 11, 1, {2: 1})))
-        doc["schema_version"] = 99
-        with pytest.raises(ValueError):
-            load_coefficient_table(json.dumps(doc))
-
-    @pytest.mark.parametrize("text", [
-        "[1]",
-        "42",
-        "null",
-        '{"schema_version": 1}',
-        '{"schema_version": 1, "entries": [1], "label": "x", "weight": 2,'
-        ' "level": 11, "nebentypus_modulus": 1}',
-        '{"schema_version": 1, "entries": [], "label": "x", "weight": null,'
-        ' "level": 11, "nebentypus_modulus": 1}',
-    ])
-    def test_malformed_document_is_value_error(self, text):
-        # valid JSON of the wrong shape is rejected like invalid JSON
-        with pytest.raises(ValueError):
-            load_coefficient_table(text)
