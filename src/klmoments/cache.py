@@ -14,9 +14,9 @@ Writes go to a temporary file in the same directory followed by an atomic
 rename; concurrent readers see either the old or the new complete file.
 The cache is advisory: unreadable or corrupt entries, and entries that
 break the restricted identities S_1 = 1 or S_2 = p^2 - p - 1 or the Weil
-bound S_n^2 <= (p-1)^2 4^n p^n, are discarded with a warning. What is never
-tolerated silently is disagreement between exact and float records for the
-same (p, n) - that raises CacheMismatch.
+bound S_n^2 <= (p-1)^2 4^n p^n, are discarded with a warning. Disagreement
+between a load's exact and float records, or between a recomputed table and
+the record it replaces, raises CacheMismatch (moments._check_agreement).
 """
 
 from __future__ import annotations
@@ -26,13 +26,14 @@ import os
 import tempfile
 from pathlib import Path
 
-from .errors import CacheMismatch, IdentityFailure
+from .errors import IdentityFailure
 from .moments import (
     COMPLETED,
     METHOD_EXACT,
     METHOD_FLOAT,
     RESTRICTED,
     PowerSumTable,
+    _check_agreement,
     _check_power_sums,
 )
 
@@ -150,32 +151,15 @@ class PowerSumStore:
         """Cached lookup in the method's convention; `compute` runs on miss
         and its result is stored.
 
-        A cached table is only a hit when it covers n <= nmax.
+        A cached table is only a hit when it covers n <= nmax. Otherwise the
+        recomputed table replaces the record, which it must agree with; so a
+        record with a gap fails, and one without is covered.
         """
         cached = self.load(p, method)
         if cached is not None and all(n in cached.values for n in range(1, nmax + 1)):
             return cached
         table = compute().to_convention(CONVENTION[method])
         if cached is not None:
-            merged = dict(cached.values)
-            for n, v in table.values.items():
-                if n in merged and merged[n] != v:
-                    raise CacheMismatch(
-                        f"recomputed S_{n}({p}) = {v} disagrees with cached {merged[n]}"
-                    )
-                merged[n] = v
-            table = PowerSumTable(p, table.convention, merged, method)
+            _check_agreement(cached, table)
         self.store(table)
         return table
-
-
-def _check_agreement(a: PowerSumTable, b: PowerSumTable) -> None:
-    """Exact and float records must agree wherever they overlap."""
-    ca = a.to_convention(COMPLETED)
-    cb = b.to_convention(COMPLETED)
-    for n in sorted(set(ca.values) & set(cb.values)):
-        if ca.values[n] != cb.values[n]:
-            raise CacheMismatch(
-                f"S'_{n}({a.p}): {a.method} gives {ca.values[n]} "
-                f"but {b.method} gives {cb.values[n]}"
-            )

@@ -34,6 +34,7 @@ from .moments import (
     METHOD_EXACT,
     METHOD_FLOAT,
     RESTRICTED,
+    _check_agreement,
 )
 
 SCHEMA_VERSION = 1
@@ -132,13 +133,7 @@ def _cmd_sums(args, engine: MomentEngine) -> int:
         for method in methods
     ]
     if len(tables) == 2:
-        exact, flt = tables
-        for n in range(1, args.nmax + 1):
-            if exact.values[n] != flt.values[n]:
-                raise KlmomentsError(
-                    f"exact/float mismatch at S_{n}({p}): "
-                    f"{exact.values[n]} vs {flt.values[n]}"
-                )
+        _check_agreement(*tables)
     label = "S" if args.convention == RESTRICTED else "S'"
     lines = []
     csv_lines = ["n,value,method"]

@@ -258,7 +258,7 @@ def unit_root_intervals(p: int, precision: int):
     return cos_iv, sin_iv
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)  # both orbit representatives of one prime
 def _cached_roots(p: int, precision: int) -> tuple[tuple[int, ...], ...]:
     """The cosine table of unit_root_intervals in generator order.
 

@@ -83,4 +83,5 @@ class IdentityFailure(KlmomentsError):
 
 
 class CacheMismatch(KlmomentsError):
-    """Cached power sums from independent methods disagree."""
+    """Two power-sum tables of one prime disagree (moments._check_agreement):
+    in the cache, in the float audit, or in `sums --method both`."""

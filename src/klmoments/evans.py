@@ -39,15 +39,17 @@ from .errors import (
     RangeFailure,
 )
 from .ffprime import Prime, jacobi_symbol, primes_in_range
-from .modforms import REGISTRY, hecke_validate, prime_coefficients, registry_expansion
+from .modforms import (
+    HECKE_BOUND, REGISTRY, hecke_validate, prime_coefficients, registry_expansion,
+)
 from .moments import (
-    COMPLETED,
     DEFAULT_EXACT_LIMIT,
     METHOD_EXACT,
     METHOD_FLOAT,
     RESTRICTED,
     MomentValue,
     PowerSumTable,
+    _check_agreement,
     power_sums_exact,
     power_sums_float_auto,
     sym_moment_girard,
@@ -173,19 +175,13 @@ class MomentEngine:
         suffix = "exact" if tab.method == METHOD_EXACT else "float"
         return MomentValue(p, d, mv.value, f"girard-{suffix}")
 
-    def audit(self, rng: random.Random, nmax: int) -> None:
-        """Check S_1..S_nmax of one float-route prime against the exact path."""
+    def audit(self, nmax: int) -> None:
+        """Check S_1..S_nmax of one float-route prime, drawn by a
+        random.Random(0), against the exact path (CacheMismatch)."""
         if not self.float_primes:
             return
-        p = rng.choice(sorted(set(self.float_primes)))
-        got = self.table(p, nmax).to_convention(COMPLETED).values
-        want = power_sums_exact(p, nmax, COMPLETED, exact_limit=p).values
-        for n in range(1, nmax + 1):
-            if got.get(n) != want[n]:
-                raise KlmomentsError(
-                    f"float audit mismatch at p={p}, n={n}: "
-                    f"{got.get(n)} vs exact {want[n]}"
-                )
+        p = random.Random(0).choice(sorted(set(self.float_primes)))
+        _check_agreement(self.table(p, nmax), power_sums_exact(p, nmax, exact_limit=p))
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +492,8 @@ def batch_report(
     # item 5), so that stdout changes once, on purpose.
     if d == 6 and primes:
         form, series = REGISTRY[6], registry_expansion(6, max(primes))
-        bound = min(200, series.trunc)
-        if hecke_validate(series, form.weight, form.level, bound, form.character).passed:
+        report = hecke_validate(series, form.weight, form.level, HECKE_BOUND, form.character)
+        if report.passed:
             kwargs["registry_coeffs"] = prime_coefficients(series, max(primes))
 
     run = partial(_sweep_one, engine, d, kwargs)
@@ -511,7 +507,7 @@ def batch_report(
     else:
         results = [run(p) for p in primes]
     rows = [row for row, _ in results]  # in the order of primes, ascending
-    engine.audit(random.Random(0), d)
+    engine.audit(d)
     summary = BatchSummary(
         d,
         pmin,

@@ -20,7 +20,7 @@ from .errors import ZeroParameter
 from .ffprime import Prime, inverse_table
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)  # callers count every a of one prime before the next
 def _inverses(p: int) -> tuple[int, ...]:
     """inv[x] = x^-1 mod p for x in F_p (inv[0] = 0)."""
     return tuple(inverse_table(p))

@@ -210,10 +210,12 @@ def eta_quotient_series(eq: EtaQuotient, terms: int) -> QSeries:
         return QSeries(0, [], terms)
     unit_parts = QSeries(0, [1], rel)
     for div, e in eq.factors:
-        # prod_n (1 - q^(div n)): the Euler product's coefficients, spread out
+        # prod_n (1 - q^(div n))^e = f^e(q^div) for the Euler product f:
+        # raise f to the power e on rel // div terms, then spread it out
+        powered = (eta_unit_series(max(rel // div, 1)) ** e).coeffs[: rel // div + 1]
         rescaled = [0] * (rel + 1)
-        rescaled[::div] = eta_unit_series(max(rel // div, 1)).coeffs[: rel // div + 1]
-        unit_parts = unit_parts * (QSeries(0, rescaled, rel) ** e)
+        rescaled[: len(powered) * div : div] = powered
+        unit_parts = unit_parts * QSeries(0, rescaled, rel)
     # unit_parts starts at q^0 with constant term 1, and is exact through rel
     return QSeries(lead, unit_parts.coeffs, terms)
 
@@ -348,13 +350,15 @@ REGISTRY: dict[int, RegistryForm] = {
         (1, _eta6(5, 5, 1, 1)), (9, _eta6(0, 6, 0, 6)), (-9, _eta6(4, -2, -4, 14)),
     )),
 }
-DEFAULT_TRUNCATION_PAD = 16
+# How far a sweep checks a registry form's Hecke identities (hecke_validate)
+HECKE_BOUND = 200
 
 
 def registry_expansion(degree: int, pmax: int) -> QSeries:
-    """Registry form's q-expansion, truncated to 2*pmax + 16."""
+    """Registry form's q-expansion through q**max(pmax, HECKE_BOUND): a(p)
+    for every p <= pmax, and the coefficients hecke_validate checks."""
     form = REGISTRY[degree]
-    terms = 2 * pmax + DEFAULT_TRUNCATION_PAD
+    terms = max(pmax, HECKE_BOUND)
     if not form.eta_terms:
         return _cm15_series(terms)
     total = QSeries(0, [], terms)

@@ -39,6 +39,7 @@ from typing import Iterable
 from .cyclotomic import CycInt, as_integer, enclose_sum
 from .errors import (
     AmbiguousRounding,
+    CacheMismatch,
     ExactLimitExceeded,
     IdentityFailure,
     MissingPowerSum,
@@ -78,6 +79,18 @@ class PowerSumTable:
         sign = 1 if convention == COMPLETED else -1
         shifted = {n: v + sign * (-1) ** n for n, v in self.values.items()}
         return PowerSumTable(self.p, convention, shifted, self.method)
+
+
+def _check_agreement(a: PowerSumTable, b: PowerSumTable) -> None:
+    """Two tables of one prime must hold the same S'_1..S'_m, m the smaller
+    nmax; an n <= m that a table lacks disagrees. Raises CacheMismatch."""
+    ca, cb = (t.to_convention(COMPLETED).values for t in (a, b))
+    for n in range(1, min(max(ca, default=0), max(cb, default=0)) + 1):
+        if ca.get(n) != cb.get(n):
+            raise CacheMismatch(
+                f"S'_{n}({a.p}): {a.method} gives {ca.get(n)} "
+                f"but {b.method} gives {cb.get(n)}"
+            )
 
 
 @dataclass(frozen=True)

@@ -157,6 +157,14 @@ class TestGetOrCompute:
         table = store.get_or_compute(11, 6, METHOD_EXACT, lambda: power_sums_exact(11, 6))
         assert set(table.values) == set(range(1, 7))
 
+    @pytest.mark.parametrize("nmax", [3, 5])
+    def test_record_with_a_gap_raises(self, store, nmax):
+        # S_3 missing below the record's S_4, and S_1, S_2 intact
+        gap = {n: v for n, v in power_sums_exact(11, 4).values.items() if n != 3}
+        store.store(PowerSumTable(11, RESTRICTED, gap, METHOD_EXACT))
+        with pytest.raises(CacheMismatch, match=r"S'_3\(11\): exact-cyclotomic gives None"):
+            store.get_or_compute(11, nmax, METHOD_EXACT, lambda: power_sums_exact(11, nmax))
+
     def test_recompute_disagreement_raises(self, store):
         # S_1 and S_2 intact, so the entry loads and only S_3 disagrees
         store.store(PowerSumTable(11, RESTRICTED, {1: 1, 2: 109, 3: 999}, METHOD_EXACT))

@@ -10,7 +10,7 @@ import klmoments
 from klmoments import cli, evans
 from klmoments.cache import PowerSumStore
 from klmoments.cli import main
-from klmoments.moments import DEFAULT_EXACT_LIMIT, METHOD_FLOAT
+from klmoments.moments import DEFAULT_EXACT_LIMIT, METHOD_FLOAT, PowerSumTable
 
 GOLDEN = Path(__file__).parent / "data" / "golden_dims.txt"
 
@@ -87,6 +87,26 @@ class TestSums:
         )
         assert code == 0
         assert "float-congruence" in out and "exact-cyclotomic" in out
+
+    def test_both_methods_disagreeing_is_a_json_error(self, capsys, monkeypatch):
+        real = evans.power_sums_float_auto
+
+        def corrupted(p, nmax):
+            table, bits = real(p, nmax)
+            values = {**table.values, 4: table.values[4] + p * p}  # same class mod p^2
+            return PowerSumTable(p, table.convention, values, table.method), bits
+
+        monkeypatch.setattr(evans, "power_sums_float_auto", corrupted)
+        code, out, _ = run(
+            capsys, "sums", "--p", "13", "--nmax", "4",
+            "--method", "both", "--format", "json", "--no-cache",
+        )
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "type": "CacheMismatch",
+            "message": "S'_4(13): exact-cyclotomic gives 3848 "
+            "but float-congruence gives 4017",
+        }
 
     def test_invalid_prime_fails(self, capsys):
         code, out, err = run(capsys, "sums", "--p", "4", "--nmax", "2", "--no-cache")

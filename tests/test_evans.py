@@ -1,12 +1,11 @@
 import concurrent.futures
-import random
 from fractions import Fraction
 
 import pytest
 
-from klmoments import evans, moments
+from klmoments import cyclotomic, evans, kloosterman, moments
 from klmoments.cache import PowerSumStore
-from klmoments.errors import DivisibilityFailure, KlmomentsError
+from klmoments.errors import CacheMismatch, DivisibilityFailure, KlmomentsError
 from klmoments.evans import (
     EvenTrace,
     MomentEngine,
@@ -347,19 +346,32 @@ class TestBatchReport:
         assert sorted(engine.float_primes) == primes_in_range(258, 300)
         assert calls == [(p, 5, float_precision(p, 5)) for p in engine.float_primes]
 
+    def test_float_sweep_keeps_one_prime_in_the_memos(self):
+        cyclotomic._cached_roots.cache_clear()
+        kloosterman._inverses.cache_clear()
+        engine = MomentEngine()
+        _, summary = batch_report(5, 258, 300, engine=engine)
+        assert summary.errors == 0 and len(set(engine.float_primes)) > 1
+        for memo in (cyclotomic._cached_roots, kloosterman._inverses):
+            info = memo.cache_info()
+            assert info.currsize <= 1 and info.hits > 0, info
+
     def test_audit_catches_corrupted_float_table(self):
         engine = MomentEngine(exact_limit=11)
         engine.moment(13, 6)
         assert engine.float_primes == [13]
         good = engine.table(13, 6)
-        engine.audit(random.Random(0), 6)
+        engine.audit(6)
         # a neighbour in the same class mod p^2, and a table missing an n
         shifted = {**good.values, 4: good.values[4] + 13**2}
         dropped = {n: v for n, v in good.values.items() if n != 3}
-        for values in (shifted, dropped):
+        for values, n in ((shifted, 4), (dropped, 3)):
             engine.seed(PowerSumTable(13, good.convention, values, good.method))
-            with pytest.raises(KlmomentsError, match="float audit mismatch at p=13"):
-                engine.audit(random.Random(0), 6)
+            with pytest.raises(
+                CacheMismatch,
+                match=rf"S'_{n}\(13\): float-congruence gives .* but exact-cyclotomic gives",
+            ):
+                engine.audit(6)
 
     def test_parallel_audit_uses_the_degree(self, monkeypatch):
         # the workers' tables stay in the workers, so the parent's audit
@@ -446,7 +458,7 @@ class TestEngineCache:
             return real_exact(p, *args, **kwargs)
 
         monkeypatch.setattr(evans, "power_sums_exact", recording)
-        second.audit(random.Random(0), 8)
+        second.audit(8)
         assert audited == [13]
 
 

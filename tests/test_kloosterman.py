@@ -1,6 +1,7 @@
 from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from klmoments.cyclotomic import as_integer, enclose_sum
 from klmoments.errors import ZeroParameter
@@ -41,6 +42,21 @@ class TestKl2Counts:
 
     def test_parameters_reduced_mod_p(self):
         assert kl2_counts(7, 10).counts == kl2_counts(7, -4).counts == kl2_counts(7, 3).counts
+
+    @given(st.sampled_from(primes_in_range(3, 500)), st.data())
+    def test_counts_are_one_plus_the_quadratic_character(self, p, data):
+        # x + r/x = t  <=>  x^2 - t x + r = 0, which has 1 + chi(t^2 - 4r)
+        # roots, none of them 0. Both power-sum routes read these counts, so
+        # no comparison of the two routes could see a defect in them.
+        r = data.draw(st.integers(1, p - 1))
+        squares = {x * x % p for x in range(1, p)}
+
+        def chi(v):
+            v %= p
+            return 0 if v == 0 else 1 if v in squares else -1
+
+        counts = kl2_counts(p, r).counts
+        assert all(counts[t] == 1 + chi(t * t - 4 * r) for t in range(p))
 
 
 class TestKl2Value:

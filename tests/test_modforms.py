@@ -115,6 +115,27 @@ class TestEtaQuotient:
         with pytest.raises(FractionalOrder):
             eta_quotient_series(EtaQuotient(((1, 1),)), 10)
 
+    @pytest.mark.parametrize("eq", [
+        eq for form in REGISTRY.values() for _, eq in form.eta_terms
+    ], ids=str)
+    def test_power_then_spread_equals_spread_then_power(self, eq):
+        # f(q^div)^e = f^e(q^div): the oracle spreads the Euler product f to
+        # q^div on every term first, then raises it to the power e
+        terms = 300
+        lead = eq.q_order_times_24 // 24
+        rel = terms - lead
+        product = QSeries(0, [1], rel)
+        for div, e in eq.factors:
+            spread = [0] * (rel + 1)
+            spread[::div] = eta_unit_series(max(rel // div, 1)).coeffs[: rel // div + 1]
+            product = product * QSeries(0, spread, rel) ** e
+        want = QSeries(lead, product.coeffs, terms)
+        got = eta_quotient_series(eq, terms)
+        assert got.trunc == want.trunc == terms
+        assert [got.coefficient(n) for n in range(lead, terms + 1)] == [
+            want.coefficient(n) for n in range(lead, terms + 1)
+        ]
+
 
 class TestHeckeValidate:
     def test_registry_degree6_passes(self):
@@ -154,6 +175,11 @@ class TestHeckeValidate:
         report = hecke_validate(series, form.weight, form.level, 200, form.character)
         assert report.passed, report.violations[:3]
         assert report.deligne_checked == 46
+
+    @pytest.mark.parametrize("degree", sorted(REGISTRY))
+    @pytest.mark.parametrize("pmax", [2, 31, 200, 257])
+    def test_expansion_reaches_pmax_and_the_hecke_bound(self, degree, pmax):
+        assert registry_expansion(degree, pmax).trunc == max(pmax, 200)
 
     def test_registry_holds_degrees_5_6_8(self):
         assert {d: (f.weight, f.level, f.character) for d, f in REGISTRY.items()} == {
