@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import IdentityFailure
@@ -160,6 +161,6 @@ class PowerSumStore:
             return cached
         table = compute().to_convention(CONVENTION[method])
         if cached is not None:
-            _check_agreement(cached, table)
+            _check_agreement(replace(cached, method=f"cached {cached.method}"), table)
         self.store(table)
         return table

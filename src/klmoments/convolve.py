@@ -13,24 +13,16 @@ struct at the next size of 1, 2, 4 or 8 bytes, with the sign-extension
 bytes dropped or restored by strided byte copies; wider ones through
 int.to_bytes per entry.
 
-An NTT path (CRT over word-sized primes with power-of-two transforms)
-agrees bit-exactly with the Kronecker path. No product calls it: it is
-kept only because the benchmark's per-layer trace names it, and it is the
-only code here that loads numpy.
+This is the one convolution kernel: every exact product and every
+float-route correlation goes through cyclic_convolve or convolve_exact.
 """
 
 from __future__ import annotations
 
 import struct
-from functools import lru_cache
 from math import isqrt
 from operator import add, mul
-from typing import TYPE_CHECKING, Sequence
-
-from .ffprime import is_prime, primitive_root
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Sequence
 
 # struct codes of the signed sizes, in bytes
 _STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
@@ -115,103 +107,8 @@ def cyclic_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return list(map(add, full, full[n:])) + full[n - 1 : n]
 
 
-# ---------------------------------------------------------------------------
-# Number-theoretic transform path
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _ntt_primes(two_power: int, count: int) -> tuple[tuple[int, int], ...]:
-    """First `count` primes q = c * 2**two_power + 1 below 2**26, with a
-    primitive root; the 26-bit cap keeps q**2 * length inside int64."""
-    found = []
-    step = 1 << two_power
-    q = (1 << 25) // step * step + 1
-    while len(found) < count:
-        q += step
-        if q >= (1 << 26):
-            raise ValueError("not enough NTT primes below 2**26")
-        if not is_prime(q):
-            continue
-        found.append((q, primitive_root(q)))
-    return tuple(found)
-
-
-def _ntt(vec: np.ndarray, q: int, root: int, invert: bool) -> np.ndarray:
-    """Iterative radix-2 NTT over Z/q on an int64 vector (length power of 2)."""
-    import numpy as np
-
-    n = len(vec)
-    a = vec % q
-    # bit-reversal permutation
-    j = 0
-    for i in range(1, n):
-        bit = n >> 1
-        while j & bit:
-            j ^= bit
-            bit >>= 1
-        j |= bit
-        if i < j:
-            a[i], a[j] = a[j], a[i]
-    length = 2
-    while length <= n:
-        w = pow(root, (q - 1) // length, q)
-        if invert:
-            w = pow(w, q - 2, q)
-        half = length // 2
-        ws = np.empty(half, dtype=np.int64)
-        acc = 1
-        for i in range(half):
-            ws[i] = acc
-            acc = acc * w % q
-        blocks = a.reshape(n // length, length)
-        lo = blocks[:, :half].copy()  # first assignment below would alias it
-        hi = blocks[:, half:] * ws % q
-        blocks[:, :half] = (lo + hi) % q
-        blocks[:, half:] = (lo - hi) % q
-        length *= 2
-    if invert:
-        n_inv = pow(n, q - 2, q)
-        a = a * n_inv % q
-    return a
-
-
 def cyclic_convolve_ntt(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Cyclic convolution via CRT'd power-of-two NTTs; bit-exact."""
-    import numpy as np
-
-    n = len(a)
-    if len(b) != n:
-        raise ValueError("cyclic convolution needs equal lengths")
-    # CRT range must cover the signed linear coefficients, |c| <= bound
-    bound = 2 * _product_bound(a, b) + 1
-    size = 1
-    while size < 2 * n - 1:
-        size *= 2
-    count = max(2, -(-max(1, bound.bit_length()) // 24))
-    primes = _ntt_primes(size.bit_length() - 1, count)
-    modulus = 1
-    for q, _ in primes:
-        modulus *= q
-    residues = []
-    for q, g in primes:
-        fa = np.zeros(size, dtype=np.int64)
-        fb = np.zeros(size, dtype=np.int64)
-        fa[:n] = np.array([x % q for x in a], dtype=np.int64)
-        fb[:n] = np.array([x % q for x in b], dtype=np.int64)
-        ta = _ntt(fa, q, g, invert=False)
-        tb = _ntt(fb, q, g, invert=False)
-        residues.append((_ntt(ta * tb % q, q, g, invert=True), q))
-    # CRT lift, then fold the linear result into length n
-    basis = []
-    for r, q in residues:
-        m_i = modulus // q
-        basis.append((r, m_i * pow(m_i, -1, q)))
-    half = modulus // 2
-    out = [0] * n
-    for t in range(2 * n - 1):
-        x = sum(int(r[t]) * c for r, c in basis) % modulus
-        if x > half:
-            x -= modulus
-        out[t % n] += x
-    return out
+    """cyclic_convolve under a second name. It has no caller: perfbench's
+    tracer resolves the name for its convolve.ntt op, and this def is
+    deleted together with that op (ROADMAP item 1)."""
+    return cyclic_convolve(a, b)

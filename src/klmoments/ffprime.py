@@ -9,6 +9,7 @@ double factorials are fine).
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from math import isqrt
 
 from .errors import EvenInput, EvenModulus
@@ -46,15 +47,23 @@ def is_prime(n: int) -> bool:
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """All primes p with lo <= p <= hi, by sieve."""
-    if hi < 2 or hi < lo:
+    """All primes p with lo <= p <= hi, by a segmented sieve.
+
+    Only [lo, hi] and the base primes up to isqrt(hi) are sieved, so the
+    memory is hi - lo + isqrt(hi) bytes, not hi.
+    """
+    lo = max(lo, 2)
+    if hi < lo:
         return []
-    sieve = bytearray([1]) * (hi + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, isqrt(hi) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = b"\x00" * len(range(i * i, hi + 1, i))
-    return [i for i in range(max(lo, 2), hi + 1) if sieve[i]]
+    root = isqrt(hi)
+    base = bytearray([1]) * (root + 1)
+    window = bytearray([1]) * (hi - lo + 1)
+    for i in range(2, root + 1):
+        if base[i]:
+            base[i * i :: i] = bytes(len(range(i * i, root + 1, i)))
+            first = max(i * i, -(-lo // i) * i)
+            window[first - lo :: i] = bytes(len(range(first, hi + 1, i)))
+    return list(compress(range(lo, hi + 1), window))
 
 
 class Prime(int):

@@ -216,30 +216,10 @@ class RationalSeries:
             c.append(total / self.den[0])
         return c[: nmax + 1]
 
-    def __add__(self, other: "RationalSeries") -> "RationalSeries":
-        num = _poly_add(
-            _poly_mul(self.num, other.den), _poly_mul(other.num, self.den)
-        )
-        return RationalSeries(num, _poly_mul(self.den, other.den))
 
-    def scaled(self, k) -> "RationalSeries":
-        return RationalSeries([Fraction(k) * c for c in self.num], self.den)
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    return [
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    ]
+def _summed_coefficients(terms: Sequence[RationalSeries], nmax: int) -> list[Fraction]:
+    """Coefficients 0..nmax of the sum of the series, term by term."""
+    return [sum(cs) for cs in zip(*(s.coefficients(nmax) for s in terms))]
 
 
 def molien_dim_series(dmax: int) -> list[int]:
@@ -251,15 +231,15 @@ def molien_dim_series(dmax: int) -> list[int]:
     """
     if dmax < 0:
         raise ValueError("dmax must be >= 0")
-    series = (
-        RationalSeries([1], [1, -2, 1])       # 1/(1-t)^2
-        + RationalSeries([1], [1, 2, 1])      # 1/(1+t)^2
-        + RationalSeries([6], [1, 0, 1])      # 6/(1+t^2)
-        + RationalSeries([8], [1, -1, 1])     # 8/(1-t+t^2)
-        + RationalSeries([8], [1, 1, 1])      # 8/(1+t+t^2)
+    terms = (
+        RationalSeries([1], [1, -2, 1]),      # 1/(1-t)^2
+        RationalSeries([1], [1, 2, 1]),       # 1/(1+t)^2
+        RationalSeries([6], [1, 0, 1]),       # 6/(1+t^2)
+        RationalSeries([8], [1, -1, 1]),      # 8/(1-t+t^2)
+        RationalSeries([8], [1, 1, 1]),       # 8/(1+t+t^2)
     )
     out = []
-    for c in series.coefficients(dmax):
+    for c in _summed_coefficients(terms, dmax):
         v = c / 24
         if v.denominator != 1:
             raise ArithmeticError(f"non-integer Molien coefficient {v}")
@@ -284,11 +264,9 @@ def molien_frob_series(dmax: int) -> list[int]:
     """
     if dmax < 0:
         raise ValueError("dmax must be >= 0")
-    series = RationalSeries([1, 0, 1], [1, 0, 0, 0, 1]) + RationalSeries(
-        [1], [1, 0, 1]
-    )
+    terms = (RationalSeries([1, 0, 1], [1, 0, 0, 0, 1]), RationalSeries([1], [1, 0, 1]))
     out = []
-    for c in series.coefficients(dmax):
+    for c in _summed_coefficients(terms, dmax):
         v = c / 2
         if v.denominator != 1:
             raise ArithmeticError(f"non-integer Frobenius-series coefficient {v}")

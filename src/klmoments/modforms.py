@@ -139,12 +139,17 @@ class QSeries:
     def __pow__(self, e: int) -> "QSeries":
         if e < 0:
             return self.inverse() ** (-e)
-        if e == 0:
-            return QSeries(0, [1], self.trunc)
-        result = self
-        for _ in range(e - 1):
-            result = result * self
-        return result
+        # square and multiply; the truncation is trunc + (e - 1) * lead
+        # either way, as for e - 1 successive products
+        out = None
+        base = self
+        while e:
+            if e & 1:
+                out = base if out is None else out * base
+            e >>= 1
+            if e:
+                base = base * base
+        return QSeries(0, [1], self.trunc) if out is None else out
 
 
 @dataclass(frozen=True)

@@ -162,15 +162,17 @@ class TestConvolveExact:
         assert convolve.convolve_exact([2**300, -5], [0, 0, 0]) == [0] * 4
         assert convolve.convolve_exact([], [1, 2]) == []
 
-
-class TestNttBackend:
-    def test_matches_schoolbook(self):
+    def test_cyclic_matches_schoolbook(self):
+        # scale 10**22 needs slots wider than 8 bytes
         rng = random.Random(11)
         for p in (3, 13, 61, 127):
             for scale in (5, 10**9, 10**22):
                 a = [rng.randrange(-scale, scale) for _ in range(p)]
                 b = [rng.randrange(-scale, scale) for _ in range(p)]
-                assert convolve.cyclic_convolve(a, b) == convolve.cyclic_convolve_ntt(a, b)
+                folded = [0] * p
+                for t, c in enumerate(naive_convolution(a, b)):
+                    folded[t % p] += c
+                assert convolve.cyclic_convolve(a, b) == folded
 
 
 class TestAsInteger:

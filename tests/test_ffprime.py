@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -34,6 +36,24 @@ class TestPrimality:
         assert primes_in_range(10, 30) == [11, 13, 17, 19, 23, 29]
         assert primes_in_range(25, 28) == []
         assert primes_in_range(2, 2) == [2]
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(0, 60), (1, 2), (2, 30), (0, 1), (1, 1), (30, 10), (3, 2),
+         (10**12 - 400, 10**12 + 400)],
+    )
+    def test_primes_in_range_windows(self, lo, hi):
+        assert primes_in_range(lo, hi) == [n for n in range(lo, hi + 1) if is_prime(n)]
+
+    def test_primes_in_range_sieves_only_the_window(self):
+        tracemalloc.start()
+        try:
+            primes = primes_in_range(2 * 10**7 - 200, 2 * 10**7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert primes == [n for n in range(2 * 10**7 - 200, 2 * 10**7 + 1) if is_prime(n)]
+        assert peak < 2**20
 
 
 class TestModInverse:

@@ -74,6 +74,26 @@ class TestQSeries:
         s = eta_unit_series(30)
         assert (s**-2) * (s**2) == QSeries(0, [1], 20)
 
+    @staticmethod
+    def _parts(s):
+        return s.lead, s.coeffs, s.trunc
+
+    def test_power_equals_repeated_product(self):
+        # truncation included: trunc(s**e) = trunc + (e - 1) * lead
+        s = QSeries(2, [3, -1, 0, 2, 5], 20)
+        repeated = QSeries(0, [1], s.trunc)
+        for e in range(10):
+            assert self._parts(s**e) == self._parts(repeated)
+            repeated = repeated * s
+
+    def test_negative_power_equals_repeated_inverse(self):
+        s = QSeries(1, [1, -2, 0, 3], 15)
+        inverse = s.inverse()
+        repeated = inverse
+        for e in range(1, 8):
+            assert self._parts(s**-e) == self._parts(repeated)
+            repeated = repeated * inverse
+
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_ring_laws(self, data):
