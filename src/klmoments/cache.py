@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 from .errors import IdentityFailure
@@ -161,6 +160,7 @@ class PowerSumStore:
             return cached
         table = compute().to_convention(CONVENTION[method])
         if cached is not None:
-            _check_agreement(replace(cached, method=f"cached {cached.method}"), table)
+            relabelled = PowerSumTable(p, cached.convention, cached.values, f"cached {cached.method}")
+            _check_agreement(relabelled, table)
         self.store(table)
         return table

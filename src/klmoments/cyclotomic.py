@@ -14,7 +14,6 @@ cost of one redundant word per element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from math import gcd
@@ -32,19 +31,24 @@ def _canonical(coeffs: Sequence[int]) -> tuple[int, ...]:
     return tuple(map(sub, coeffs, repeat(c0)))
 
 
-@dataclass(frozen=True)
 class CycInt:
-    """Cyclotomic integer in Z[zeta_p], canonical coefficient vector."""
+    """Immutable cyclotomic integer in Z[zeta_p], canonical coefficient vector."""
 
-    p: int
-    coeffs: tuple[int, ...]
+    def __init__(self, p: int, coeffs: tuple[int, ...]):
+        Prime(p)
+        if len(coeffs) != p:
+            raise ValueError(f"need {p} coefficients, got {len(coeffs)}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "coeffs", coeffs if coeffs[0] == 0 else _canonical(coeffs))
 
-    def __post_init__(self) -> None:
-        Prime(self.p)
-        if len(self.coeffs) != self.p:
-            raise ValueError(f"need {self.p} coefficients, got {len(self.coeffs)}")
-        if self.coeffs[0] != 0:
-            object.__setattr__(self, "coeffs", _canonical(self.coeffs))
+    def __setattr__(self, name, value):
+        raise AttributeError("CycInt is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CycInt) and self.p == other.p and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.coeffs))
 
     # -- constructors -------------------------------------------------------
 

@@ -38,6 +38,11 @@ class ExactLimitExceeded(KlmomentsError):
     """Prime too large for the exact cyclotomic path; use the float path."""
 
 
+class PrimeTooLarge(KlmomentsError):
+    """Prime above moments.PRIME_CEILING: its power-sum tables would not fit
+    in memory."""
+
+
 class AmbiguousRounding(KlmomentsError):
     """Float enclosure admits zero or several congruence-admissible integers."""
 

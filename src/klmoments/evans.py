@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING
 
 from .errors import (
     DivisibilityFailure,
     KlmomentsError,
+    PrimeTooLarge,
     RangeFailure,
 )
 from .ffprime import Prime, jacobi_symbol, primes_in_range
@@ -46,6 +46,7 @@ from .moments import (
     DEFAULT_EXACT_LIMIT,
     METHOD_EXACT,
     METHOD_FLOAT,
+    PRIME_CEILING,
     RESTRICTED,
     MomentValue,
     PowerSumTable,
@@ -61,24 +62,25 @@ if TYPE_CHECKING:
 REPORT_SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
 
-@dataclass(frozen=True)
 class EvansReport:
-    d: int
-    p: int
-    moment: int | None
-    derived: int | None
-    checks: tuple[CheckResult, ...]
-    source: str
-    method: str
-    extra: dict = field(default_factory=dict)
-    error: str | None = None
+    def __init__(self, d: int, p: int, moment: int | None, derived: int | None, checks: tuple,
+                 source: str, method: str, extra: dict | None = None, error: str | None = None):
+        self.d = d
+        self.p = p
+        self.moment = moment
+        self.derived = derived
+        self.checks = checks
+        self.source = source
+        self.method = method
+        self.extra = {} if extra is None else extra
+        self.error = error
 
     @property
     def passed(self) -> bool:
@@ -111,23 +113,22 @@ CSV_HEADER = ["p", "m", "derived", "checks_passed", "checks_failed", "method"]
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class MomentEngine:
     """Computes m^d_2(p), exact below the limit, float-congruence above.
 
     Power-sum tables are memoized per prime (and optionally persisted
     through `store`), since one sweep touches many degrees of the same
-    prime. An exact_limit below 3 raises ValueError on construction.
+    prime. An exact_limit below 3 raises ValueError on construction; a
+    prime above PRIME_CEILING raises PrimeTooLarge before any table is built.
     """
 
-    exact_limit: int = DEFAULT_EXACT_LIMIT
-    store: object | None = None  # cache.PowerSumStore
-    _tables: dict[tuple[int, int], PowerSumTable] = field(default_factory=dict)
-    float_primes: list[int] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.exact_limit < 3:
+    def __init__(self, exact_limit: int = DEFAULT_EXACT_LIMIT, store: object | None = None):
+        if exact_limit < 3:
             raise ValueError("exact_limit must be >= 3")
+        self.exact_limit = exact_limit
+        self.store = store  # cache.PowerSumStore
+        self._tables: dict[tuple[int, int], PowerSumTable] = {}
+        self.float_primes: list[int] = []
 
     def table(self, p: int, nmax: int) -> PowerSumTable:
         """Restricted S_1..S_nmax at p: exact up to exact_limit, float beyond."""
@@ -149,6 +150,8 @@ class MomentEngine:
         cached in: restricted for exact tables, completed for float tables
         (the convention their congruence pins). Nothing is routed or memoized.
         """
+        if p > PRIME_CEILING:
+            raise PrimeTooLarge(f"p = {p} is above the prime ceiling {PRIME_CEILING}")
         if method == METHOD_EXACT:
             def compute():
                 return power_sums_exact(p, nmax, RESTRICTED, self.exact_limit)
@@ -189,7 +192,6 @@ class MomentEngine:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class EvenTrace:
     """Decomposition of -m - 1 - correction for even d.
 
@@ -203,13 +205,14 @@ class EvenTrace:
     gives one of each sign).
     """
 
-    d: int
-    p: int
-    value: int            # Tr on the inertia invariants
-    steinberg_blocks: int  # [d/2p] two-dimensional unipotent pieces
-    sign_sum: int         # admissible sum of the block signs
-    pure_part: int        # value - sign_sum * p**(d/2)
-    pure_dim: int         # dim of the pure middle part at this p
+    def __init__(self, d, p, value, steinberg_blocks, sign_sum, pure_part, pure_dim):  # all ints
+        self.d = d
+        self.p = p
+        self.value = value                        # Tr on the inertia invariants
+        self.steinberg_blocks = steinberg_blocks  # [d/2p] two-dimensional unipotent pieces
+        self.sign_sum = sign_sum                  # admissible sum of the block signs
+        self.pure_part = pure_part                # value - sign_sum * p**(d/2)
+        self.pure_dim = pure_dim                  # dim of the pure middle part at this p
 
 
 def _middle_trace(d: int, p: int, m: int) -> int:
@@ -440,15 +443,15 @@ def evans_d8(
 _PIPELINES = {5: evans_d5, 6: evans_d6, 7: evans_d7, 8: evans_d8}
 
 
-@dataclass(frozen=True)
 class BatchSummary:
-    d: int
-    pmin: int
-    pmax: int
-    rows: int
-    passed: int
-    failed: int
-    errors: int
+    def __init__(self, d, pmin, pmax, rows, passed, failed, errors):  # all ints
+        self.d = d
+        self.pmin = pmin
+        self.pmax = pmax
+        self.rows = rows
+        self.passed = passed
+        self.failed = failed
+        self.errors = errors
 
 
 def _sweep_one(
@@ -474,7 +477,8 @@ def batch_report(
 ) -> tuple[list[EvansReport], BatchSummary]:
     """Run one degree's pipeline over every admissible prime in [pmin, pmax].
 
-    Per-prime failures become error rows; the sweep never aborts. Rows are
+    Per-prime failures become error rows; the sweep never aborts, but a
+    pmax above PRIME_CEILING raises PrimeTooLarge before it starts. Rows are
     ordered by p regardless of execution order. With jobs > 1 the primes
     are spread over min(jobs, #primes) worker processes, each running a
     pickled copy of `engine` (settings, store, subclass). When any prime
@@ -483,6 +487,8 @@ def batch_report(
     """
     if d not in _PIPELINES:
         raise ValueError(f"no pipeline for degree {d}; have {sorted(_PIPELINES)}")
+    if pmax > PRIME_CEILING:  # before the sieve, which takes pmax - pmin + 1 bytes
+        raise PrimeTooLarge(f"pmax = {pmax} is above the prime ceiling {PRIME_CEILING}")
     excluded, _ = _EXCLUDED[d]
     primes = [p for p in primes_in_range(pmin, pmax) if p not in excluded]
     engine = engine or MomentEngine()

@@ -11,7 +11,6 @@ prime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -86,7 +85,6 @@ def swan_sym(d: int, p: int) -> int:
     return dim_m_shriek(d, p)
 
 
-@dataclass(frozen=True)
 class LocalInfinityInvariants:
     """Inertia invariants at infinity as a Frobenius module.
 
@@ -94,12 +92,13 @@ class LocalInfinityInvariants:
     multiplicities of +p**(d/2) and -p**(d/2).
     """
 
-    d: int
-    p: int
-    dimension: int
-    plus: int
-    minus: int
-    eigenvalue_magnitude: int  # p**(d/2) when d even, else 0
+    def __init__(self, d, p, dimension, plus, minus, eigenvalue_magnitude):  # all ints
+        self.d = d
+        self.p = p
+        self.dimension = dimension
+        self.plus = plus
+        self.minus = minus
+        self.eigenvalue_magnitude = eigenvalue_magnitude  # p**(d/2) when d even, else 0
 
     def trace(self) -> int:
         return (self.plus - self.minus) * self.eigenvalue_magnitude
@@ -136,12 +135,13 @@ def local_inv_inf(d: int, p: int) -> LocalInfinityInvariants:
 TABLE_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
-@dataclass(frozen=True)
 class DimsTable:
-    dmax: int
-    primes: tuple[int, ...]
-    good_row: tuple[int, ...]
-    prime_rows: dict[int, tuple[object, ...]]  # int dim or the GOOD marker
+    def __init__(self, dmax: int, primes: tuple[int, ...], good_row: tuple[int, ...],
+                 prime_rows: dict[int, tuple[object, ...]]):
+        self.dmax = dmax
+        self.primes = primes
+        self.good_row = good_row
+        self.prime_rows = prime_rows  # int dim or the GOOD marker
 
     def cell(self, d: int, p: int | str):
         if p == GOOD:
@@ -310,13 +310,13 @@ def fuwan_det(d: int, p: int) -> int:
     return result
 
 
-@dataclass(frozen=True)
 class DetCharacterReport:
-    d: int
-    modulus: int  # d!!
-    pmax: int
-    checked: int
-    failures: tuple[int, ...]
+    def __init__(self, d: int, modulus: int, pmax: int, checked: int, failures: tuple):
+        self.d = d
+        self.modulus = modulus  # d!!
+        self.pmax = pmax
+        self.checked = checked
+        self.failures = failures
 
     @property
     def passed(self) -> bool:

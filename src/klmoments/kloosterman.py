@@ -12,7 +12,6 @@ the moments module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .cyclotomic import CycInt
@@ -26,20 +25,18 @@ def _inverses(p: int) -> tuple[int, ...]:
     return tuple(inverse_table(p))
 
 
-@dataclass(frozen=True)
 class ExponentCounts:
     """Fiber sizes counts[t] = #{(x, y) in (F_p^*)^2 : x y = a, x + y = t}.
 
     y = a / x, so the fibres partition the p - 1 choices of x.
     """
 
-    p: int
-    a: int
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if sum(self.counts) != self.p - 1:
+    def __init__(self, p: int, a: int, counts: tuple[int, ...]):
+        if sum(counts) != p - 1:
             raise ValueError("fiber sizes do not sum to p - 1")
+        self.p = p
+        self.a = a
+        self.counts = counts
 
     def value(self) -> CycInt:
         """The sum itself, as sum_t counts[t] * zeta**t."""

@@ -14,7 +14,6 @@ it, with the form's weight, level and character.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import TYPE_CHECKING
 
@@ -152,16 +151,14 @@ class QSeries:
         return QSeries(0, [1], self.trunc) if out is None else out
 
 
-@dataclass(frozen=True)
 class EtaQuotient:
     """Product of rescaled Dedekind eta factors eta(d*tau)**e."""
 
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        for div, _ in self.factors:
+    def __init__(self, factors: tuple[tuple[int, int], ...]):
+        for div, _ in factors:
             if div < 1:
                 raise ValueError("eta factor needs a positive divisor")
+        self.factors = factors
 
     @property
     def weight(self) -> Fraction:
@@ -230,15 +227,16 @@ def eta_quotient_series(eq: EtaQuotient, terms: int) -> QSeries:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class HeckeReport:
-    weight: int
-    level: int
-    bound: int
-    multiplicativity_checked: int
-    recursion_checked: int
-    deligne_checked: int
-    violations: tuple[str, ...]
+    def __init__(self, weight: int, level: int, bound: int, multiplicativity_checked: int,
+                 recursion_checked: int, deligne_checked: int, violations: tuple[str, ...]):
+        self.weight = weight
+        self.level = level
+        self.bound = bound
+        self.multiplicativity_checked = multiplicativity_checked
+        self.recursion_checked = recursion_checked
+        self.deligne_checked = deligne_checked
+        self.violations = violations
 
     @property
     def passed(self) -> bool:
@@ -320,7 +318,6 @@ def prime_coefficients(s: QSeries, pmax: int) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RegistryForm:
     """The eigenform whose a(p) a degree's pipeline derives from moments.
 
@@ -329,12 +326,14 @@ class RegistryForm:
     The nebentypus is chi(p) = jacobi_symbol(p, character), trivial for 1.
     """
 
-    degree: int
-    weight: int
-    level: int
-    character: int = 1
-    eta_terms: tuple[tuple[int, EtaQuotient], ...] = ()
-    label: str = "eta-quotient"  # how a comparison row names the form
+    def __init__(self, degree: int, weight: int, level: int, character: int = 1,
+                 eta_terms: tuple = (), label: str = "eta-quotient"):
+        self.degree = degree
+        self.weight = weight
+        self.level = level
+        self.character = character
+        self.eta_terms = eta_terms
+        self.label = label  # how a comparison row names the form
 
 
 def _eta6(a: int, b: int, c: int, d: int) -> EtaQuotient:

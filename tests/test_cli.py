@@ -143,6 +143,22 @@ class TestSums:
         assert child.wait() == 1
         assert "Traceback" not in err and "BrokenPipeError" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("sums", "--p", "1000000007", "--nmax", "2", "--method", "float"),
+        ("evans", "--d", "5", "--pmin", "1000000007", "--pmax", "1000000007"),
+    ], ids=["sums", "evans"])
+    def test_prime_above_the_ceiling_is_a_json_error(self, capsys, monkeypatch, argv):
+        def started(*args):  # a missing refusal fails here, not out of memory
+            raise AssertionError("a table or sieve above the prime ceiling was started")
+
+        monkeypatch.setattr(evans, "power_sums_float_auto", started)
+        monkeypatch.setattr(evans, "primes_in_range", started)
+        code, out, _ = run(capsys, *argv, "--no-cache", "--format", "json")
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "PrimeTooLarge"
+        assert error["message"].endswith("= 1000000007 is above the prime ceiling 3067833")
+
     def test_missing_argument_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sums", "--p", "3"])
@@ -302,7 +318,7 @@ STARTUP_PROBE = """
 import contextlib, io, json, sys
 import klmoments.cli
 lazy = ("mpmath", "concurrent.futures.process", "numpy")
-deferred = ("klmoments.invariants", "fractions", "csv", "hashlib", "logging")
+deferred = ("klmoments.invariants", "fractions", "csv", "hashlib", "logging", "dataclasses", "inspect")
 traced = ("evans", "moments", "kloosterman", "cyclotomic", "convolve", "modforms", "cache")
 after_import = [
     [m for m in lazy + deferred if m in sys.modules],
@@ -314,7 +330,10 @@ def sweep(*argv):
     return [code, [m for m in lazy + deferred if m in sys.modules]]
 exact = sweep("--d", "6", "--pmin", "2", "--pmax", "31", "--format", "json")
 float_route = sweep("--d", "5", "--pmin", "258", "--pmax", "270")
-print(json.dumps([after_import, exact, float_route]))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = klmoments.cli.main(["dims", "--dmax", "8"])
+dims = [code, [m for m in ("dataclasses", "inspect") if m in sys.modules]]
+print(json.dumps([after_import, exact, float_route, dims]))
 """
 
 # Every public name of the package, by the module that defines it; the
@@ -354,7 +373,8 @@ class TestStartup:
         # logging), but every layer the benchmark tracer wraps; an exact
         # --jobs 1 JSON sweep and a float sweep (263 and 269 lie above the
         # exact limit; its root tables are seeded from integer series) load
-        # none of those either
+        # none of those either; nor does any command, dims included, load
+        # dataclasses or inspect
         src = Path(cli.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
         env.pop("KLMOMENTS_CACHE_DIR", None)
@@ -362,7 +382,7 @@ class TestStartup:
             [sys.executable, "-c", STARTUP_PROBE],
             env=env, capture_output=True, text=True, check=True,
         )
-        assert json.loads(done.stdout) == [[[], []], [0, []], [0, []]]
+        assert json.loads(done.stdout) == [[[], []], [0, []], [0, []], [0, []]]
 
     def test_public_names_resolve_to_their_modules(self):
         expected = sorted([*PUBLIC_NAMES, *(n for ns in PUBLIC_NAMES.values() for n in ns)])

@@ -1,12 +1,15 @@
 import concurrent.futures
+import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from klmoments import cyclotomic, evans, kloosterman, moments
 from klmoments.cache import PowerSumStore
-from klmoments.errors import CacheMismatch, DivisibilityFailure, KlmomentsError
+from klmoments.errors import CacheMismatch, DivisibilityFailure, KlmomentsError, PrimeTooLarge
 from klmoments.evans import (
+    EvansReport,
     EvenTrace,
     MomentEngine,
     batch_report,
@@ -17,9 +20,11 @@ from klmoments.evans import (
     render_reports,
     trace_middle,
 )
-from klmoments.ffprime import jacobi_symbol, primes_in_range
+from klmoments.ffprime import is_prime, jacobi_symbol, primes_in_range
 from klmoments.modforms import prime_coefficients, registry_expansion
 from klmoments.moments import (
+    METHOD_FLOAT,
+    PRIME_CEILING,
     PowerSumTable,
     float_precision,
     power_sums_exact,
@@ -420,6 +425,39 @@ class TestBatchReport:
             batch_report(9, 2, 10)
 
 
+class TestPrimeCeiling:
+    @pytest.fixture(autouse=True)
+    def no_tables(self, monkeypatch):
+        # a missing refusal fails here instead of allocating gigabytes
+        def started(*args, **kwargs):
+            raise AssertionError("a table or sieve above the prime ceiling was started")
+
+        for name in ("power_sums_exact", "power_sums_float_auto", "primes_in_range"):
+            monkeypatch.setattr(evans, name, started)
+
+    def test_refused_before_any_allocation(self):
+        # a table at p = 10^9 + 7 would take gigabytes, and so would the
+        # sieve of a range that wide: each is refused before it allocates
+        p = 1000000007
+        tracemalloc.start()
+        try:
+            with pytest.raises(PrimeTooLarge, match="prime ceiling"):
+                MomentEngine().lookup(p, 2, METHOD_FLOAT)
+            with pytest.raises(PrimeTooLarge, match="prime ceiling"):
+                MomentEngine(exact_limit=p).moment(p, 5)
+            with pytest.raises(PrimeTooLarge, match="pmax"):
+                batch_report(5, 2, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20 // 16
+
+    def test_first_prime_above_the_ceiling(self):
+        p = next(q for q in range(PRIME_CEILING + 1, PRIME_CEILING + 1000) if is_prime(q))
+        with pytest.raises(PrimeTooLarge):
+            MomentEngine().table(p, 2)
+
+
 class TestEngineCache:
     def test_engine_persists_and_reuses_tables(self, tmp_path, monkeypatch):
         store = PowerSumStore(tmp_path)
@@ -469,6 +507,23 @@ class TestSerialization:
         lines = text.strip().splitlines()
         assert lines[0] == "p,m,derived,checks_passed,checks_failed,method"
         assert len(lines) == len(rows) + 1
+
+    def test_json_keys_are_the_record_fields(self, engine_200):
+        # the JSON objects are vars() of the records, so a stray attribute
+        # would leak into stdout
+        fields = ["checks", "d", "derived", "error", "extra", "method", "moment", "p", "source"]
+        rows, summary = batch_report(6, 2, 20, engine=engine_200)
+        rows.append(EvansReport(6, 23, None, None, (), "none", "", error="KlmomentsError: x"))
+        doc = json.loads(render_reports(rows, summary, "json"))
+        assert sorted(doc["summary"]) == [
+            "d", "errors", "failed", "passed", "pmax", "pmin", "rows",
+        ]
+        assert rows[0].checks and rows[-1].extra == {}
+        for row in rows:
+            assert sorted(row.to_json_dict()) == fields
+            for check in row.to_json_dict()["checks"]:
+                assert sorted(check) == ["detail", "name", "passed"]
+        assert [sorted(r) for r in doc["reports"]] == [fields] * len(rows)
 
     def test_json_deterministic(self, engine_200):
         rows, summary = batch_report(8, 3, 20, engine=engine_200)

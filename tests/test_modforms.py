@@ -137,7 +137,7 @@ class TestEtaQuotient:
 
     @pytest.mark.parametrize("eq", [
         eq for form in REGISTRY.values() for _, eq in form.eta_terms
-    ], ids=str)
+    ], ids=lambda eq: f"EtaQuotient(factors={eq.factors})")
     def test_power_then_spread_equals_spread_then_power(self, eq):
         # f(q^div)^e = f^e(q^div): the oracle spreads the Euler product f to
         # q^div on every term first, then raises it to the power e
