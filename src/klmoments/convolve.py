@@ -2,19 +2,24 @@
 
 All callers need bit-exact results on arbitrary-precision integers. A
 sequence v is packed into one integer, sum_i v_i * 2**(8*w*i), whose
-slots of w bytes hold every coefficient of the product: w is the a-priori
-bound of _product_bound plus a sign bit, rounded up to whole bytes. One
-big-integer product then carries the whole linear convolution, one
-coefficient per slot, and is unpacked again. Signs cost one XOR against
-S, the top bit of every slot: two's-complement slot bytes U pack to the
-signed value (U ^ S) - S, and a signed product C unpacks from the
-two's-complement bytes of (C + S) ^ S. Slots of up to 8 bytes go through
-struct at the next size of 1, 2, 4 or 8 bytes, with the sign-extension
-bytes dropped or restored by strided byte copies; wider ones through
-int.to_bytes per entry.
+slots of w bytes hold every coefficient of the product: w is an a-priori
+bound plus a sign bit, rounded up to whole bytes. One big-integer product
+then carries the whole convolution, one coefficient per slot, and is
+unpacked again. Signs cost one XOR against S, the top bit of every slot:
+two's-complement slot bytes U pack to the signed value (U ^ S) - S, and
+a signed product C unpacks from the two's-complement bytes of
+(C + S) ^ S. Slots of up to 8 bytes go through struct at the next size
+of 1, 2, 4 or 8 bytes, with the sign-extension bytes dropped or restored
+by strided byte copies; wider ones through int.to_bytes per entry.
 
-This is the one convolution kernel: every exact product and every
-float-route correlation goes through cyclic_convolve or convolve_exact.
+This is the one convolution kernel, and the only module that packs. It
+has two entry points. convolve_exact (and cyclic_convolve on top of it)
+takes the bound of _product_bound for each product, unpacks all the
+linear slots and folds a cyclic result as a list: CycInt products, the
+float route's correlations and the q-series products go through it.
+cyclic_powers forms a whole chain of cyclic powers at one width from a
+bound the caller proves, and folds each product as a packed integer
+modulo 2**(8 w n) - 1: the exact power sums go through it.
 """
 
 from __future__ import annotations
@@ -105,6 +110,38 @@ def cyclic_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     full = convolve_exact(a, b)
     # full has 2n - 1 entries; entry n + t folds onto t
     return list(map(add, full, full[n:])) + full[n - 1 : n]
+
+
+def cyclic_powers(v: Sequence[int], k: int, bound: int) -> list[list[int]]:
+    """v^(*1)..v^(*k) (k >= 1), the powers of v under cyclic convolution
+    modulo X**n - 1 (n = len(v)).
+
+    bound must be at least |entry| of every one of those powers: it fixes
+    one slot width w for the whole chain, so nothing is measured per
+    product. X = 2**(8 w) turns X**n - 1 into M = 2**(8 w n) - 1, and a
+    packed power is kept as the residue mod M in (-M/2, M/2], which is
+    exactly the range of n signed slots. v^(*j) is v^(*(j//2)) times
+    v^(*(j - j//2)): the exact product x folds to (x & M) + (x >> 8 w n),
+    since 2**(8 w n) = 1 mod M, and one subtraction of M brings it into
+    range. Only the cyclic coefficients must fit their slots; the linear
+    ones never do. Each power is unpacked once.
+    """
+    n = len(v)
+    width = (bound.bit_length() + 8) // 8  # one more bit for the sign
+    signs = _sign_bits(n, width)
+    shift = 8 * width * n
+    modulus = (1 << shift) - 1
+    half = modulus >> 1
+    packed = [None, _pack(v, width, signs)]
+    powers = [list(v)]
+    for j in range(2, k + 1):
+        x = packed[j // 2] * packed[j - j // 2]
+        x = (x & modulus) + (x >> shift)
+        if x > half:
+            x -= modulus
+        packed.append(x)
+        powers.append(_unpack(x, n, width, signs))
+    return powers
 
 
 def cyclic_convolve_ntt(a: Sequence[int], b: Sequence[int]) -> list[int]:

@@ -43,6 +43,12 @@ class PrimeTooLarge(KlmomentsError):
     in memory."""
 
 
+class InputTooLarge(KlmomentsError):
+    """Input above the ceiling of the module that does the work
+    (modforms.ETA_TERMS_CEILING, invariants.DIMS_CEILING,
+    invariants.MOLIEN_CEILING): the run would not fit in memory or time."""
+
+
 class AmbiguousRounding(KlmomentsError):
     """Float enclosure admits zero or several congruence-admissible integers."""
 

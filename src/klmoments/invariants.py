@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import EvenPrime, UnsupportedDegree
+from .errors import EvenPrime, InputTooLarge, UnsupportedDegree
 from .ffprime import Prime, double_factorial, jacobi_symbol, primes_in_range
 
 GOOD = "good"
@@ -133,6 +133,10 @@ def local_inv_inf(d: int, p: int) -> LocalInfinityInvariants:
 # ---------------------------------------------------------------------------
 
 TABLE_PRIMES = (2, 3, 5, 7, 11, 13)
+# The table's peak memory grows by about 1,400 bytes per degree (as JSON:
+# VmHWM 404 MB at dmax 300,000, 1.33 GB at 10^6), so tables that would need
+# about 1 GiB are refused.
+DIMS_CEILING = 2**30 // 1400
 
 
 class DimsTable:
@@ -155,6 +159,8 @@ def dims_table(dmax: int = 13, primes: Sequence[int] = TABLE_PRIMES) -> DimsTabl
     Cells where p is good carry the GOOD marker instead of repeating the
     stable value.
     """
+    if dmax > DIMS_CEILING:
+        raise InputTooLarge(f"dmax = {dmax} is above the dims ceiling {DIMS_CEILING}")
     good_row = tuple(dim_m_middle(d, GOOD) for d in range(1, dmax + 1))
     rows = {}
     for p in primes:
@@ -217,6 +223,19 @@ class RationalSeries:
         return c[: nmax + 1]
 
 
+# The Fraction recurrences take about 60 us and 470 bytes per degree
+# (molien_dim_series, as JSON: 6.0 s and VmHWM 62 MB at dmax 10^5), so the
+# ceiling keeps a series near a minute and half a GiB.
+MOLIEN_CEILING = 10**6
+
+
+def _check_molien_dmax(dmax: int) -> None:
+    if dmax < 0:
+        raise ValueError("dmax must be >= 0")
+    if dmax > MOLIEN_CEILING:
+        raise InputTooLarge(f"dmax = {dmax} is above the Molien ceiling {MOLIEN_CEILING}")
+
+
 def _summed_coefficients(terms: Sequence[RationalSeries], nmax: int) -> list[Fraction]:
     """Coefficients 0..nmax of the sum of the series, term by term."""
     return [sum(cs) for cs in zip(*(s.coefficients(nmax) for s in terms))]
@@ -229,8 +248,7 @@ def molien_dim_series(dmax: int) -> list[int]:
     each), 1, -1 (eight each) and 0 (six), so the Molien average is
     (1/24)[1/(1-t)^2 + 1/(1+t)^2 + 6/(1+t^2) + 8/(1-t+t^2) + 8/(1+t+t^2)].
     """
-    if dmax < 0:
-        raise ValueError("dmax must be >= 0")
+    _check_molien_dmax(dmax)
     terms = (
         RationalSeries([1], [1, -2, 1]),      # 1/(1-t)^2
         RationalSeries([1], [1, 2, 1]),       # 1/(1+t)^2
@@ -262,8 +280,7 @@ def molien_frob_series(dmax: int) -> list[int]:
     (the two sqrt2-conjugate terms combine), giving +1 at d = 0 mod 8,
     -1 at d = 6 mod 8, 0 otherwise.
     """
-    if dmax < 0:
-        raise ValueError("dmax must be >= 0")
+    _check_molien_dmax(dmax)
     terms = (RationalSeries([1, 0, 1], [1, 0, 0, 0, 1]), RationalSeries([1], [1, 0, 1]))
     out = []
     for c in _summed_coefficients(terms, dmax):

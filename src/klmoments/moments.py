@@ -13,8 +13,11 @@ it. The float path therefore always recovers completed values.
 Both power-sum routes work orbit by orbit: zeta -> zeta**k sends
 Kl_2(p; a) to Kl_2(p; k**2 a), so one exponent count per Galois orbit
 (_orbit_representatives) serves all p - 1 parameters. The exact route
-takes field traces of powers in Z[zeta_p]; the float route encloses the
-whole orbit at once (cyclotomic.enclose_sum) and sums interval powers.
+takes field traces of powers in Z[zeta_p], as entries of the cyclic
+convolution powers of the orbit's Legendre vector chi(t**2 - 4r)
+(convolve.cyclic_powers, at a slot width from Weil's bound); the float
+route encloses the whole orbit at once (cyclotomic.enclose_sum) and sums
+interval powers.
 
 Three independent routes to m^d_2(p) are provided and must agree:
 
@@ -35,6 +38,7 @@ from math import comb, gcd, isqrt
 from operator import mul
 from typing import Iterable
 
+from .convolve import cyclic_powers
 from .cyclotomic import CycInt, as_integer, enclose_sum
 from .errors import (
     AmbiguousRounding,
@@ -49,8 +53,9 @@ from .kloosterman import kl2_counts
 
 DEFAULT_EXACT_LIMIT = 257
 # Either route's tables hold O(p) Python ints: a run's VmHWM grows by about 350
-# bytes per unit of p (15.5 MB at p = 3, 49 MB at p = 100003, nmax 8, by either
-# route), so the engine refuses primes whose tables would need about 1 GiB.
+# bytes per unit of p (15.5 MB at p = 3, 49 MB at p = 100003, nmax 8, by the
+# float route; 37 MB by the exact one), so the engine refuses primes whose
+# tables would need about 1 GiB.
 PRIME_CEILING = 2**30 // 350
 
 RESTRICTED = "restricted"
@@ -121,26 +126,6 @@ def _orbit_representatives(p: int) -> tuple[int, ...]:
     return (1, primitive_root(p))[: gcd(2, p - 1)]
 
 
-def _field_trace(x: CycInt) -> int:
-    """Tr of x from Q(zeta_p) to Q.
-
-    Tr(zeta**t) = -1 for t != 0, and the canonical form keeps coeffs[0] = 0.
-    """
-    return -sum(x.coeffs)
-
-
-def _paired_trace(y: CycInt, z: CycInt) -> int:
-    """Tr(y * z) without the product, in O(p).
-
-    Tr(zeta**k) = p - 1 when p | k and -1 otherwise, so
-    Tr(y z) = p * sum_t y_t z_(-t) - (sum y)(sum z) (Washington,
-    Introduction to Cyclotomic Fields, ch. 2).
-    """
-    yc, zc = y.coeffs, z.coeffs
-    dot = yc[0] * zc[0] + sum(map(mul, yc[1:], reversed(zc[1:])))
-    return y.p * dot - sum(yc) * sum(zc)
-
-
 def _orbit_sum(e: int, traces: int, what: str) -> int:
     q, r = divmod(traces, e)
     if r:
@@ -186,12 +171,28 @@ def power_sums_exact(
 
     Kl_2(p; .) has one orbit at p = 2 and two (squares, non-squares)
     otherwise, so S_n(p) = sum over representatives r of
-    Tr(Kl_2(p; r)**n) / gcd(2, p - 1), computed in Z[zeta_p]. The chain
-    stops at h = ceil(nmax / 2): Tr(x**n) for n > h is Tr(x**h * x**(n-h))
-    by _paired_trace, so no power above x**h is formed. Every table
-    is checked against the parity of that sum, S_1 = 1, S_2 = p^2 - p - 1,
-    the Weil bound and the completed congruence mod p^2; a failure raises
-    IdentityFailure.
+    Tr(Kl_2(p; r)**n) / gcd(2, p - 1), computed in Z[zeta_p].
+
+    The representative. x = Kl_2(p; r) is sum_t c_t zeta**t with the
+    counts c of kl2_counts, and the all-ones vector is 0 in Z[zeta_p], so
+    the Legendre vector v_t = c_t - 1 = chi(t**2 - 4r) also represents x.
+    Its entries sum to (p - 1) - p = -1, and it is even (c_(-t) = c_t under
+    x -> -x). Powers of x are cyclic convolution powers of v
+    (convolve.cyclic_powers), and Tr(y) = p y_0 - sum(y), as Tr(zeta**t)
+    is p - 1 at t = 0 and -1 otherwise. The entries of v^(*n) sum to
+    (-1)**n, so Tr(x**n) = p N_n - (-1)**n with N_n = [v^(*n)]_0 for
+    n <= h = ceil(nmax / 2), and for n > h, with v^(*(n-h)) even,
+    N_n = [v^(*h) * v^(*(n-h))]_0 = sum_t [v^(*h)]_t [v^(*(n-h))]_t.
+
+    The width. The DFT of v is -1 at 0 and Kl_2(p; a**2 r) at a != 0,
+    and |Kl_2| <= 2 sqrt p (A. Weil, On some exponential sums, PNAS 34,
+    1948). By the inverse DFT every entry of v^(*k) is at most
+    (1 + (p - 1)(4p)**(k/2)) / p <= (4p)**(k/2) in absolute value, so
+    isqrt((4p)**h) bounds every power the chain forms.
+
+    Every table is checked against the parity of the orbit sum, S_1 = 1,
+    S_2 = p^2 - p - 1, the Weil bound and the completed congruence mod
+    p^2; a failure raises IdentityFailure.
     """
     p = Prime(p)
     if p > exact_limit:
@@ -202,15 +203,16 @@ def power_sums_exact(
         raise WrongConvention(f"unknown convention {convention!r}")
     reps = _orbit_representatives(p)
     h = (nmax + 1) // 2
+    bound = isqrt((4 * p) ** h)
     traces = [0] * (nmax + 1)
     for r in reps:
-        powers = [None, kl2_counts(p, r).value()]
-        for k in range(2, h + 1):
-            powers.append(powers[k // 2] * powers[k - k // 2])
+        v = [c - 1 for c in kl2_counts(p, r).counts]
+        powers = [None, *cyclic_powers(v, h, bound)]
         for n in range(1, h + 1):
-            traces[n] += _field_trace(powers[n])
+            traces[n] += p * powers[n][0] - (-1) ** n
         for n in range(h + 1, nmax + 1):
-            traces[n] += _paired_trace(powers[h], powers[n - h])
+            traces[n] += p * sum(map(mul, powers[h], powers[n - h])) - (-1) ** n
+        del powers  # one orbit's chain in memory at a time
     values = {
         n: _orbit_sum(len(reps), traces[n], f"S_{n}({p})") for n in range(1, nmax + 1)
     }

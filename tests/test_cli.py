@@ -2,14 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import klmoments
-from klmoments import cli, evans
+from klmoments import cli, evans, invariants, modforms
 from klmoments.cache import PowerSumStore
 from klmoments.cli import main
+from klmoments.errors import InputTooLarge
 from klmoments.moments import DEFAULT_EXACT_LIMIT, METHOD_FLOAT, PowerSumTable
 
 GOLDEN = Path(__file__).parent / "data" / "golden_dims.txt"
@@ -288,6 +290,57 @@ class TestMolien:
         )
         assert code == 0
         assert "d=6: -1" in out and "d=8: 1" in out
+
+
+class TestInputCeilings:
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        # a missing refusal fails here instead of allocating gigabytes
+        def started(*args, **kwargs):
+            raise AssertionError("work above an input ceiling was started")
+
+        monkeypatch.setattr(modforms, "eta_unit_series", started)
+        monkeypatch.setattr(invariants, "dim_m_middle", started)
+        monkeypatch.setattr(invariants, "RationalSeries", started)
+
+    @pytest.mark.parametrize("argv, message", [
+        (("eta", "--quotient", "1:24", "--terms", "1000000000"),
+         "1000000000 terms are above the eta term ceiling 2334221"),
+        # a lead of q^-10^7 needs 10^7 + 5 terms for --terms 5
+        (("eta", "--quotient", "1:-240000000", "--terms", "5"),
+         "10000005 terms are above the eta term ceiling 2334221"),
+        (("dims", "--dmax", "100000000"),
+         "dmax = 100000000 is above the dims ceiling 766958"),
+        (("molien", "--dmax", "1000000000"),
+         "dmax = 1000000000 is above the Molien ceiling 1000000"),
+        (("molien", "--dmax", "1000000000", "--kind", "frob"),
+         "dmax = 1000000000 is above the Molien ceiling 1000000"),
+    ], ids=["eta", "eta-lead", "dims", "molien-dim", "molien-frob"])
+    def test_refused_before_any_allocation(self, capsys, argv, message):
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, *argv, "--format", "json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert json.loads(out)["error"] == {"type": "InputTooLarge", "message": message}
+        assert peak < 2**20 // 4  # the parser and the error object only
+
+    def test_each_ceiling_itself_is_allowed(self):
+        # the work starts at the ceiling and is refused one above it
+        eta24 = modforms.EtaQuotient(((1, 24),))
+        cases = [
+            (lambda n: modforms.eta_quotient_series(eta24, n), modforms.ETA_TERMS_CEILING),
+            (invariants.dims_table, invariants.DIMS_CEILING),
+            (invariants.molien_dim_series, invariants.MOLIEN_CEILING),
+            (invariants.molien_frob_series, invariants.MOLIEN_CEILING),
+        ]
+        for work, ceiling in cases:
+            with pytest.raises(AssertionError, match="started"):
+                work(ceiling)
+            with pytest.raises(InputTooLarge):
+                work(ceiling + 1)
 
 
 class TestTrace:

@@ -174,6 +174,21 @@ class TestConvolveExact:
                     folded[t % p] += c
                 assert convolve.cyclic_convolve(a, b) == folded
 
+    @given(
+        v=st.lists(KRONECKER_ENTRIES, min_size=1, max_size=40),
+        k=st.integers(1, 5),
+        slack=st.integers(0, 2**70),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_cyclic_powers_equal_repeated_convolution(self, v, k, slack):
+        # the widest entry of the chain is the tightest admissible bound
+        chain = [v]
+        for _ in range(k - 1):
+            chain.append(convolve.cyclic_convolve(chain[-1], v))
+        bound = max(abs(x) for power in chain for x in power)
+        assert convolve.cyclic_powers(v, k, bound) == chain
+        assert convolve.cyclic_powers(v, k, bound + slack) == chain
+
 
 class TestAsInteger:
     def test_examples(self):

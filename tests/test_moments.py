@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from klmoments import evans, moments
+from klmoments.convolve import cyclic_convolve
 from klmoments.cyclotomic import CycInt, as_integer
 from klmoments.errors import (
     AmbiguousRounding,
@@ -75,27 +76,35 @@ class TestGaloisOrbits:
         values = power_sums_exact(5, 10).values
         assert values == {n: lucas(2 * n) + (-2) ** n * lucas(n) for n in range(1, 11)}
 
-    @given(data=st.data(), p=st.sampled_from(primes_in_range(2, 31)))
-    @settings(max_examples=40, deadline=None)
-    def test_paired_trace_equals_trace_of_product(self, data, p):
-        entries = st.one_of(st.integers(-9, 9), st.integers(-(2**130), 2**130))
-        coeffs = st.lists(entries, min_size=p, max_size=p)
-        y = CycInt.from_coeffs(p, data.draw(coeffs))
-        z = CycInt.from_coeffs(p, data.draw(coeffs))
-        product = y * z
-        trace = as_integer(sum((product.galois(k) for k in range(2, p)), product))
-        assert moments._paired_trace(y, z) == trace
+    def test_legendre_powers_within_weil_width(self):
+        # the slot width of the exact chain: every entry of v^(*k), v the
+        # Legendre vector of the real counts, is within (4p)^(k/2)
+        for p in primes_in_range(2, 300):
+            for r in moments._orbit_representatives(p):
+                v = [c - 1 for c in kl2_counts(p, r).counts]
+                power = v
+                for k in range(1, 8):
+                    assert max(x * x for x in power) <= (4 * p) ** k, (p, r, k)
+                    power = cyclic_convolve(power, v)
 
     def test_products_stop_at_half_the_chain(self, monkeypatch):
-        # x**2..x**h with h = ceil(d / 2) per orbit; the rest is paired
-        calls = []
-        mul = CycInt.__mul__
-        monkeypatch.setattr(CycInt, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+        # v^(*1)..v^(*h) with h = ceil(nmax / 2) per orbit; the rest is
+        # paired, and no CycInt product is formed
+        asked = []
+        powers = moments.cyclic_powers
+        monkeypatch.setattr(
+            moments, "cyclic_powers", lambda v, k, bound: asked.append(k) or powers(v, k, bound)
+        )
+
+        def no_product(x, y):
+            raise AssertionError("the exact route formed a CycInt product")
+
+        monkeypatch.setattr(CycInt, "__mul__", no_product)
         power_sums_exact(13, 8)
-        assert len(calls) == 2 * 3  # two orbits, x**2, x**3, x**4
-        calls.clear()
+        assert asked == [4, 4]  # two orbits, v^(*1)..v^(*4)
+        asked.clear()
         power_sums_exact(13, 6)
-        assert len(calls) == 2 * 2
+        assert asked == [3, 3]
 
     @pytest.mark.parametrize("p", [5, 7, 13, 31])
     def test_corrupted_chain_fails_parity(self, monkeypatch, p):
@@ -121,13 +130,17 @@ class TestGaloisOrbits:
             power_sums_exact(p, 4)
 
     def test_wrong_s2_fails_identities(self, monkeypatch):
-        # products off by the rational 1 shift each trace by -(p - 1):
-        # S_1 and the parity hold, S_2 = p^2 - p - 1 breaks
-        mul = CycInt.__mul__
-        one = CycInt.from_integer(7, 1)
-        monkeypatch.setattr(CycInt, "__mul__", lambda x, y: mul(x, y) - one)
+        # products off by the group-ring 1 shift each trace by -p: S_1 and
+        # the parity hold, S_2 = p^2 - p - 1 breaks
+        powers = moments.cyclic_powers
+
+        def off_by_one(v, k, bound):
+            chain = powers(v, k, bound)
+            return chain[:1] + [[y[0] - 1, *y[1:]] for y in chain[1:]]
+
+        monkeypatch.setattr(moments, "cyclic_powers", off_by_one)
         with pytest.raises(IdentityFailure, match=r"S_2\(7\)"):
-            # nmax 4 forms x**2 by a product; at nmax 2 the pairing needs none
+            # nmax 4 forms v^(*2) by a product; at nmax 2 the pairing needs none
             power_sums_exact(7, 4)
 
     def test_broken_congruence_fails_identities(self, monkeypatch):
