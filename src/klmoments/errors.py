@@ -45,8 +45,9 @@ class PrimeTooLarge(KlmomentsError):
 
 class InputTooLarge(KlmomentsError):
     """Input above the ceiling of the module that does the work
-    (modforms.ETA_TERMS_CEILING, invariants.DIMS_CEILING,
-    invariants.MOLIEN_CEILING): the run would not fit in memory or time."""
+    (modforms.ETA_TERMS_CEILING, modforms.ETA_DIGITS_BUDGET,
+    invariants.DIMS_CEILING, invariants.MOLIEN_CEILING): the run would not
+    fit in memory or time."""
 
 
 class AmbiguousRounding(KlmomentsError):

@@ -495,7 +495,7 @@ def batch_report(
     kwargs = {}
     # Degrees 5 and 8 have registry forms too, compared in the tests: their
     # registry_match rows reach stdout with the report's schema 2 (ROADMAP
-    # item 5), so that stdout changes once, on purpose.
+    # item 6), so that stdout changes once, on purpose.
     if d == 6 and primes:
         form, series = REGISTRY[6], registry_expansion(6, max(primes))
         report = hecke_validate(series, form.weight, form.level, HECKE_BOUND, form.character)

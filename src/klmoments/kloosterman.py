@@ -47,7 +47,8 @@ def kl2_counts(p: int, a: int) -> ExponentCounts:
     """Exponent distribution of the 2-variable sum, in p - 1 steps.
 
     counts[t] = #{x in F_p^* : x + a * x^-1 = t}. Both routes count here:
-    the exact one takes value(), the float one encloses the counts.
+    the exact one takes the Legendre vector counts - 1, the float one
+    encloses the counts.
     """
     p = Prime(p)
     a %= p

@@ -14,7 +14,7 @@ it, with the form's weight, level and character.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd, isqrt, log, pi, sqrt
 from typing import TYPE_CHECKING
 
 from . import convolve
@@ -121,26 +121,28 @@ class QSeries:
         )[:keep]
         return QSeries(lead, prod, trunc)
 
-    def inverse(self) -> "QSeries":
-        """Multiplicative inverse; requires unit leading coefficient."""
-        if not self.coeffs or self.coeffs[0] not in (1, -1):
-            raise ValueError("inverse needs leading coefficient +-1")
-        u = self.coeffs[0]
-        n = self.trunc - self.lead + 1
-        inv = [0] * n
-        inv[0] = u
-        for k in range(1, n):
-            acc = 0
-            for j in range(1, min(k, len(self.coeffs) - 1) + 1):
-                acc += self.coeffs[j] * inv[k - j]
-            inv[k] = -u * acc
-        return QSeries(-self.lead, inv, self.trunc - 2 * self.lead)
-
     def __pow__(self, e: int) -> "QSeries":
+        """self**e. For e >= 0, square and multiply: the truncation is
+        trunc + (e - 1) * lead either way, as for e - 1 successive products.
+
+        For e < 0, which needs leading coefficient +-1, J. C. P. Miller's
+        recurrence (Knuth, TAOCP vol. 2, 4.7): g = f**e satisfies
+        k f_0 g_k = sum_{j=1..k} ((e + 1) j - k) f_j g_(k-j), one pass over
+        the nonzero f_j per coefficient, and f_0 = +-1 leaves an exact
+        division by k. It equals -e products of the inverse, down to the
+        truncation trunc - (1 - e) * lead.
+        """
         if e < 0:
-            return self.inverse() ** (-e)
-        # square and multiply; the truncation is trunc + (e - 1) * lead
-        # either way, as for e - 1 successive products
+            if not self.coeffs or self.coeffs[0] not in (1, -1):
+                raise ValueError("a negative power needs leading coefficient +-1")
+            u, n = self.coeffs[0], self.trunc - self.lead + 1
+            # the j-th term is (a_j - k f_j) g_(k-j), with a_j = (e + 1) j f_j
+            terms = [(j, (e + 1) * j * c, c) for j, c in enumerate(self.coeffs[1:n], 1) if c]
+            g = [u if e % 2 else 1]
+            for k in range(1, n):
+                acc = sum((a - k * c) * g[k - j] for j, a, c in terms if j <= k)
+                g.append(u * acc // k)
+            return QSeries(e * self.lead, g, self.trunc - (1 - e) * self.lead)
         out = None
         base = self
         while e:
@@ -156,6 +158,19 @@ class QSeries:
 # JSON: VmHWM 28.6 MB at 3*10^4 terms, 59.8 MB at 10^5), so expansions that
 # would need about 1 GiB are refused.
 ETA_TERMS_CEILING = 2**30 // 460
+# A negative exponent makes the coefficients grow like exp(sqrt(n)). With
+# K = sum |e|, the coefficient of q^n is at most exp(pi sqrt(2Kn/3)), so it
+# has at most 1 + pi sqrt(2Kn/3) / ln 10 digits. Proof: (1 - x)^e is
+# dominated termwise by (1 - x)^-|e|, so the unit part is dominated by
+# prod_k (1 - q^k)^-K (eta(d t) for d > 1 takes a subproduct), whose
+# coefficients p_K(n) satisfy p_K(n) x^n <= exp(K pi^2 x / (6 (1 - x))) for
+# 0 < x < 1, since x^m / (1 - x^m) <= x / (m (1 - x)); take
+# x = exp(-pi sqrt(K / 6n)). For K = 1 it is the classical bound on p(n)
+# (Apostol, Introduction to Analytic Number Theory, ch. 14). Peak memory
+# takes about 6 bytes per digit of the bound summed over n <= rel (1:-24 as
+# JSON: VmHWM 73 MB at 2*10^4 terms, 10.3*10^6 digits; 314 MB at 6*10^4
+# terms, 53.5*10^6 digits), so outputs that would need about 1 GiB are refused.
+ETA_DIGITS_BUDGET = 2**30 // 6
 
 
 class EtaQuotient:
@@ -221,6 +236,15 @@ def eta_quotient_series(eq: EtaQuotient, terms: int) -> QSeries:
         )
     if rel < 0:
         return QSeries(0, [], terms)
+    if any(e < 0 for _, e in eq.factors):
+        # the digits of ETA_DIGITS_BUDGET's bound, with sum_{n <= rel} sqrt(n)
+        # at most (2/3) (rel + 1)^(3/2)
+        k = sum(abs(e) for _, e in eq.factors)
+        digits = int(rel + 1 + pi * sqrt(2 * k / 3) / log(10) * 2 / 3 * (rel + 1) ** 1.5) + 1
+        if digits > ETA_DIGITS_BUDGET:
+            raise InputTooLarge(
+                f"up to {digits} digits are above the eta digit budget {ETA_DIGITS_BUDGET}"
+            )
     unit_parts = QSeries(0, [1], rel)
     for div, e in eq.factors:
         # prod_n (1 - q^(div n))^e = f^e(q^div) for the Euler product f:

@@ -301,7 +301,7 @@ class TestInputCeilings:
 
         monkeypatch.setattr(modforms, "eta_unit_series", started)
         monkeypatch.setattr(invariants, "dim_m_middle", started)
-        monkeypatch.setattr(invariants, "RationalSeries", started)
+        monkeypatch.setattr(invariants, "QSeries", started)
 
     @pytest.mark.parametrize("argv, message", [
         (("eta", "--quotient", "1:24", "--terms", "1000000000"),
@@ -309,13 +309,17 @@ class TestInputCeilings:
         # a lead of q^-10^7 needs 10^7 + 5 terms for --terms 5
         (("eta", "--quotient", "1:-240000000", "--terms", "5"),
          "10000005 terms are above the eta term ceiling 2334221"),
+        # 10^6 + 5 terms pass the term ceiling, but exp(pi sqrt(2 K n / 3))
+        # with K = 24*10^6 does not fit the digit budget
+        (("eta", "--quotient", "1:-24000000", "--terms", "5"),
+         "up to 3638370688666 digits are above the eta digit budget 178956970"),
         (("dims", "--dmax", "100000000"),
          "dmax = 100000000 is above the dims ceiling 766958"),
         (("molien", "--dmax", "1000000000"),
          "dmax = 1000000000 is above the Molien ceiling 1000000"),
         (("molien", "--dmax", "1000000000", "--kind", "frob"),
          "dmax = 1000000000 is above the Molien ceiling 1000000"),
-    ], ids=["eta", "eta-lead", "dims", "molien-dim", "molien-frob"])
+    ], ids=["eta", "eta-lead", "eta-digits", "dims", "molien-dim", "molien-frob"])
     def test_refused_before_any_allocation(self, capsys, argv, message):
         tracemalloc.start()
         try:
@@ -330,8 +334,11 @@ class TestInputCeilings:
     def test_each_ceiling_itself_is_allowed(self):
         # the work starts at the ceiling and is refused one above it
         eta24 = modforms.EtaQuotient(((1, 24),))
+        eta_minus24 = modforms.EtaQuotient(((1, -24),))
         cases = [
             (lambda n: modforms.eta_quotient_series(eta24, n), modforms.ETA_TERMS_CEILING),
+            # the most terms of eta^-24 that the digit budget admits
+            (lambda n: modforms.eta_quotient_series(eta_minus24, n), 134_175),
             (invariants.dims_table, invariants.DIMS_CEILING),
             (invariants.molien_dim_series, invariants.MOLIEN_CEILING),
             (invariants.molien_frob_series, invariants.MOLIEN_CEILING),
@@ -383,10 +390,16 @@ def sweep(*argv):
     return [code, [m for m in lazy + deferred if m in sys.modules]]
 exact = sweep("--d", "6", "--pmin", "2", "--pmax", "31", "--format", "json")
 float_route = sweep("--d", "5", "--pmin", "258", "--pmax", "270")
-with contextlib.redirect_stdout(io.StringIO()):
-    code = klmoments.cli.main(["dims", "--dmax", "8"])
-dims = [code, [m for m in ("dataclasses", "inspect") if m in sys.modules]]
-print(json.dumps([after_import, exact, float_route, dims]))
+def command(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = klmoments.cli.main(list(argv))
+    return [code, [m for m in ("dataclasses", "inspect", "fractions", "decimal") if m in sys.modules]]
+others = [
+    command("dims", "--dmax", "8"),
+    command("det", "--d", "5", "--p", "7"),
+    command("molien", "--dmax", "8"),
+]
+print(json.dumps([after_import, exact, float_route, others]))
 """
 
 # Every public name of the package, by the module that defines it; the
@@ -427,7 +440,8 @@ class TestStartup:
         # --jobs 1 JSON sweep and a float sweep (263 and 269 lie above the
         # exact limit; its root tables are seeded from integer series) load
         # none of those either; nor does any command, dims included, load
-        # dataclasses or inspect
+        # dataclasses or inspect; and dims, det and molien, whose series are
+        # integer QSeries, load neither fractions nor decimal
         src = Path(cli.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
         env.pop("KLMOMENTS_CACHE_DIR", None)
@@ -435,7 +449,7 @@ class TestStartup:
             [sys.executable, "-c", STARTUP_PROBE],
             env=env, capture_output=True, text=True, check=True,
         )
-        assert json.loads(done.stdout) == [[[], []], [0, []], [0, []], [0, []]]
+        assert json.loads(done.stdout) == [[[], []], [0, []], [0, []], [[0, []]] * 3]
 
     def test_public_names_resolve_to_their_modules(self):
         expected = sorted([*PUBLIC_NAMES, *(n for ns in PUBLIC_NAMES.values() for n in ns)])

@@ -5,7 +5,6 @@ from klmoments.ffprime import jacobi_symbol, primes_in_range
 from klmoments.invariants import (
     GOOD,
     DetCharacterReport,
-    RationalSeries,
     det_character_check,
     dim_m_middle,
     dim_m_shriek,
@@ -151,16 +150,6 @@ class TestLocalInvariants:
                 ), (d, p)
 
 
-class TestRationalSeries:
-    def test_geometric(self):
-        s = RationalSeries([1], [1, -1])
-        assert s.coefficients(5) == [1, 1, 1, 1, 1, 1]
-
-    def test_zero_constant_term_rejected(self):
-        with pytest.raises(ValueError):
-            RationalSeries([1], [0, 1])
-
-
 class TestMolien:
     def test_dim_examples(self):
         series = molien_dim_series(12)
@@ -183,6 +172,13 @@ class TestMolien:
         series = molien_frob_series(200)
         for d in range(201):
             assert series[d] == molien_frob_closed_form(d), d
+
+    @pytest.mark.parametrize("series, closed_form", [
+        (molien_dim_series, molien_dim_closed_form),
+        (molien_frob_series, molien_frob_closed_form),
+    ], ids=["dim", "frob"])
+    def test_matches_closed_form_to_10000(self, series, closed_form):
+        assert series(10_000) == [closed_form(d) for d in range(10_001)]
 
 
 class TestFuwanDet:

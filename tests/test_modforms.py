@@ -60,15 +60,18 @@ class TestQSeries:
         b = QSeries(2, [1], 9)
         assert (a * b).trunc == min(5 + 2, 9 + 1)
 
+    def test_geometric(self):
+        assert QSeries(0, [1, -1], 5) ** -1 == QSeries(0, [1] * 6, 5)
+
     def test_inverse_round_trip(self):
         s = eta_unit_series(40)
-        product = s * s.inverse()
+        product = s * s**-1
         assert product.coefficient(0) == 1
         assert all(product.coefficient(e) == 0 for e in range(1, product.trunc + 1))
 
     def test_inverse_needs_unit(self):
         with pytest.raises(ValueError):
-            QSeries(0, [2, 1], 5).inverse()
+            QSeries(0, [2, 1], 5) ** -1
 
     def test_negative_power(self):
         s = eta_unit_series(30)
@@ -87,12 +90,37 @@ class TestQSeries:
             repeated = repeated * s
 
     def test_negative_power_equals_repeated_inverse(self):
+        # truncation included: trunc(s**-e) = trunc - (e + 1) * lead
         s = QSeries(1, [1, -2, 0, 3], 15)
-        inverse = s.inverse()
+        inverse = s**-1
+        assert (inverse.lead, inverse.trunc) == (-1, 13)
         repeated = inverse
         for e in range(1, 8):
             assert self._parts(s**-e) == self._parts(repeated)
             repeated = repeated * inverse
+
+    @staticmethod
+    def _dense_inverse(s):
+        # the textbook recurrence over every index: inv_k = -u sum_j s_j inv_(k-j)
+        u, c = s.coeffs[0], s.coeffs
+        inv = [u]
+        for k in range(1, s.trunc - s.lead + 1):
+            inv.append(-u * sum(c[j] * inv[k - j] for j in range(1, min(k, len(c) - 1) + 1)))
+        return QSeries(-s.lead, inv, s.trunc - 2 * s.lead)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_negative_power_equals_dense_repeated_inverse(self, data):
+        lead = data.draw(st.integers(min_value=-4, max_value=4))
+        unit = data.draw(st.sampled_from([1, -1]))
+        rest = data.draw(st.lists(st.integers(min_value=-9, max_value=9), max_size=12))
+        s = QSeries(lead, [unit, *rest], lead + data.draw(st.integers(min_value=0, max_value=30)))
+        e = data.draw(st.integers(min_value=1, max_value=6))
+        inverse = self._dense_inverse(s)
+        repeated = inverse
+        for _ in range(e - 1):
+            repeated = repeated * inverse
+        assert self._parts(s**-e) == self._parts(repeated)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
