@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 # submodules are public names too.
 _EXPORTS = {
     "convolve": (),
-    "cyclotomic": ("CycInt", "as_integer"),
+    "cyclotomic": (),
     "errors": ("KlmomentsError",),
     "evans": (
         "EvansReport",
@@ -36,7 +36,7 @@ _EXPORTS = {
         "molien_frob_series",
         "swan_sym",
     ),
-    "kloosterman": ("kl2_counts", "kl2_value"),
+    "kloosterman": ("kl2_counts",),
     "modforms": (
         "EtaQuotient",
         "QSeries",

@@ -15,8 +15,9 @@ by strided byte copies; wider ones through int.to_bytes per entry.
 This is the one convolution kernel, and the only module that packs. It
 has two entry points. convolve_exact (and cyclic_convolve on top of it)
 takes the bound of _product_bound for each product, unpacks all the
-linear slots and folds a cyclic result as a list: CycInt products, the
-float route's correlations and the q-series products go through it.
+linear slots and folds a cyclic result as a list: the per-a products of
+moments.sym_moment_direct, the float route's correlations and the
+q-series products go through it (and CycInt's, which only tests form).
 cyclic_powers forms a whole chain of cyclic powers at one width from a
 bound the caller proves, and folds each product as a packed integer
 modulo 2**(8 w n) - 1: the exact power sums go through it.

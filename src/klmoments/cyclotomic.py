@@ -1,4 +1,7 @@
-"""Exact arithmetic in Z[zeta_p] for prime p.
+"""Exact arithmetic in Z[zeta_p] for prime p, and certified enclosures.
+
+The library computes only with enclose_sum. CycInt stays as the tests' ring
+oracle, and because perfbench's tracer names CycInt.__mul__ and __add__.
 
 An element is stored as an integer coefficient vector of length p against
 the spanning set 1, zeta, ..., zeta^(p-1). That set is linearly dependent
@@ -79,16 +82,6 @@ class CycInt:
     def __add__(self, other: "CycInt") -> "CycInt":
         self._check(other)
         return CycInt(self.p, tuple(map(add, self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "CycInt") -> "CycInt":
-        self._check(other)
-        return CycInt(self.p, tuple(map(sub, self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "CycInt":
-        return CycInt(self.p, tuple(-a for a in self.coeffs))
-
-    def scale(self, k: int) -> "CycInt":
-        return CycInt(self.p, tuple(k * a for a in self.coeffs))
 
     def __mul__(self, other: "CycInt") -> "CycInt":
         self._check(other)

@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING
 
 from .errors import (
     DivisibilityFailure,
+    InputTooLarge,
     KlmomentsError,
     PrimeTooLarge,
     RangeFailure,
@@ -48,12 +49,14 @@ from .moments import (
     METHOD_FLOAT,
     PRIME_CEILING,
     RESTRICTED,
+    TABLE_CEILING,
     MomentValue,
     PowerSumTable,
     _check_agreement,
     power_sums_exact,
     power_sums_float_auto,
     sym_moment_girard,
+    table_size,
 )
 
 if TYPE_CHECKING:
@@ -119,7 +122,8 @@ class MomentEngine:
     Power-sum tables are memoized per prime (and optionally persisted
     through `store`), since one sweep touches many degrees of the same
     prime. An exact_limit below 3 raises ValueError on construction; a
-    prime above PRIME_CEILING raises PrimeTooLarge before any table is built.
+    prime above PRIME_CEILING raises PrimeTooLarge, and a table above
+    TABLE_CEILING (table_size) InputTooLarge, before any table is built.
     """
 
     def __init__(self, exact_limit: int = DEFAULT_EXACT_LIMIT, store: object | None = None):
@@ -152,6 +156,10 @@ class MomentEngine:
         """
         if p > PRIME_CEILING:
             raise PrimeTooLarge(f"p = {p} is above the prime ceiling {PRIME_CEILING}")
+        size = table_size(p, nmax, method)
+        if size > TABLE_CEILING:
+            raise InputTooLarge(f"nmax = {nmax} at p = {p} sizes the {method} table "
+                                f"at {size}, above the table ceiling {TABLE_CEILING}")
         if method == METHOD_EXACT:
             def compute():
                 return power_sums_exact(p, nmax, RESTRICTED, self.exact_limit)

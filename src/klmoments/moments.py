@@ -25,7 +25,8 @@ girard       m^d = (-1)**d * sum_k (-1)**k C(d-k, k) p**k S_{d-2k}
              (restricted sums, S_0 := p - 1), the two-variable Newton/
              Girard conversion using alpha + beta = -Kl_2, alpha*beta = p.
 direct       per-a recurrence h_j = s*h_{j-1} - p*h_{j-2} in Z[zeta_p]
-             with s = -Kl_2(p; a), summed over a.
+             with s = -Kl_2(p; a), summed over a, on coefficient vectors
+             (cyclic_convolve, shared with neither power-sum route).
 appendix8    the fixed degree-8 polynomial in completed sums
              S'_8 - 7p S'_6 + 15p^2 S'_4 - 10p^3 S'_2
              + p^5 - p^4 + 10p^3 - 15p^2 + 7p - 1,
@@ -35,11 +36,11 @@ appendix8    the fixed degree-8 polynomial in completed sums
 from __future__ import annotations
 
 from math import comb, gcd, isqrt
-from operator import mul
+from operator import add, mul
 from typing import Iterable
 
-from .convolve import cyclic_powers
-from .cyclotomic import CycInt, as_integer, enclose_sum
+from .convolve import cyclic_convolve, cyclic_powers
+from .cyclotomic import enclose_sum
 from .errors import (
     AmbiguousRounding,
     CacheMismatch,
@@ -57,6 +58,9 @@ DEFAULT_EXACT_LIMIT = 257
 # float route; 37 MB by the exact one), so the engine refuses primes whose
 # tables would need about 1 GiB.
 PRIME_CEILING = 2**30 // 350
+# Below it, nmax sizes a table too: table_size grows like p nmax^3 log p; the
+# float route at p = 3 peaked at 950 MB for 1.72e10 of it, so about 1 GiB here.
+TABLE_CEILING = 17 * 2**30
 
 RESTRICTED = "restricted"
 COMPLETED = "completed"
@@ -206,7 +210,7 @@ def power_sums_exact(
     bound = isqrt((4 * p) ** h)
     traces = [0] * (nmax + 1)
     for r in reps:
-        v = [c - 1 for c in kl2_counts(p, r).counts]
+        v = [c - 1 for c in kl2_counts(p, r)]
         powers = [None, *cyclic_powers(v, h, bound)]
         for n in range(1, h + 1):
             traces[n] += p * powers[n][0] - (-1) ** n
@@ -221,6 +225,18 @@ def power_sums_exact(
     if convention == COMPLETED:
         values = {n: v + (-1) ** n for n, v in values.items()}
     return PowerSumTable(p, convention, values, METHOD_EXACT)
+
+
+def table_size(p: int, nmax: int, method: str) -> int:
+    """p * nmax**2 * w, which TABLE_CEILING bounds; w bounds, by bit lengths
+    alone, the exact route's slot width isqrt((4p)**ceil(nmax/2)) (Weil's
+    bound) or the float route's float_precision(p, nmax)."""
+    if method == METHOD_EXACT:
+        w = ((nmax + 1) // 2 * (4 * p).bit_length() + 1) // 2
+    else:
+        c = isqrt(4 * p) + 3
+        w = max((p - 1).bit_length(), (2 * nmax).bit_length() + (nmax - 1) * c.bit_length())
+    return p * nmax * nmax * w
 
 
 def completed_congruence_class(n: int, p: int) -> int:
@@ -279,7 +295,7 @@ def power_sums_float(p: int, nmax: int, precision: int) -> PowerSumTable:
         (
             interval
             for r in _orbit_representatives(p)
-            for interval in enclose_sum(kl2_counts(p, r).counts, precision)
+            for interval in enclose_sum(kl2_counts(p, r), precision)
         ),
         nmax,
     )
@@ -365,7 +381,10 @@ def sym_moment_direct(
     """m^d_2(p) by the per-a eigenvalue recurrence, as an independent oracle.
 
     With s = alpha + beta = -Kl_2(p; a) and alpha*beta = p, the complete
-    homogeneous traces satisfy h_j = s*h_{j-1} - p*h_{j-2}, h_0 = 1.
+    homogeneous traces satisfy h_j = s*h_{j-1} - p*h_{j-2}, h_0 = 1, on
+    coefficient vectors (s = -counts): each h_j less its entry 0 times the
+    all-ones vector, which is 0 in Z[zeta_p], keeps the products narrow.
+    Entries 1..p-1 of the sum over a must be equal (IdentityFailure).
     """
     p = Prime(p)
     if p > exact_limit:
@@ -374,15 +393,17 @@ def sym_moment_direct(
         raise ValueError("d must be >= 0")
     if d == 0:
         return MomentValue(p, 0, p - 1, "direct-recurrence")
-    total = CycInt.zero(p)
+    total = [0] * p
     for a in range(1, p):
-        s = -kl2_counts(p, a).value()
-        h_prev = CycInt.from_integer(p, 1)
-        h = s
+        s = [-c for c in kl2_counts(p, a)]
+        h_prev, h = [1] + [0] * (p - 1), s
         for _ in range(d - 1):
-            h_prev, h = h, s * h - h_prev.scale(p)
-        total = total + h
-    return MomentValue(p, d, as_integer(total), "direct-recurrence")
+            step = [x - p * y for x, y in zip(cyclic_convolve(s, h), h_prev)]
+            h_prev, h = h, [x - step[0] for x in step]
+        total = list(map(add, total, h))
+    if any(c != total[1] for c in total[2:]):
+        raise IdentityFailure(f"m^{d}_2({p}): the sum over a is not rational")
+    return MomentValue(p, d, total[0] - total[1], "direct-recurrence")
 
 
 def sym_moment_appendix8(p: int, table: PowerSumTable) -> MomentValue:

@@ -12,7 +12,7 @@ from klmoments import cli, evans, invariants, modforms
 from klmoments.cache import PowerSumStore
 from klmoments.cli import main
 from klmoments.errors import InputTooLarge
-from klmoments.moments import DEFAULT_EXACT_LIMIT, METHOD_FLOAT, PowerSumTable
+from klmoments.moments import DEFAULT_EXACT_LIMIT, METHOD_EXACT, METHOD_FLOAT, PowerSumTable
 
 GOLDEN = Path(__file__).parent / "data" / "golden_dims.txt"
 
@@ -302,6 +302,8 @@ class TestInputCeilings:
         monkeypatch.setattr(modforms, "eta_unit_series", started)
         monkeypatch.setattr(invariants, "dim_m_middle", started)
         monkeypatch.setattr(invariants, "QSeries", started)
+        monkeypatch.setattr(evans, "power_sums_exact", started)
+        monkeypatch.setattr(evans, "power_sums_float_auto", started)
 
     @pytest.mark.parametrize("argv, message", [
         (("eta", "--quotient", "1:24", "--terms", "1000000000"),
@@ -319,7 +321,20 @@ class TestInputCeilings:
          "dmax = 1000000000 is above the Molien ceiling 1000000"),
         (("molien", "--dmax", "1000000000", "--kind", "frob"),
          "dmax = 1000000000 is above the Molien ceiling 1000000"),
-    ], ids=["eta", "eta-lead", "eta-digits", "dims", "molien-dim", "molien-frob"])
+        (("sums", "--p", "257", "--nmax", "20000", "--no-cache"),
+         "nmax = 20000 at p = 257 sizes the exact-cyclotomic table at "
+         "5654000000000000, above the table ceiling 18253611008"),
+        (("moments", "--p", "101", "--d", "3000", "--no-cache"),
+         "nmax = 3000 at p = 101 sizes the exact-cyclotomic table at "
+         "6135750000000, above the table ceiling 18253611008"),
+        (("trace", "--d", "3000", "--p", "101", "--no-cache"),
+         "nmax = 3000 at p = 101 sizes the exact-cyclotomic table at "
+         "6135750000000, above the table ceiling 18253611008"),
+        (("sums", "--p", "3", "--nmax", "100000", "--method", "float", "--no-cache"),
+         "nmax = 100000 at p = 3 sizes the float-congruence table at "
+         "9000450000000000, above the table ceiling 18253611008"),
+    ], ids=["eta", "eta-lead", "eta-digits", "dims", "molien-dim", "molien-frob",
+            "sums-nmax", "moments-d", "trace-d", "sums-float"])
     def test_refused_before_any_allocation(self, capsys, argv, message):
         tracemalloc.start()
         try:
@@ -342,6 +357,10 @@ class TestInputCeilings:
             (invariants.dims_table, invariants.DIMS_CEILING),
             (invariants.molien_dim_series, invariants.MOLIEN_CEILING),
             (invariants.molien_frob_series, invariants.MOLIEN_CEILING),
+            # the largest nmax of each route at the largest prime below the
+            # prime ceiling, 3067829
+            (lambda n: evans.MomentEngine().lookup(3067829, n, METHOD_FLOAT), 8),
+            (lambda n: evans.MomentEngine().lookup(3067829, n, METHOD_EXACT), 9),
         ]
         for work, ceiling in cases:
             with pytest.raises(AssertionError, match="started"):
@@ -405,7 +424,7 @@ print(json.dumps([after_import, exact, float_route, others]))
 # Every public name of the package, by the module that defines it; the
 # submodules themselves are public names too.
 PUBLIC_NAMES = {
-    "cyclotomic": ["CycInt", "as_integer"],
+    "cyclotomic": [],
     "errors": ["KlmomentsError"],
     "evans": [
         "EvansReport", "MomentEngine", "batch_report", "evans_d5", "evans_d6",
@@ -417,7 +436,7 @@ PUBLIC_NAMES = {
         "fuwan_det", "local_inv_inf", "molien_dim_series", "molien_frob_series",
         "swan_sym",
     ],
-    "kloosterman": ["kl2_counts", "kl2_value"],
+    "kloosterman": ["kl2_counts"],
     "modforms": [
         "EtaQuotient", "QSeries", "eta_quotient_series", "eta_unit_series",
         "hecke_validate", "prime_coefficients",
@@ -453,12 +472,13 @@ class TestStartup:
 
     def test_public_names_resolve_to_their_modules(self):
         expected = sorted([*PUBLIC_NAMES, *(n for ns in PUBLIC_NAMES.values() for n in ns)])
-        assert len(expected) == 50
+        assert len(expected) == 47
         assert sorted(klmoments.__all__) == expected
         for module_name, names in PUBLIC_NAMES.items():
             module = getattr(klmoments, module_name)
             assert module is sys.modules[f"klmoments.{module_name}"]
             for name in names:
                 assert getattr(klmoments, name) is getattr(module, name)
-        with pytest.raises(AttributeError):
-            klmoments.no_such_name
+        for name in ("no_such_name", "CycInt", "as_integer", "kl2_value"):
+            with pytest.raises(AttributeError):
+                getattr(klmoments, name)

@@ -268,11 +268,11 @@ class TestEncloseSum:
         g = primitive_root(p)
         r = g if non_residue else 1
         cos_iv, _ = unit_root_intervals(p, precision)
-        orbit = enclose_sum(kl2_counts(p, r).counts, precision)
+        orbit = enclose_sum(kl2_counts(p, r), precision)
         assert len(orbit) == (p - 1) // math.gcd(2, p - 1)
         for i, enclosure in enumerate(orbit):
             a = pow(g, 2 * i, p) * r % p
-            assert enclosure == naive_enclosure(kl2_counts(p, a).counts, cos_iv), (p, a)
+            assert enclosure == naive_enclosure(kl2_counts(p, a), cos_iv), (p, a)
 
     def test_any_non_negative_counts(self):
         # entry i encloses sum_t c_t cos(2 pi g^i t / p) for every i below

@@ -157,21 +157,11 @@ class TestMolien:
         assert series[2] == 0
         assert series[12] == 2
 
-    def test_dim_matches_closed_form_to_200(self):
-        series = molien_dim_series(200)
-        for d in range(201):
-            assert series[d] == molien_dim_closed_form(d), d
-
     def test_frob_examples(self):
         series = molien_frob_series(8)
         assert series[0] == 1
         assert series[6] == -1
         assert series[4] == 0
-
-    def test_frob_matches_pattern_to_200(self):
-        series = molien_frob_series(200)
-        for d in range(201):
-            assert series[d] == molien_frob_closed_form(d), d
 
     @pytest.mark.parametrize("series, closed_form", [
         (molien_dim_series, molien_dim_closed_form),

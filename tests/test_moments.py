@@ -13,7 +13,7 @@ from klmoments.errors import (
 )
 from klmoments.evans import MomentEngine
 from klmoments.ffprime import primes_in_range
-from klmoments.kloosterman import ExponentCounts, kl2_counts
+from klmoments.kloosterman import kl2_counts
 from klmoments.moments import (
     COMPLETED,
     RESTRICTED,
@@ -36,7 +36,7 @@ def power_sums_per_a(p, nmax):
     """
     totals = [CycInt.zero(p) for _ in range(nmax + 1)]
     for a in range(1, p):
-        base = kl2_counts(p, a).value()
+        base = CycInt.from_coeffs(p, kl2_counts(p, a))
         cum = base
         totals[1] = totals[1] + cum
         for n in range(2, nmax + 1):
@@ -81,7 +81,7 @@ class TestGaloisOrbits:
         # Legendre vector of the real counts, is within (4p)^(k/2)
         for p in primes_in_range(2, 300):
             for r in moments._orbit_representatives(p):
-                v = [c - 1 for c in kl2_counts(p, r).counts]
+                v = [c - 1 for c in kl2_counts(p, r)]
                 power = v
                 for k in range(1, 8):
                     assert max(x * x for x in power) <= (4 * p) ** k, (p, r, k)
@@ -111,11 +111,11 @@ class TestGaloisOrbits:
         # moving one unit of the non-residue's count from exponent 0 to
         # exponent 1 shifts its trace by -p, so the orbit traces sum odd
         def corrupted(q, a):
-            counts = list(kl2_counts(q, a).counts)
+            counts = list(kl2_counts(q, a))
             if a != 1:
                 counts[0] -= 1
                 counts[1] += 1
-            return ExponentCounts(q, a, tuple(counts))
+            return tuple(counts)
 
         monkeypatch.setattr(moments, "kl2_counts", corrupted)
         with pytest.raises(IdentityFailure, match="not a multiple of 2"):
@@ -199,7 +199,7 @@ class TestPowerSumsExact:
             for k in range(2, p):
                 totals = {n: CycInt.zero(p) for n in range(1, 6)}
                 for a in range(1, p):
-                    kl = kl2_counts(p, a).value().galois(k)
+                    kl = CycInt.from_coeffs(p, kl2_counts(p, a)).galois(k)
                     cum = kl
                     totals[1] = totals[1] + cum
                     for n in range(2, 6):
@@ -285,7 +285,7 @@ class TestPowerSumsFloat:
         # integer stand-ins for Kl_2(5; a) whose completed sums meet the
         # mod-25 congruence, with S_1 = 1 but S_2 = 69 instead of 19; with
         # g = 2 the orbit of 1 is a = 1, 4 and the orbit of 2 is a = 2, 3
-        fake = {kl2_counts(5, 1).counts: [7, 0], kl2_counts(5, 2).counts: [-4, -2]}
+        fake = {kl2_counts(5, 1): [7, 0], kl2_counts(5, 2): [-4, -2]}
         monkeypatch.setattr(
             moments, "enclose_sum",
             lambda counts, precision: [(v << precision,) * 2 for v in fake[counts]],
@@ -340,6 +340,31 @@ class TestDirectRecurrence:
     def test_exact_limit(self):
         with pytest.raises(ExactLimitExceeded):
             sym_moment_direct(263, 2)
+
+    @settings(max_examples=10, deadline=None)
+    @given(p=st.sampled_from(primes_in_range(2, 300)), d=st.integers(0, 12))
+    def test_agrees_with_girard_to_300(self, p, d):
+        # beyond acceptance 03's grid (p <= 97, d <= 8)
+        table = power_sums_exact(p, max(d, 1), exact_limit=p)
+        assert (
+            sym_moment_direct(p, d, exact_limit=p).value
+            == sym_moment_girard(p, d, table).value
+        )
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_unstable_sum_fails_rationality(self, monkeypatch, d):
+        # one unit of Kl_2(7; 3)'s count moved from exponent 1 to 2: that
+        # term is no conjugate of the others, so the sum over a is irrational
+        def corrupted(q, a):
+            counts = list(kl2_counts(q, a))
+            if a == 3:
+                counts[1] -= 1
+                counts[2] += 1
+            return tuple(counts)
+
+        monkeypatch.setattr(moments, "kl2_counts", corrupted)
+        with pytest.raises(IdentityFailure, match=r"m\^\d_2\(7\).*not rational"):
+            sym_moment_direct(7, d)
 
 
 class TestAppendix8:
