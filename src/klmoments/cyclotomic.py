@@ -183,8 +183,8 @@ def _cos_sin_seed(p: int, w: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-def unit_root_intervals(p: int, precision: int):
-    """Interval enclosures of cos and sin of 2*pi*t/p for t = 0..p-1.
+def unit_root_intervals(p: int, precision: int) -> list[tuple[int, int]]:
+    """Interval enclosures of cos(2*pi*t/p) for t = 0..p//2.
 
     Each endpoint is an int at scale 2**-precision. Integer series for pi,
     cos and sin of 2*pi/p at scale 2**-(g + 8), with g = precision +
@@ -223,21 +223,19 @@ def unit_root_intervals(p: int, precision: int):
         r_(t+1) = ceil(E / 2**g) + 2
     bounds |z_(t+1) - w_(t+1)|, and so each component's error. The pair at
     t >= 2 is floor((x - r) / 2**(g - precision)) and
-    ceil((x + r) / 2**(g - precision)) for each component x of z_t. The
+    ceil((x + r) / 2**(g - precision)) for the real part x of z_t. The
     seed is 8 bits finer than its scale, so r_1 is a few units and the
     radius grows by at most r_1 + 3 per step: r_t stays below
     2**(p.bit_length() + 3) for t <= p/2, and 2 r_t < 2**(g - precision),
     so every pair is at most 2 units wide.
 
-    Only t <= p/2 is evaluated; t > p/2 follows exactly from
-    cos(2*pi*(p-t)/p) = cos(2*pi*t/p) and sin(2*pi*(p-t)/p) = -sin(2*pi*t/p).
+    cos is even, so only t <= p/2 is kept.
     """
     g = precision + p.bit_length() + 16
     seed = _cos_sin_seed(p, g + 8)
     cut = g + 8 - precision
-    c1, s1 = ((lo >> cut, -(-hi >> cut)) for lo, hi in seed)
-    cos_iv = [(1 << precision, 1 << precision), c1]
-    sin_iv = [(0, 0), s1]
+    (c_lo, c_hi), _ = seed
+    cos_iv = [(1 << precision, 1 << precision), (c_lo >> cut, -(-c_hi >> cut))]
     (x_lo, x_hi), (y_lo, y_hi) = ((lo >> 8, -(-hi >> 8)) for lo, hi in seed)
     x1, y1 = (x_lo + x_hi) >> 1, (y_lo + y_hi) >> 1
     r1 = (x_hi - x1) + (y_hi - y1)
@@ -247,12 +245,7 @@ def unit_root_intervals(p: int, precision: int):
         x, y = (x * x1 - y * y1) >> g, (x * y1 + y * x1) >> g
         r = -(-((one + r) * r1 + (one + r1) * r + r * r1) >> g) + 2
         cos_iv.append(((x - r) >> drop, -(-(x + r) >> drop)))
-        sin_iv.append(((y - r) >> drop, -(-(y + r) >> drop)))
-    for t in range(p // 2 + 1, p):
-        cos_iv.append(cos_iv[p - t])
-        lo, hi = sin_iv[p - t]
-        sin_iv.append((-hi, -lo))
-    return cos_iv, sin_iv
+    return cos_iv
 
 
 @lru_cache(maxsize=1)  # both orbit representatives of one prime
@@ -262,17 +255,18 @@ def _cached_roots(p: int, precision: int) -> tuple[tuple[int, ...], ...]:
     Returns g**j mod p for j < p - 1 with g = primitive_root(p), the lo
     endpoints Q_m of cos(2*pi*g**m/p) for m below the orbit length
     L = (p - 1) / gcd(2, p - 1), and their widths hi - lo (0 to 2 units).
-    Q has period L: at odd p, g**(m+L) = -g**m, and the table's second
-    half mirrors the first exactly.
+    The table holds t <= p/2 only, so cos(2*pi*t/p) is read at
+    min(t, p - t). Q has period L: at odd p, g**(m+L) = -g**m.
     """
-    cos_iv, _ = unit_root_intervals(p, precision)
+    cos_iv = unit_root_intervals(p, precision)
     g = primitive_root(p)
     powers = [1]
     for _ in range(p - 2):
         powers.append(powers[-1] * g % p)
     length = (p - 1) // gcd(2, p - 1)
-    lo = tuple(cos_iv[t][0] for t in powers[:length])
-    widths = tuple(cos_iv[t][1] - cos_iv[t][0] for t in powers[:length])
+    pairs = [cos_iv[min(t, p - t)] for t in powers[:length]]
+    lo = tuple(a for a, _ in pairs)
+    widths = tuple(b - a for a, b in pairs)
     return tuple(powers), lo, widths
 
 

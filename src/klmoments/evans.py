@@ -192,7 +192,7 @@ class MomentEngine:
         if not self.float_primes:
             return
         p = random.Random(0).choice(sorted(set(self.float_primes)))
-        _check_agreement(self.table(p, nmax), power_sums_exact(p, nmax, exact_limit=p))
+        _check_agreement(self.table(p, nmax), power_sums_exact(p, nmax))
 
 
 # ---------------------------------------------------------------------------

@@ -74,9 +74,6 @@ class QSeries:
             for e in range(min(self.lead, other.lead), limit + 1)
         )
 
-    def __hash__(self):
-        raise TypeError("QSeries is not hashable")
-
     def __repr__(self) -> str:
         head = ", ".join(
             f"{c}*q^{self.lead + i}" for i, c in enumerate(self.coeffs[:4]) if c
@@ -99,12 +96,6 @@ class QSeries:
             if 0 <= j < n:
                 out[j] += c
         return QSeries(lead, out, trunc)
-
-    def __neg__(self) -> "QSeries":
-        return QSeries(self.lead, [-c for c in self.coeffs], self.trunc)
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        return self + (-other)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         # validity: each factor is exact through its own trunc, so the

@@ -169,7 +169,7 @@ def power_sums_exact(
     p: int,
     nmax: int,
     convention: str = RESTRICTED,
-    exact_limit: int = DEFAULT_EXACT_LIMIT,
+    exact_limit: int | None = None,
 ) -> PowerSumTable:
     """S_n(p) for n = 1..nmax from one power chain per Galois orbit.
 
@@ -197,9 +197,12 @@ def power_sums_exact(
     Every table is checked against the parity of the orbit sum, S_1 = 1,
     S_2 = p^2 - p - 1, the Weil bound and the completed congruence mod
     p^2; a failure raises IdentityFailure.
+
+    The route has no limit of its own: a p above a caller's exact_limit
+    raises ExactLimitExceeded, and MomentEngine passes its limit.
     """
     p = Prime(p)
-    if p > exact_limit:
+    if exact_limit is not None and p > exact_limit:
         raise ExactLimitExceeded(f"p = {p} above exact-path limit {exact_limit}")
     if nmax < 1:
         raise ValueError("nmax must be >= 1")

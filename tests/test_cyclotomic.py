@@ -201,41 +201,44 @@ class TestAsInteger:
             as_integer(CycInt.from_coeffs(3, (0, 1, 0)))
 
 
-def naive_enclosure(row, roots):
-    """sum_t c_t r_t term by term: the sign of c_t picks the endpoint."""
+def naive_enclosure(row, cos_iv):
+    """sum_t c_t cos(2 pi t / p) term by term against the half table of
+    unit_root_intervals, read at min(t, p - t): the sign of c_t picks the
+    endpoint."""
+    p = len(row)
     lo = hi = 0
-    for c, (r_lo, r_hi) in zip(row, roots):
+    for t, c in enumerate(row):
+        r_lo, r_hi = cos_iv[min(t, p - t)]
         lo += c * (r_lo if c > 0 else r_hi)
         hi += c * (r_hi if c > 0 else r_lo)
     return lo, hi
 
 
-def enclose_complex(x, precision):
-    """Integer bounds of Re(x) and Im(x) at scale 2**-precision."""
-    cos_iv, sin_iv = unit_root_intervals(x.p, precision)
-    return naive_enclosure(x.coeffs, cos_iv), naive_enclosure(x.coeffs, sin_iv)
+def enclose_real(x, precision):
+    """Integer bounds of Re(x) at scale 2**-precision."""
+    return naive_enclosure(x.coeffs, unit_root_intervals(x.p, precision))
 
 
 def contains_real(enc, value, precision):
-    (re_lo, re_hi), (im_lo, im_hi) = enc
-    return re_lo <= value << precision <= re_hi and im_lo <= 0 <= im_hi
+    re_lo, re_hi = enc
+    return re_lo <= value << precision <= re_hi
 
 
 class TestApproxComplex:
-    # the complex value of an element, enclosed term by term against the
-    # cosine and the sine table
+    # the real part of an element's complex value, enclosed term by term
+    # against the cosine table
     def test_zero_has_zero_radius(self):
-        assert enclose_complex(CycInt.zero(5), 64) == ((0, 0), (0, 0))
+        assert enclose_real(CycInt.zero(5), 64) == (0, 0)
 
     def test_contains_minus_one(self):
-        enc = enclose_complex(CycInt.from_coeffs(3, (0, 1, 1)), 64)
+        enc = enclose_real(CycInt.from_coeffs(3, (0, 1, 1)), 64)
         assert contains_real(enc, -1, 64)
-        (re_lo, re_hi), (im_lo, im_hi) = enc
-        assert max(re_hi - re_lo, im_hi - im_lo) < 2**64 // 10**10
+        re_lo, re_hi = enc
+        assert re_hi - re_lo < 2**64 // 10**10
 
     def test_contains_embedded_integer(self):
         for k in (-7, 0, 3):
-            enc = enclose_complex(CycInt.from_integer(11, k), 80)
+            enc = enclose_real(CycInt.from_integer(11, k), 80)
             assert contains_real(enc, k, 80)
 
     def test_rational_values_always_enclosed(self):
@@ -246,13 +249,14 @@ class TestApproxComplex:
                 shift = rng.randint(-5, 5)
                 x = CycInt.from_coeffs(p, [k + shift] + [shift] * (p - 1))
                 assert as_integer(x) == k
-                assert contains_real(enclose_complex(x, 64), k, 64)
+                assert contains_real(enclose_real(x, 64), k, 64)
 
     def test_negative_coefficients_take_the_opposite_endpoint(self):
-        cos_iv, _ = unit_root_intervals(7, 32)
+        # t = 6 reads the pair of t = 1, since cos(2 pi 6/7) = cos(2 pi/7)
+        cos_iv = unit_root_intervals(7, 32)
         lo, hi = naive_enclosure((0, -3, 0, 0, 0, 0, 2), cos_iv)
-        assert lo == -3 * cos_iv[1][1] + 2 * cos_iv[6][0]
-        assert hi == -3 * cos_iv[1][0] + 2 * cos_iv[6][1]
+        assert lo == -3 * cos_iv[1][1] + 2 * cos_iv[1][0]
+        assert hi == -3 * cos_iv[1][0] + 2 * cos_iv[1][1]
 
 
 class TestEncloseSum:
@@ -267,7 +271,7 @@ class TestEncloseSum:
         # reference counts that a itself and sums c_t r_t term by term
         g = primitive_root(p)
         r = g if non_residue else 1
-        cos_iv, _ = unit_root_intervals(p, precision)
+        cos_iv = unit_root_intervals(p, precision)
         orbit = enclose_sum(kl2_counts(p, r), precision)
         assert len(orbit) == (p - 1) // math.gcd(2, p - 1)
         for i, enclosure in enumerate(orbit):
@@ -279,7 +283,7 @@ class TestEncloseSum:
         # the orbit length, whatever the counts
         rng = random.Random(23)
         for p in (2, 3, 5, 13, 101):
-            cos_iv, _ = unit_root_intervals(p, 64)
+            cos_iv = unit_root_intervals(p, 64)
             g = primitive_root(p)
             counts = [rng.randrange(10**6) for _ in range(p)]
             for i, enclosure in enumerate(enclose_sum(counts, 64)):
@@ -315,7 +319,7 @@ def _scaled_bound(raw, precision, upper):
 
 
 def reference_roots(p, precision):
-    """cos and sin pairs of 2 pi t / p for t <= p/2, one mpi_cos_sin per t.
+    """cos pairs of 2 pi t / p for t <= p/2, one mpi_cos_sin per t.
 
     The argument is built in mpmath's iv context, which rounds t and p
     outward to the working precision; the endpoints are scaled to ints at
@@ -328,10 +332,10 @@ def reference_roots(p, precision):
         mpmath.iv.prec = old
     pairs = []
     for arg in args:
-        pairs.append(tuple(
+        (lo, hi), _ = mpmath.libmp.mpi_cos_sin(arg, precision)
+        pairs.append(
             (_scaled_bound(lo, precision, False), _scaled_bound(hi, precision, True))
-            for lo, hi in mpmath.libmp.mpi_cos_sin(arg, precision)
-        ))
+        )
     return pairs
 
 
@@ -363,16 +367,20 @@ class TestUnitRootIntervals:
         [(2, 8), (2, 64), (3, 8), (3, 64), (53, 8), (53, 64), (1009, 64), (13, 200)],
     )
     def test_scaled_endpoints_bracket_256_bit_values(self, p, precision):
-        cos_iv, sin_iv = unit_root_intervals(p, precision)
+        cos_iv = unit_root_intervals(p, precision)
         with mpmath.workprec(256):
-            for t in range(p):
-                arg = 2 * mpmath.pi * t / p
-                pairs = ((cos_iv[t], mpmath.cos(arg)), (sin_iv[t], mpmath.sin(arg)))
-                for (lo, hi), exact in pairs:
-                    assert isinstance(lo, int) and isinstance(hi, int)
-                    scaled = mpmath.ldexp(exact, precision)
-                    assert lo <= scaled <= hi, (p, precision, t)
-                    assert hi - lo <= 64
+            for t, (lo, hi) in enumerate(cos_iv):
+                assert isinstance(lo, int) and isinstance(hi, int)
+                scaled = mpmath.ldexp(mpmath.cos(2 * mpmath.pi * t / p), precision)
+                assert lo <= scaled <= hi, (p, precision, t)
+                assert hi - lo <= 64
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 1009])
+    def test_holds_t_up_to_half_p(self, p):
+        # cos is even: t > p/2 is read at p - t, so the table stops at p // 2
+        cos_iv = unit_root_intervals(p, 64)
+        assert len(cos_iv) == p // 2 + 1
+        assert all(isinstance(lo, int) and isinstance(hi, int) for lo, hi in cos_iv)
 
     @pytest.mark.parametrize("precision", [64, 128, 256])
     @pytest.mark.parametrize("p", [2, 3, 5, 263, 331])
@@ -380,17 +388,14 @@ class TestUnitRootIntervals:
         # the interval-context construction (one mpi_cos_sin per t) is the
         # reference: every pair of the recurrence lies inside its pair and
         # still brackets the value computed with 256 bits beyond the scale
-        cos_iv, sin_iv = unit_root_intervals(p, precision)
+        cos_iv = unit_root_intervals(p, precision)
+        reference = reference_roots(p, precision)
+        assert len(cos_iv) == len(reference)
         with mpmath.workprec(precision + 256):
-            for t, (c_ref, s_ref) in enumerate(reference_roots(p, precision)):
-                arg = 2 * mpmath.pi * t / p
-                pairs = (
-                    (cos_iv[t], c_ref, mpmath.cos(arg)),
-                    (sin_iv[t], s_ref, mpmath.sin(arg)),
-                )
-                for (lo, hi), (ref_lo, ref_hi), exact in pairs:
-                    assert ref_lo <= lo <= hi <= ref_hi, (p, precision, t)
-                    assert lo <= mpmath.ldexp(exact, precision) <= hi, (p, precision, t)
+            for t, ((lo, hi), (ref_lo, ref_hi)) in enumerate(zip(cos_iv, reference)):
+                exact = mpmath.cos(2 * mpmath.pi * t / p)
+                assert ref_lo <= lo <= hi <= ref_hi, (p, precision, t)
+                assert lo <= mpmath.ldexp(exact, precision) <= hi, (p, precision, t)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -398,11 +403,12 @@ class TestUnitRootIntervals:
         precision=st.integers(8, 256),
     )
     def test_inside_the_reference_and_at_most_two_units_wide(self, p, precision):
-        cos_iv, sin_iv = unit_root_intervals(p, precision)
-        for t, (c_ref, s_ref) in enumerate(reference_roots(p, precision)):
-            for (lo, hi), (ref_lo, ref_hi) in ((cos_iv[t], c_ref), (sin_iv[t], s_ref)):
-                assert ref_lo <= lo <= hi <= ref_hi, (p, precision, t)
-                assert hi - lo <= 2, (p, precision, t)
+        cos_iv = unit_root_intervals(p, precision)
+        reference = reference_roots(p, precision)
+        assert len(cos_iv) == len(reference)
+        for t, ((lo, hi), (ref_lo, ref_hi)) in enumerate(zip(cos_iv, reference)):
+            assert ref_lo <= lo <= hi <= ref_hi, (p, precision, t)
+            assert hi - lo <= 2, (p, precision, t)
 
     @pytest.mark.parametrize("t", [252, 253])
     def test_endpoint_below_the_scale_is_rounded_outward(self, t):
@@ -428,7 +434,7 @@ class TestUnitRootIntervals:
         assert ref_lo < scaled_raw(lo_raw) and scaled_raw(hi_raw) < ref_hi
         assert ref_lo == math.floor(scaled_raw(lo_raw))
         assert ref_hi == math.ceil(scaled_raw(hi_raw))
-        lo, hi = unit_root_intervals(p, precision)[0][t]
+        lo, hi = unit_root_intervals(p, precision)[t]
         assert ref_lo <= lo <= hi <= ref_hi
         with mpmath.workprec(256):
             assert lo <= mpmath.ldexp(mpmath.cos(2 * mpmath.pi * t / p), precision) <= hi

@@ -7,7 +7,13 @@ import pytest
 
 from klmoments import cyclotomic, evans, kloosterman, moments
 from klmoments.cache import PowerSumStore
-from klmoments.errors import CacheMismatch, DivisibilityFailure, KlmomentsError, PrimeTooLarge
+from klmoments.errors import (
+    CacheMismatch,
+    DivisibilityFailure,
+    KlmomentsError,
+    PrimeTooLarge,
+    RangeFailure,
+)
 from klmoments.evans import (
     EvansReport,
     EvenTrace,
@@ -143,6 +149,57 @@ class TestTraceMiddle:
             trace_middle(4, 2, engine_200)  # even d at p = 2 only for d = 2
 
 
+def shifted_engine(table, n, shift):
+    """An engine serving table's prime with S_n moved by shift; a seeded
+    table skips the identity checks."""
+    values = dict(table.values)
+    values[n] += shift
+    engine = MomentEngine()
+    engine.seed(PowerSumTable(table.p, table.convention, values, table.method))
+    return engine
+
+
+class TestRangeFailure:
+    # S_d moved by a large multiple of p^2 moves -m^d - 1 by the same
+    # amount, up to sign: p^2 still divides it, but it leaves every range
+    SHIFT = 10**6 * 11**2
+
+    def test_odd_degree_outside_the_middle_dimension(self, sum_tables_200):
+        engine = shifted_engine(sum_tables_200[11], 5, self.SHIFT)
+        u = -engine.moment(11, 5).value - 1
+        with pytest.raises(RangeFailure) as info:
+            trace_middle(5, 11, engine)
+        assert str(info.value) == f"|{u}| exceeds 2 * 11^3 for d = 5, p = 11"
+
+    def test_even_degree_without_a_sign_pattern(self, sum_tables_200):
+        engine = shifted_engine(sum_tables_200[11], 6, self.SHIFT)
+        u = -engine.moment(11, 6).value - 1
+        with pytest.raises(RangeFailure) as info:
+            trace_middle(6, 11, engine)
+        assert str(info.value) == (
+            f"no sign pattern on 0 Steinberg blocks puts the trace {u} "
+            "inside 2 * p^(7/2) at d = 6, p = 11"
+        )
+
+    def test_degree7_outside_the_so3_range(self, sum_tables_200):
+        engine = shifted_engine(sum_tables_200[11], 7, self.SHIFT)
+        u = -engine.moment(11, 7).value - 1
+        candidate = jacobi_symbol(11, 105) * u // 11**2 + 11**2
+        assert not 0 <= candidate <= 4 * 11**2
+        with pytest.raises(RangeFailure) as info:
+            evans_d7(11, engine)
+        assert str(info.value) == (
+            f"degree-7 trace out of the SO_3 range at p = 11: candidate = {candidate}"
+        )
+
+    def test_sweep_turns_it_into_an_error_row(self, sum_tables_200):
+        engine = shifted_engine(sum_tables_200[11], 7, self.SHIFT)
+        rows, summary = batch_report(7, 11, 11, engine=engine)
+        assert [r.p for r in rows] == [11]
+        assert rows[0].error.startswith("RangeFailure: degree-7 trace out of the SO_3 range")
+        assert (summary.rows, summary.passed, summary.errors) == (1, 0, 1)
+
+
 class TestEvansD5:
     def test_cm_vanishing_at_7(self, engine_200):
         r = evans_d5(7, engine_200)
@@ -253,7 +310,7 @@ def engine_500(sum_tables_200):
     for tab in sum_tables_200.values():
         engine.seed(tab)
     for p in primes_in_range(201, 500):
-        engine.seed(power_sums_exact(p, 8, exact_limit=500))
+        engine.seed(power_sums_exact(p, 8))
     return engine
 
 

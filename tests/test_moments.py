@@ -191,6 +191,10 @@ class TestPowerSumsExact:
         with pytest.raises(ExactLimitExceeded):
             power_sums_exact(263, 2, exact_limit=257)
 
+    def test_no_limit_of_its_own(self):
+        # only a caller's exact_limit refuses a prime; the engine passes its own
+        assert power_sums_exact(263, 4) == power_sums_exact(263, 4, exact_limit=263)
+
     def test_character_independence(self):
         # replacing psi by psi(k .) permutes each Kl_2 by a Galois map and
         # leaves every power sum unchanged
@@ -345,7 +349,7 @@ class TestDirectRecurrence:
     @given(p=st.sampled_from(primes_in_range(2, 300)), d=st.integers(0, 12))
     def test_agrees_with_girard_to_300(self, p, d):
         # beyond acceptance 03's grid (p <= 97, d <= 8)
-        table = power_sums_exact(p, max(d, 1), exact_limit=p)
+        table = power_sums_exact(p, max(d, 1))
         assert (
             sym_moment_direct(p, d, exact_limit=p).value
             == sym_moment_girard(p, d, table).value
@@ -391,10 +395,10 @@ class TestAppendix8:
 
 class TestLargePrimePaths:
     def test_float_matches_raised_exact_limit_at_263(self):
-        # p = 263 sits above the default exact limit; the congruence path
-        # must reproduce the exact values computed with a raised limit
+        # p = 263 sits above the engine's default exact limit; the
+        # congruence path must reproduce the exact values
         flt, _ = power_sums_float_auto(263, 4)
-        exact = power_sums_exact(263, 4, COMPLETED, exact_limit=263)
+        exact = power_sums_exact(263, 4, COMPLETED)
         assert flt.values == exact.values
 
     @pytest.mark.parametrize("p", [127, 211, 353])
@@ -402,14 +406,14 @@ class TestLargePrimePaths:
         # the orbits of Kl_2(p; .) have (p - 1) / 2 = 63 and 105 members,
         # odd, at 127 and 211, and 176, even, at 353
         flt = power_sums_float(p, 8, 64)
-        assert flt.values == power_sums_exact(p, 8, COMPLETED, exact_limit=p).values
+        assert flt.values == power_sums_exact(p, 8, COMPLETED).values
 
     @pytest.mark.parametrize("p", [263, 331, 499, 1009, 2003])
     def test_float_route_above_257(self, p):
         # pins the float route's coverage above today's default limit,
         # whatever DEFAULT_EXACT_LIMIT becomes
         engine = MomentEngine(exact_limit=257)
-        exact = power_sums_exact(p, 8, exact_limit=p)
+        exact = power_sums_exact(p, 8)
         table = engine.table(p, 8)
         assert table.method == moments.METHOD_FLOAT
         assert table.values == exact.values
