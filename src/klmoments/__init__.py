@@ -15,7 +15,6 @@ _EXPORTS = {
     "errors": ("KlmomentsError",),
     "evans": (
         "EvansReport",
-        "MomentEngine",
         "batch_report",
         "evans_d5",
         "evans_d6",
@@ -46,6 +45,7 @@ _EXPORTS = {
         "prime_coefficients",
     ),
     "moments": (
+        "MomentEngine",
         "MomentValue",
         "PowerSumTable",
         "power_sums_exact",

@@ -19,13 +19,7 @@ from functools import partial
 from . import __version__
 from .cache import PowerSumStore, resolve_cache_dir
 from .errors import KlmomentsError
-from .evans import (
-    EvenTrace,
-    MomentEngine,
-    batch_report,
-    render_reports,
-    trace_middle,
-)
+from .evans import EvenTrace, batch_report, render_reports, trace_middle
 from .ffprime import Prime
 from .modforms import EtaQuotient, eta_quotient_series
 from .moments import (
@@ -34,6 +28,7 @@ from .moments import (
     METHOD_EXACT,
     METHOD_FLOAT,
     RESTRICTED,
+    MomentEngine,
     _check_agreement,
 )
 

@@ -51,7 +51,7 @@ class InputTooLarge(KlmomentsError):
 
 
 class AmbiguousRounding(KlmomentsError):
-    """Float enclosure admits zero or several congruence-admissible integers."""
+    """Float enclosure too wide to pin one congruence-admissible integer, or holding none."""
 
 
 class MissingPowerSum(KlmomentsError):

@@ -23,18 +23,19 @@ Steinberg blocks with eigenvalues +-p**(d/2). Two layers of checks follow:
 The d = 5, 6, 7, 8 pipelines divide by the power of p the eigenform
 identity actually provides (p**2 in all four cases) and record the finer
 divisibility and bound facts as named check rows in the report.
+
+Moments come from moments.MomentEngine, which routes each prime and
+applies the limits; this module only applies the identities.
 """
 
 from __future__ import annotations
 
 import json
-import random
 from functools import partial
 from typing import TYPE_CHECKING
 
 from .errors import (
     DivisibilityFailure,
-    InputTooLarge,
     KlmomentsError,
     PrimeTooLarge,
     RangeFailure,
@@ -43,21 +44,7 @@ from .ffprime import Prime, jacobi_symbol, primes_in_range
 from .modforms import (
     HECKE_BOUND, REGISTRY, hecke_validate, prime_coefficients, registry_expansion,
 )
-from .moments import (
-    DEFAULT_EXACT_LIMIT,
-    METHOD_EXACT,
-    METHOD_FLOAT,
-    PRIME_CEILING,
-    RESTRICTED,
-    TABLE_CEILING,
-    MomentValue,
-    PowerSumTable,
-    _check_agreement,
-    power_sums_exact,
-    power_sums_float_auto,
-    sym_moment_girard,
-    table_size,
-)
+from .moments import PRIME_CEILING, MomentEngine, MomentValue
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -109,90 +96,6 @@ class EvansReport:
 
 
 CSV_HEADER = ["p", "m", "derived", "checks_passed", "checks_failed", "method"]
-
-
-# ---------------------------------------------------------------------------
-# Moment access with method selection
-# ---------------------------------------------------------------------------
-
-
-class MomentEngine:
-    """Computes m^d_2(p), exact below the limit, float-congruence above.
-
-    Power-sum tables are memoized per prime (and optionally persisted
-    through `store`), since one sweep touches many degrees of the same
-    prime. An exact_limit below 3 raises ValueError on construction; a
-    prime above PRIME_CEILING raises PrimeTooLarge, and a table above
-    TABLE_CEILING (table_size) InputTooLarge, before any table is built.
-    """
-
-    def __init__(self, exact_limit: int = DEFAULT_EXACT_LIMIT, store: object | None = None):
-        if exact_limit < 3:
-            raise ValueError("exact_limit must be >= 3")
-        self.exact_limit = exact_limit
-        self.store = store  # cache.PowerSumStore
-        self._tables: dict[tuple[int, int], PowerSumTable] = {}
-        self.float_primes: list[int] = []
-
-    def table(self, p: int, nmax: int) -> PowerSumTable:
-        """Restricted S_1..S_nmax at p: exact up to exact_limit, float beyond."""
-        for (tp, tn), tab in self._tables.items():
-            if tp == p and tn >= nmax:
-                return tab
-        method = METHOD_EXACT if p <= self.exact_limit else METHOD_FLOAT
-        tab = self.lookup(p, nmax, method)
-        if method == METHOD_FLOAT:
-            self.float_primes.append(p)
-        tab = tab.to_convention(RESTRICTED)
-        self.seed(tab)
-        return tab
-
-    def lookup(self, p: int, nmax: int, method: str) -> PowerSumTable:
-        """S_1..S_nmax at p by one method, read from `store` or computed.
-
-        The table comes in the method's own convention, the one it is
-        cached in: restricted for exact tables, completed for float tables
-        (the convention their congruence pins). Nothing is routed or memoized.
-        """
-        if p > PRIME_CEILING:
-            raise PrimeTooLarge(f"p = {p} is above the prime ceiling {PRIME_CEILING}")
-        size = table_size(p, nmax, method)
-        if size > TABLE_CEILING:
-            raise InputTooLarge(f"nmax = {nmax} at p = {p} sizes the {method} table "
-                                f"at {size}, above the table ceiling {TABLE_CEILING}")
-        if method == METHOD_EXACT:
-            def compute():
-                return power_sums_exact(p, nmax, RESTRICTED, self.exact_limit)
-        else:
-            def compute():
-                return power_sums_float_auto(p, nmax)[0]
-        if self.store is None:
-            return compute()
-        return self.store.get_or_compute(p, nmax, method, compute)
-
-    def seed(self, table: PowerSumTable) -> None:
-        """Serve table's prime from a precomputed table, in place of any other.
-
-        The table is kept restricted under (p, nmax) and answers every
-        request up to its nmax without recomputation.
-        """
-        tab = table.to_convention(RESTRICTED)
-        self._tables = {k: v for k, v in self._tables.items() if k[0] != tab.p}
-        self._tables[(tab.p, max(tab.values))] = tab
-
-    def moment(self, p: int, d: int) -> MomentValue:
-        tab = self.table(p, max(d, 1))
-        mv = sym_moment_girard(p, d, tab)
-        suffix = "exact" if tab.method == METHOD_EXACT else "float"
-        return MomentValue(p, d, mv.value, f"girard-{suffix}")
-
-    def audit(self, nmax: int) -> None:
-        """Check S_1..S_nmax of one float-route prime, drawn by a
-        random.Random(0), against the exact path (CacheMismatch)."""
-        if not self.float_primes:
-            return
-        p = random.Random(0).choice(sorted(set(self.float_primes)))
-        _check_agreement(self.table(p, nmax), power_sums_exact(p, nmax))
 
 
 # ---------------------------------------------------------------------------

@@ -41,11 +41,9 @@ class QSeries:
     def __init__(self, lead: int, coeffs, trunc: int):
         coeffs = [int(c) for c in coeffs]
         # normalize: leading coefficient nonzero, nothing beyond trunc
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-            lead += 1
-        if len(coeffs) > trunc - lead + 1:
-            del coeffs[max(0, trunc - lead + 1) :]
+        zeros = next((i for i, c in enumerate(coeffs) if c), len(coeffs))
+        lead += zeros
+        coeffs = coeffs[zeros : zeros + max(0, trunc - lead + 1)]
         object.__setattr__(self, "lead", lead if coeffs else 0)
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "trunc", trunc)

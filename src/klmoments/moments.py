@@ -19,6 +19,10 @@ convolution powers of the orbit's Legendre vector chi(t**2 - 4r)
 route encloses the whole orbit at once (cyclotomic.enclose_sum) and sums
 interval powers.
 
+MomentEngine is the one router: exact up to its exact_limit, float above.
+Before its cache is read, it refuses a prime above PRIME_CEILING, a table
+above TABLE_CEILING and an exact table above exact_limit.
+
 Three independent routes to m^d_2(p) are provided and must agree:
 
 girard       m^d = (-1)**d * sum_k (-1)**k C(d-k, k) p**k S_{d-2k}
@@ -35,6 +39,7 @@ appendix8    the fixed degree-8 polynomial in completed sums
 
 from __future__ import annotations
 
+import random
 from math import comb, gcd, isqrt
 from operator import add, mul
 from typing import Iterable
@@ -46,7 +51,9 @@ from .errors import (
     CacheMismatch,
     ExactLimitExceeded,
     IdentityFailure,
+    InputTooLarge,
     MissingPowerSum,
+    PrimeTooLarge,
     WrongConvention,
 )
 from .ffprime import Prime, primitive_root
@@ -199,7 +206,8 @@ def power_sums_exact(
     p^2; a failure raises IdentityFailure.
 
     The route has no limit of its own: a p above a caller's exact_limit
-    raises ExactLimitExceeded, and MomentEngine passes its limit.
+    raises ExactLimitExceeded. MomentEngine.lookup applies its own limit
+    before its cache is read, and passes none.
     """
     p = Prime(p)
     if exact_limit is not None and p > exact_limit:
@@ -286,10 +294,11 @@ def power_sums_float(p: int, nmax: int, precision: int) -> PowerSumTable:
     2**-(n*precision): products of integer endpoints are exact, so the final
     enclosure is certified without further rounding.
     The unique admissible integer is the one in the enclosure congruent to
-    (-1)**(n-1)(n-1)p mod p**2; zero or several candidates raise
-    AmbiguousRounding, which float_precision(p, nmax) bits rule out. The
-    restricted S_1, S_2 and the Weil bound are checked like exact tables
-    (IdentityFailure).
+    (-1)**(n-1)(n-1)p mod p**2. Admissible integers are p**2 apart, so an
+    enclosure narrower than p**2 holds at most one; a wider enclosure, or
+    one holding none, raises AmbiguousRounding, which float_precision(p,
+    nmax) bits rule out. The restricted S_1, S_2 and the Weil bound are
+    checked like exact tables (IdentityFailure).
     """
     p = Prime(p)
     if nmax < 1:
@@ -319,8 +328,6 @@ def power_sums_float(p: int, nmax: int, precision: int) -> PowerSumTable:
         k = start + (r - start) % modulus
         if k << bits > hi:
             raise AmbiguousRounding(f"S'_{n}({p}): no admissible integer in enclosure")
-        if (k + modulus) << bits <= hi:
-            raise AmbiguousRounding(f"S'_{n}({p}): several admissible integers")
         values[n] = k
     _check_power_sums(p, {n: v - (-1) ** n for n, v in values.items()})
     return PowerSumTable(p, COMPLETED, values, METHOD_FLOAT)
@@ -428,3 +435,93 @@ def sym_moment_appendix8(p: int, table: PowerSumTable) -> MomentValue:
         - 1
     )
     return MomentValue(p, 8, value, "appendix8")
+
+
+# ---------------------------------------------------------------------------
+# Moment access with method selection
+# ---------------------------------------------------------------------------
+
+
+class MomentEngine:
+    """Computes m^d_2(p), exact up to exact_limit, float-congruence above.
+
+    Power-sum tables are memoized per prime (and optionally persisted
+    through `store`), since one sweep touches many degrees of the same
+    prime. An exact_limit below 3 raises ValueError on construction; the
+    refusals of `lookup` come before any table is read or built.
+    """
+
+    def __init__(self, exact_limit: int = DEFAULT_EXACT_LIMIT, store: object | None = None):
+        if exact_limit < 3:
+            raise ValueError("exact_limit must be >= 3")
+        self.exact_limit = exact_limit
+        self.store = store  # cache.PowerSumStore
+        self._tables: dict[tuple[int, int], PowerSumTable] = {}
+        self.float_primes: list[int] = []
+
+    def table(self, p: int, nmax: int) -> PowerSumTable:
+        """Restricted S_1..S_nmax at p: exact up to exact_limit, float beyond."""
+        for (tp, tn), tab in self._tables.items():
+            if tp == p and tn >= nmax:
+                return tab
+        method = METHOD_EXACT if p <= self.exact_limit else METHOD_FLOAT
+        tab = self.lookup(p, nmax, method)
+        if method == METHOD_FLOAT:
+            self.float_primes.append(p)
+        tab = tab.to_convention(RESTRICTED)
+        self.seed(tab)
+        return tab
+
+    def lookup(self, p: int, nmax: int, method: str) -> PowerSumTable:
+        """S_1..S_nmax at p by one method, read from `store` or computed.
+
+        The table comes in the method's own convention, the one it is
+        cached in: restricted for exact tables, completed for float tables
+        (the convention their congruence pins). Nothing is routed or memoized.
+        Before `store` is read, a p above PRIME_CEILING raises PrimeTooLarge,
+        a table above TABLE_CEILING InputTooLarge, and an exact table above
+        exact_limit ExactLimitExceeded, so a warm cache refuses what a cold
+        one does.
+        """
+        if p > PRIME_CEILING:
+            raise PrimeTooLarge(f"p = {p} is above the prime ceiling {PRIME_CEILING}")
+        size = table_size(p, nmax, method)
+        if size > TABLE_CEILING:
+            raise InputTooLarge(f"nmax = {nmax} at p = {p} sizes the {method} table "
+                                f"at {size}, above the table ceiling {TABLE_CEILING}")
+        if method == METHOD_EXACT:
+            if p > self.exact_limit:
+                raise ExactLimitExceeded(f"p = {p} above exact-path limit {self.exact_limit}")
+
+            def compute():
+                return power_sums_exact(p, nmax)
+        else:
+            def compute():
+                return power_sums_float_auto(p, nmax)[0]
+        if self.store is None:
+            return compute()
+        return self.store.get_or_compute(p, nmax, method, compute)
+
+    def seed(self, table: PowerSumTable) -> None:
+        """Serve table's prime from a precomputed table, in place of any other.
+
+        The table is kept restricted under (p, nmax) and answers every
+        request up to its nmax without recomputation.
+        """
+        tab = table.to_convention(RESTRICTED)
+        self._tables = {k: v for k, v in self._tables.items() if k[0] != tab.p}
+        self._tables[(tab.p, max(tab.values))] = tab
+
+    def moment(self, p: int, d: int) -> MomentValue:
+        tab = self.table(p, max(d, 1))
+        mv = sym_moment_girard(p, d, tab)
+        suffix = "exact" if tab.method == METHOD_EXACT else "float"
+        return MomentValue(p, d, mv.value, f"girard-{suffix}")
+
+    def audit(self, nmax: int) -> None:
+        """Check S_1..S_nmax of one float-route prime, drawn by a
+        random.Random(0), against the exact path (CacheMismatch)."""
+        if not self.float_primes:
+            return
+        p = random.Random(0).choice(sorted(set(self.float_primes)))
+        _check_agreement(self.table(p, nmax), power_sums_exact(p, nmax))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from klmoments.cache import PowerSumStore, resolve_cache_dir
+from klmoments.cache import PowerSumStore, _checksum, resolve_cache_dir
 from klmoments.errors import CacheMismatch
 from klmoments.moments import (
     COMPLETED,
@@ -80,6 +80,28 @@ class TestCorruption:
         with caplog.at_level("WARNING"):
             assert store.load(5, METHOD_EXACT) is None
         assert "checksum" in caplog.text
+
+    def test_other_schema_version_discarded(self, store, caplog):
+        # the checksum recomputed over schema_version 2, so only the version fails
+        path = store.store(power_sums_exact(7, 4))
+        doc = json.loads(path.read_text())
+        del doc["checksum"]
+        doc["schema_version"] = 2
+        doc["checksum"] = _checksum(doc)
+        path.write_text(json.dumps(doc))
+        with caplog.at_level("WARNING"):
+            assert store.load(7, METHOD_EXACT) is None
+        assert "schema_version 2" in caplog.text
+        assert not path.exists()
+
+    def test_record_under_another_primes_name_discarded(self, store, caplog):
+        # a valid p = 13 record, checksum and all, copied to p = 17's path
+        path = store._path(17, METHOD_EXACT)
+        path.write_bytes(store.store(power_sums_exact(13, 4)).read_bytes())
+        with caplog.at_level("WARNING"):
+            assert store.load(17, METHOD_EXACT) is None
+        assert "header does not match file name" in caplog.text
+        assert not path.exists()
 
     @pytest.mark.parametrize("convention", [RESTRICTED, COMPLETED])
     def test_identity_breaking_entry_discarded(self, store, caplog, convention):

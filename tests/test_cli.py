@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import klmoments
-from klmoments import cli, evans, invariants, modforms
+from klmoments import cli, evans, invariants, modforms, moments
 from klmoments.cache import PowerSumStore
 from klmoments.cli import main
 from klmoments.errors import InputTooLarge
@@ -91,14 +91,14 @@ class TestSums:
         assert "float-congruence" in out and "exact-cyclotomic" in out
 
     def test_both_methods_disagreeing_is_a_json_error(self, capsys, monkeypatch):
-        real = evans.power_sums_float_auto
+        real = moments.power_sums_float_auto
 
         def corrupted(p, nmax):
             table, bits = real(p, nmax)
             values = {**table.values, 4: table.values[4] + p * p}  # same class mod p^2
             return PowerSumTable(p, table.convention, values, table.method), bits
 
-        monkeypatch.setattr(evans, "power_sums_float_auto", corrupted)
+        monkeypatch.setattr(moments, "power_sums_float_auto", corrupted)
         code, out, _ = run(
             capsys, "sums", "--p", "13", "--nmax", "4",
             "--method", "both", "--format", "json", "--no-cache",
@@ -153,7 +153,7 @@ class TestSums:
         def started(*args):  # a missing refusal fails here, not out of memory
             raise AssertionError("a table or sieve above the prime ceiling was started")
 
-        monkeypatch.setattr(evans, "power_sums_float_auto", started)
+        monkeypatch.setattr(moments, "power_sums_float_auto", started)
         monkeypatch.setattr(evans, "primes_in_range", started)
         code, out, _ = run(capsys, *argv, "--no-cache", "--format", "json")
         assert code == 1
@@ -175,6 +175,21 @@ class TestSums:
         assert short_out.splitlines() == long_out.splitlines()[:4]
         cached = PowerSumStore(tmp_path).load(13, METHOD_FLOAT)
         assert sorted(cached.values) == list(range(1, 9))
+
+    def test_exact_limit_refuses_a_cached_table(self, capsys, tmp_path):
+        # the limit is applied before the cache is read: a table that a
+        # raised limit stored does not lift the default limit
+        argv = ("sums", "--p", "263", "--nmax", "4", "--method", "exact",
+                "--format", "json", "--cache-dir", str(tmp_path))
+        cold = run(capsys, *argv)
+        assert cold[0] == 1
+        assert json.loads(cold[1])["error"] == {
+            "type": "ExactLimitExceeded",
+            "message": "p = 263 above exact-path limit 257",
+        }
+        assert run(capsys, *argv, "--exact-limit", "263")[0] == 0
+        assert PowerSumStore(tmp_path).load(263, METHOD_EXACT) is not None
+        assert run(capsys, *argv) == cold
 
 
 class TestMoments:
@@ -243,7 +258,7 @@ class TestEvans:
         def unreachable(*args):
             raise AssertionError("evans recomputed the float table sums stored")
 
-        monkeypatch.setattr(evans, "power_sums_float_auto", unreachable)
+        monkeypatch.setattr(moments, "power_sums_float_auto", unreachable)
         argv = ("evans", "--d", "5", "--pmin", "263", "--pmax", "263")
         code, out, _ = run(capsys, *argv, *cache)
         assert code == 0
@@ -302,8 +317,8 @@ class TestInputCeilings:
         monkeypatch.setattr(modforms, "eta_unit_series", started)
         monkeypatch.setattr(invariants, "dim_m_middle", started)
         monkeypatch.setattr(invariants, "QSeries", started)
-        monkeypatch.setattr(evans, "power_sums_exact", started)
-        monkeypatch.setattr(evans, "power_sums_float_auto", started)
+        monkeypatch.setattr(moments, "power_sums_exact", started)
+        monkeypatch.setattr(moments, "power_sums_float_auto", started)
 
     @pytest.mark.parametrize("argv, message", [
         (("eta", "--quotient", "1:24", "--terms", "1000000000"),
@@ -359,8 +374,8 @@ class TestInputCeilings:
             (invariants.molien_frob_series, invariants.MOLIEN_CEILING),
             # the largest nmax of each route at the largest prime below the
             # prime ceiling, 3067829
-            (lambda n: evans.MomentEngine().lookup(3067829, n, METHOD_FLOAT), 8),
-            (lambda n: evans.MomentEngine().lookup(3067829, n, METHOD_EXACT), 9),
+            (lambda n: moments.MomentEngine().lookup(3067829, n, METHOD_FLOAT), 8),
+            (lambda n: moments.MomentEngine(3067829).lookup(3067829, n, METHOD_EXACT), 9),
         ]
         for work, ceiling in cases:
             with pytest.raises(AssertionError, match="started"):
@@ -427,8 +442,8 @@ PUBLIC_NAMES = {
     "cyclotomic": [],
     "errors": ["KlmomentsError"],
     "evans": [
-        "EvansReport", "MomentEngine", "batch_report", "evans_d5", "evans_d6",
-        "evans_d7", "evans_d8", "trace_middle",
+        "EvansReport", "batch_report", "evans_d5", "evans_d6", "evans_d7",
+        "evans_d8", "trace_middle",
     ],
     "ffprime": ["Prime", "double_factorial", "is_prime", "jacobi_symbol"],
     "invariants": [
@@ -442,7 +457,7 @@ PUBLIC_NAMES = {
         "hecke_validate", "prime_coefficients",
     ],
     "moments": [
-        "MomentValue", "PowerSumTable", "power_sums_exact", "power_sums_float",
+        "MomentEngine", "MomentValue", "PowerSumTable", "power_sums_exact", "power_sums_float",
         "power_sums_float_auto", "sym_moment_appendix8", "sym_moment_direct",
         "sym_moment_girard",
     ],

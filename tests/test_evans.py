@@ -200,6 +200,29 @@ class TestRangeFailure:
         assert (summary.rows, summary.passed, summary.errors) == (1, 0, 1)
 
 
+class TestDivisibilityFailure:
+    # S_5 moved by p moves -m^5 - 1 by p, which p^2 then does not divide
+    MESSAGE = "p^2 does not divide the degree-5 combination at p = 11"
+
+    def test_degree5_quotient(self, sum_tables_200):
+        engine = shifted_engine(sum_tables_200[11], 5, 11)
+        with pytest.raises(DivisibilityFailure) as info:
+            evans_d5(11, engine)
+        assert str(info.value) == self.MESSAGE
+
+    def test_sweep_renders_the_error_row(self, sum_tables_200):
+        engine = shifted_engine(sum_tables_200[11], 5, 11)
+        rows, summary = batch_report(5, 11, 11, engine=engine)
+        error = f"DivisibilityFailure: {self.MESSAGE}"
+        assert render_reports(rows, summary, "text").splitlines() == [
+            "evans d=5 primes in [11, 11]: 1 rows, 0 passed, 0 failed, 1 errors",
+            f"p=11: ERROR {error}",
+        ]
+        assert render_reports(rows, summary, "csv").splitlines()[1:] == [
+            f"11,,,0,0,error:{error}",
+        ]
+
+
 class TestEvansD5:
     def test_cm_vanishing_at_7(self, engine_200):
         r = evans_d5(7, engine_200)
@@ -439,13 +462,13 @@ class TestBatchReport:
         # the workers' tables stay in the workers, so the parent's audit
         # recomputes its prime: at the sweep's nmax, not a fixed 8
         asked = []
-        real = evans.power_sums_float_auto
+        real = moments.power_sums_float_auto
 
         def recording(p, nmax, *args):
             asked.append(nmax)
             return real(p, nmax, *args)
 
-        monkeypatch.setattr(evans, "power_sums_float_auto", recording)
+        monkeypatch.setattr(moments, "power_sums_float_auto", recording)
         engine = MomentEngine(exact_limit=11)
         rows, summary = batch_report(6, 2, 31, engine=engine, jobs=2)
         assert summary.errors == 0
@@ -489,8 +512,9 @@ class TestPrimeCeiling:
         def started(*args, **kwargs):
             raise AssertionError("a table or sieve above the prime ceiling was started")
 
-        for name in ("power_sums_exact", "power_sums_float_auto", "primes_in_range"):
-            monkeypatch.setattr(evans, name, started)
+        for name in ("power_sums_exact", "power_sums_float_auto"):
+            monkeypatch.setattr(moments, name, started)
+        monkeypatch.setattr(evans, "primes_in_range", started)
 
     def test_refused_before_any_allocation(self):
         # a table at p = 10^9 + 7 would take gigabytes, and so would the
@@ -538,7 +562,7 @@ class TestEngineCache:
             raise AssertionError("a warm engine recomputed a float table")
 
         monkeypatch.setattr(PowerSumStore, "get_or_compute", counting)
-        monkeypatch.setattr(evans, "power_sums_float_auto", no_float)
+        monkeypatch.setattr(moments, "power_sums_float_auto", no_float)
         second = MomentEngine(exact_limit=11, store=store)
         assert second.moment(11, 8).value == v_exact
         assert second.moment(13, 8).value == v_float
@@ -546,13 +570,13 @@ class TestEngineCache:
         # a float table read back from the cache is still audited
         assert second.float_primes == [13]
         audited = []
-        real_exact = evans.power_sums_exact
+        real_exact = moments.power_sums_exact
 
         def recording(p, *args, **kwargs):
             audited.append(p)
             return real_exact(p, *args, **kwargs)
 
-        monkeypatch.setattr(evans, "power_sums_exact", recording)
+        monkeypatch.setattr(moments, "power_sums_exact", recording)
         second.audit(8)
         assert audited == [13]
 

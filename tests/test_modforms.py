@@ -65,6 +65,13 @@ class TestQSeries:
         with pytest.raises(TypeError):
             hash(QSeries(0, [1], 3))
 
+    def test_many_leading_zeros(self):
+        # stripped in one pass, then cut at trunc
+        n = 10**5
+        s = QSeries(0, [0] * n + [1, 2, 3], n + 1)
+        assert (s.lead, s.coeffs) == (n, (1, 2))
+        assert [s.coefficient(e) for e in (0, n - 1, n, n + 1)] == [0, 0, 1, 2]
+
     def test_geometric(self):
         assert QSeries(0, [1, -1], 5) ** -1 == QSeries(0, [1] * 6, 5)
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from klmoments import evans, moments
+from klmoments import moments
 from klmoments.convolve import cyclic_convolve
 from klmoments.cyclotomic import CycInt, as_integer
 from klmoments.errors import (
@@ -11,12 +11,12 @@ from klmoments.errors import (
     MissingPowerSum,
     WrongConvention,
 )
-from klmoments.evans import MomentEngine
 from klmoments.ffprime import primes_in_range
 from klmoments.kloosterman import kl2_counts
 from klmoments.moments import (
     COMPLETED,
     RESTRICTED,
+    MomentEngine,
     completed_congruence_class,
     float_precision,
     power_sums_exact,
@@ -246,6 +246,15 @@ class TestPowerSumsFloat:
         with pytest.raises(AmbiguousRounding):
             power_sums_float(101, 16, 53)
 
+    def test_enclosure_without_an_admissible_integer(self, monkeypatch):
+        # a residue class one off the true one: the enclosure, far narrower
+        # than p^2 at 256 bits, holds no integer of it
+        real = moments.completed_congruence_class
+        monkeypatch.setattr(moments, "completed_congruence_class", lambda n, p: real(n, p) + 1)
+        with pytest.raises(AmbiguousRounding) as info:
+            power_sums_float(263, 4, 256)
+        assert str(info.value) == "S'_1(263): no admissible integer in enclosure"
+
     def test_derived_precision_pins_101_16(self):
         flt, used = power_sums_float_auto(101, 16)
         assert used == 73
@@ -448,7 +457,7 @@ class TestMomentSelector:
         def no_recompute(*args):
             raise AssertionError("a seeded table must not be recomputed")
 
-        monkeypatch.setattr(evans, "power_sums_exact", no_recompute)
+        monkeypatch.setattr(moments, "power_sums_exact", no_recompute)
         mv = engine.moment(7, 6)
         assert mv.value == sym_moment_girard(7, 6, t).value
         assert mv.method == "girard-exact"
