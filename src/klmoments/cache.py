@@ -13,8 +13,9 @@ Values are decimal strings so no consumer has to guess integer widths.
 Writes go to a temporary file in the same directory followed by an atomic
 rename; concurrent readers see either the old or the new complete file.
 The cache is advisory: unreadable or corrupt entries, and entries that
-break the restricted identities S_1 = 1 or S_2 = p^2 - p - 1 or the Weil
-bound S_n^2 <= (p-1)^2 4^n p^n, are discarded with a warning. Disagreement
+break the restricted closed forms of S_1..S_4 or the Weil bound
+S_n^2 <= (p-1)^2 4^n p^n (moments._check_power_sums), are discarded with
+a warning. Disagreement
 between a load's exact and float records, or between a recomputed table and
 the record it replaces, raises CacheMismatch (moments._check_agreement).
 """

@@ -47,7 +47,8 @@ class InputTooLarge(KlmomentsError):
     """Input above the ceiling of the module that does the work
     (moments.TABLE_CEILING, modforms.ETA_TERMS_CEILING,
     modforms.ETA_DIGITS_BUDGET, invariants.DIMS_CEILING,
-    invariants.MOLIEN_CEILING): the run would not fit in memory or time."""
+    invariants.MOLIEN_CEILING): the run would not fit in memory. The
+    ceilings bound memory only; an admitted input can still run for minutes."""
 
 
 class AmbiguousRounding(KlmomentsError):

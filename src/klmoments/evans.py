@@ -41,9 +41,7 @@ from .errors import (
     RangeFailure,
 )
 from .ffprime import Prime, jacobi_symbol, primes_in_range
-from .modforms import (
-    HECKE_BOUND, REGISTRY, hecke_validate, prime_coefficients, registry_expansion,
-)
+from .modforms import REGISTRY, prime_coefficients, registry_expansion
 from .moments import PRIME_CEILING, MomentEngine, MomentValue
 
 if TYPE_CHECKING:
@@ -281,7 +279,7 @@ def evans_d6(
 ) -> EvansReport:
     """Degree 6: a(p) = (-m^6 - 1)/p^2, valid at every prime including 2.
 
-    When the validated registry expansion is supplied, equality with its
+    When the registry form's coefficients are supplied, equality with its
     p-th coefficient is recorded.
     """
     p, mv, a = _p2_quotient(6, p, engine)
@@ -370,13 +368,14 @@ def _sweep_one(
 ) -> tuple[EvansReport, bool]:
     """Pipeline d at p with this engine, or an error row; and whether p
     took the float route (a pool worker's engine is a copy)."""
+    floats = len(engine.float_primes)
     try:
         row = _PIPELINES[d](p, engine, **kwargs)
     except KlmomentsError as exc:
         row = EvansReport(
             d, p, None, None, (), "none", "", error=f"{type(exc).__name__}: {exc}"
         )
-    return row, p in engine.float_primes
+    return row, len(engine.float_primes) > floats
 
 
 def batch_report(
@@ -408,10 +407,8 @@ def batch_report(
     # registry_match rows reach stdout with the report's schema 2 (ROADMAP
     # item 6), so that stdout changes once, on purpose.
     if d == 6 and primes:
-        form, series = REGISTRY[6], registry_expansion(6, max(primes))
-        report = hecke_validate(series, form.weight, form.level, HECKE_BOUND, form.character)
-        if report.passed:
-            kwargs["registry_coeffs"] = prime_coefficients(series, max(primes))
+        series = registry_expansion(6, max(primes))
+        kwargs["registry_coeffs"] = prime_coefficients(series, max(primes))
 
     run = partial(_sweep_one, engine, d, kwargs)
     workers = min(jobs, len(primes))

@@ -7,9 +7,11 @@ both operands support.
 
 The form registry maps a moment degree to the eigenform whose a(p) its
 pipeline derives: degrees 6 and 8 as integer combinations of eta
-quotients, degree 5 as the theta series of Q(sqrt(-15)). Forms are
-hypotheses: nothing downstream uses one until hecke_validate has passed on
-it, with the form's weight, level and character.
+quotients, degree 5 as the theta series of Q(sqrt(-15)). The two level-6
+forms are proven eigenforms by a finite certificate in the tests (Ligozat's
+cusp orders, dim S_k(Gamma_0(6)) and Sturm's bound), so a sweep reads
+their coefficients without a runtime check. hecke_validate samples the
+eigenform identities of any expansion; degree 5 has no certificate yet.
 """
 
 from __future__ import annotations
@@ -378,20 +380,16 @@ REGISTRY: dict[int, RegistryForm] = {
         (1, _eta6(5, 5, 1, 1)), (9, _eta6(0, 6, 0, 6)), (-9, _eta6(4, -2, -4, 14)),
     )),
 }
-# How far a sweep checks a registry form's Hecke identities (hecke_validate)
-HECKE_BOUND = 200
 
 
 def registry_expansion(degree: int, pmax: int) -> QSeries:
-    """Registry form's q-expansion through q**max(pmax, HECKE_BOUND): a(p)
-    for every p <= pmax, and the coefficients hecke_validate checks."""
+    """Registry form's q-expansion through q**pmax: a(p) for every p <= pmax."""
     form = REGISTRY[degree]
-    terms = max(pmax, HECKE_BOUND)
     if not form.eta_terms:
-        return _cm15_series(terms)
-    total = QSeries(0, [], terms)
+        return _cm15_series(pmax)
+    total = QSeries(0, [], pmax)
     for c, eq in form.eta_terms:
-        s = eta_quotient_series(eq, terms)
+        s = eta_quotient_series(eq, pmax)
         total = total + QSeries(s.lead, [c * x for x in s.coeffs], s.trunc)
     return total
 

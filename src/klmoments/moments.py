@@ -56,7 +56,7 @@ from .errors import (
     PrimeTooLarge,
     WrongConvention,
 )
-from .ffprime import Prime, primitive_root
+from .ffprime import Prime, jacobi_symbol, primitive_root
 from .kloosterman import kl2_counts
 
 DEFAULT_EXACT_LIMIT = 257
@@ -147,9 +147,12 @@ def _orbit_sum(e: int, traces: int, what: str) -> int:
 
 
 def _check_power_sums(p: int, values: dict[int, int]) -> None:
-    """The restricted identities S_1 = 1 and S_2 = p^2 - p - 1, and the Weil
-    bound S_n^2 <= (p-1)^2 4^n p^n, which |Kl_2(p; a)| <= 2 sqrt(p) gives."""
-    expected = {1: 1, 2: p * p - p - 1}
+    """The restricted identities S_1 = 1, S_2 = p^2 - p - 1, and Salie's
+    S_3 = (p/3) p^2 + 2p + 1 and S_4 = 2p^3 - 3p^2 - 3p - 1, S_4(2) = 1
+    (H. Salie, Math. Z. 34, 1931); and the Weil bound
+    S_n^2 <= (p-1)^2 4^n p^n, which |Kl_2(p; a)| <= 2 sqrt(p) gives."""
+    expected = {1: 1, 2: p * p - p - 1, 3: jacobi_symbol(p, 3) * p * p + 2 * p + 1,
+                4: 2 * p**3 - 3 * p * p - 3 * p - 1 if p % 2 else 1}
     for n, want in expected.items():
         if n in values and values[n] != want:
             raise IdentityFailure(f"S_{n}({p}) = {values[n]}, the theory forces {want}")
@@ -201,9 +204,9 @@ def power_sums_exact(
     (1 + (p - 1)(4p)**(k/2)) / p <= (4p)**(k/2) in absolute value, so
     isqrt((4p)**h) bounds every power the chain forms.
 
-    Every table is checked against the parity of the orbit sum, S_1 = 1,
-    S_2 = p^2 - p - 1, the Weil bound and the completed congruence mod
-    p^2; a failure raises IdentityFailure.
+    Every table is checked against the parity of the orbit sum, the closed
+    forms of S_1..S_4 (_check_power_sums), the Weil bound and the completed
+    congruence mod p^2; a failure raises IdentityFailure.
 
     The route has no limit of its own: a p above a caller's exact_limit
     raises ExactLimitExceeded. MomentEngine.lookup applies its own limit
@@ -297,7 +300,7 @@ def power_sums_float(p: int, nmax: int, precision: int) -> PowerSumTable:
     (-1)**(n-1)(n-1)p mod p**2. Admissible integers are p**2 apart, so an
     enclosure narrower than p**2 holds at most one; a wider enclosure, or
     one holding none, raises AmbiguousRounding, which float_precision(p,
-    nmax) bits rule out. The restricted S_1, S_2 and the Weil bound are
+    nmax) bits rule out. The restricted S_1..S_4 and the Weil bound are
     checked like exact tables (IdentityFailure).
     """
     p = Prime(p)

@@ -105,16 +105,18 @@ class TestCorruption:
 
     @pytest.mark.parametrize("convention", [RESTRICTED, COMPLETED])
     def test_identity_breaking_entry_discarded(self, store, caplog, convention):
-        # a valid checksum over a wrong S_2, handed over in either convention
+        # a valid checksum over a wrong S_2, S_3 or S_4, each moved by p^2 so
+        # the congruence mod p^2 still holds, handed over in either convention
         good = power_sums_exact(13, 4).to_convention(convention)
-        path = store.store(
-            PowerSumTable(13, convention, {**good.values, 2: good.values[2] + 13**2},
-                          METHOD_FLOAT)
-        )
-        with caplog.at_level("WARNING"):
-            assert store.load(13, METHOD_FLOAT) is None
-        assert "S_2(13)" in caplog.text
-        assert not path.exists()
+        for n in (2, 3, 4):
+            path = store.store(
+                PowerSumTable(13, convention, {**good.values, n: good.values[n] + 13**2},
+                              METHOD_FLOAT)
+            )
+            with caplog.at_level("WARNING"):
+                assert store.load(13, METHOD_FLOAT) is None
+            assert f"S_{n}(13)" in caplog.text
+            assert not path.exists()
 
     def test_weil_breaking_entry_discarded(self, store, caplog):
         # S_1 and S_2 intact; |S_8(13)| one past (p - 1)(2 sqrt p)^8 = 12 * 52^4
@@ -142,10 +144,10 @@ class TestCrossMethodConsistency:
         assert store.load(7, METHOD_EXACT) is not None
 
     def test_disagreeing_records_fail_loudly(self, store):
-        exact = power_sums_exact(7, 4)
+        exact = power_sums_exact(7, 6)
         store.store(PowerSumTable(7, RESTRICTED, exact.values, METHOD_EXACT))
         wrong = dict(exact.values)
-        wrong[3] += 1  # S_1 and S_2 intact, so only the agreement check sees it
+        wrong[5] += 1  # S_1..S_4 intact, so only the agreement check sees it
         store.store(PowerSumTable(7, RESTRICTED, wrong, METHOD_FLOAT))
         with pytest.raises(CacheMismatch):
             store.load(7, METHOD_EXACT)
@@ -153,10 +155,10 @@ class TestCrossMethodConsistency:
     def test_cross_convention_disagreement_detected(self, store):
         # exact tables persist restricted, float tables completed; the
         # agreement check must still compare them
-        exact = power_sums_exact(7, 4)
+        exact = power_sums_exact(7, 6)
         store.store(exact)
         wrong = dict(exact.to_convention(COMPLETED).values)
-        wrong[3] -= 7**2  # same congruence class, different value
+        wrong[5] -= 7**2  # same congruence class, different value
         store.store(PowerSumTable(7, COMPLETED, wrong, METHOD_FLOAT))
         with pytest.raises(CacheMismatch):
             store.load(7, METHOD_EXACT)
@@ -188,10 +190,11 @@ class TestGetOrCompute:
             store.get_or_compute(11, nmax, METHOD_EXACT, lambda: power_sums_exact(11, nmax))
 
     def test_recompute_disagreement_raises(self, store):
-        # S_1 and S_2 intact, so the entry loads and only S_3 disagrees
-        store.store(PowerSumTable(11, RESTRICTED, {1: 1, 2: 109, 3: 999}, METHOD_EXACT))
-        with pytest.raises(CacheMismatch):
-            store.get_or_compute(11, 4, METHOD_EXACT, lambda: power_sums_exact(11, 4))
+        # S_1..S_4 intact, so the entry loads and only S_5 disagrees
+        values = {**power_sums_exact(11, 5).values, 5: 999}
+        store.store(PowerSumTable(11, RESTRICTED, values, METHOD_EXACT))
+        with pytest.raises(CacheMismatch, match=r"S'_5\(11\)"):
+            store.get_or_compute(11, 6, METHOD_EXACT, lambda: power_sums_exact(11, 6))
 
 
 class TestCacheDirResolution:

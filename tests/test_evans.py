@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from klmoments import cyclotomic, evans, kloosterman, moments
+from klmoments import cyclotomic, evans, kloosterman, modforms, moments
 from klmoments.cache import PowerSumStore
 from klmoments.errors import (
     CacheMismatch,
@@ -361,10 +361,24 @@ class TestRegistryForms:
             raise AssertionError("a degree-5 or degree-8 sweep built a form")
 
         monkeypatch.setattr(evans, "registry_expansion", unreachable)
-        monkeypatch.setattr(evans, "hecke_validate", unreachable)
+        monkeypatch.setattr(modforms, "hecke_validate", unreachable)
         rows, summary = batch_report(d, 2, 60, engine=engine_200)
         assert summary.errors == 0
         assert all(r.source == "none" for r in rows)
+
+    def test_degree6_sweep_reads_the_proven_form_unchecked(self, engine_200, monkeypatch):
+        # the form is proven an eigenform (tests/test_modforms.py), so a
+        # sweep compares with it without sampling its Hecke identities,
+        # and expands it only through q^pmax, here below q^200
+        def unreachable(*args):
+            raise AssertionError("a degree-6 sweep validated its form")
+
+        monkeypatch.setattr(modforms, "hecke_validate", unreachable)
+        assert not hasattr(evans, "hecke_validate")
+        rows, summary = batch_report(6, 2, 31, engine=engine_200)
+        assert summary.rows == summary.passed == 11
+        assert all(checks_by_name(r)["registry_match"] for r in rows)
+        assert all(r.source == "registry-form" for r in rows)
 
 
 class TestBatchReport:
@@ -430,6 +444,14 @@ class TestBatchReport:
         assert summary.errors == 0
         assert sorted(engine.float_primes) == primes_in_range(258, 300)
         assert calls == [(p, 5, float_precision(p, 5)) for p in engine.float_primes]
+
+    def test_sweep_one_flags_the_float_tables_it_built(self):
+        # a pool task's engine is a fresh copy, so "built here" is "took
+        # the float route"; a memo hit builds nothing
+        engine = MomentEngine(exact_limit=11)
+        flags = [evans._sweep_one(engine, 6, {}, p)[1] for p in (7, 13, 13)]
+        assert flags == [False, True, False]
+        assert engine.float_primes == [13]
 
     def test_float_sweep_keeps_one_prime_in_the_memos(self):
         cyclotomic._cached_roots.cache_clear()

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import gcd, isqrt, prod
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -199,7 +202,7 @@ class TestEtaQuotient:
 
 class TestHeckeValidate:
     def test_registry_degree6_passes(self):
-        series = registry_expansion(6, 100)
+        series = registry_expansion(6, 200)
         form = REGISTRY[6]
         report = hecke_validate(series, form.weight, form.level, 200)
         assert report.passed
@@ -231,7 +234,7 @@ class TestHeckeValidate:
     @pytest.mark.parametrize("degree", sorted(REGISTRY))
     def test_every_registry_form_passes(self, degree):
         form = REGISTRY[degree]
-        series = registry_expansion(degree, 100)
+        series = registry_expansion(degree, 200)
         report = hecke_validate(series, form.weight, form.level, 200, form.character)
         assert report.passed, report.violations[:3]
         assert report.deligne_checked == 46
@@ -239,7 +242,16 @@ class TestHeckeValidate:
     @pytest.mark.parametrize("degree", sorted(REGISTRY))
     @pytest.mark.parametrize("pmax", [2, 31, 200, 257])
     def test_expansion_reaches_pmax_and_the_hecke_bound(self, degree, pmax):
-        assert registry_expansion(degree, pmax).trunc == max(pmax, 200)
+        # exactly q^pmax: a sweep reads a(p) for p <= pmax and nothing more
+        assert registry_expansion(degree, pmax).trunc == pmax
+
+    @pytest.mark.parametrize("degree", [6, 8])
+    @pytest.mark.parametrize("pmax", [1, 2, 3, 5, 7, 31])
+    def test_short_expansion_is_a_prefix(self, degree, pmax):
+        short, long = registry_expansion(degree, pmax), registry_expansion(degree, 200)
+        assert [short.coefficient(n) for n in range(pmax + 1)] == [
+            long.coefficient(n) for n in range(pmax + 1)
+        ]
 
     def test_registry_holds_degrees_5_6_8(self):
         assert {d: (f.weight, f.level, f.character) for d, f in REGISTRY.items()} == {
@@ -249,7 +261,7 @@ class TestHeckeValidate:
     def test_cm_form_first_coefficients(self):
         # a(p) = 0 at primes inert in Q(sqrt(-15)) (p/15 = -1: 7, 11, 13);
         # at 3 and 5, which divide level and character, a(p)^2 = p^2
-        series = registry_expansion(5, 10)
+        series = registry_expansion(5, 17)
         assert [series.coefficient(n) for n in range(1, 18)] == [
             1, 1, -3, -3, 5, -3, 0, -7, 9, 5, 0, 9, 0, 0, -15, 5, -14,
         ]
@@ -259,7 +271,7 @@ class TestHeckeValidate:
         # a(49) = a(7)^2 - chi(7) 7^2 = 49; the trivial character wants -49.
         # At 3 | 15, a(3)^2 = 3^(k-1) holds for the character (p/15), and
         # the trivial character's a(3)^2 = 3^(k-2) does not
-        series = registry_expansion(5, 30)
+        series = registry_expansion(5, 60)
         assert series.coefficient(49) == 49
         assert hecke_validate(series, 3, 15, 60, 15).passed
         report = hecke_validate(series, 3, 15, 60)
@@ -293,3 +305,144 @@ class TestPrimeCoefficients:
     def test_zero_series(self):
         zero = QSeries(0, [], 100)
         assert set(prime_coefficients(zero, 20).values()) == {0}
+
+
+# ---------------------------------------------------------------------------
+# Certificate: the level-6 registry forms are Hecke eigenforms
+# ---------------------------------------------------------------------------
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _prime_divisors(n):
+    return [q for q in _divisors(n) if q > 1 and len(_divisors(q)) == 2]
+
+
+def ligozat_orders(eq, level):
+    """Order of eta quotient eq at the cusp 1/c of X_0(level), c | level:
+    (N/24) sum_delta gcd(c, delta)^2 r_delta / (gcd(c, N/c) c delta)
+    (G. Ligozat, Courbes modulaires de genre 1, Mem. SMF 43, 1975)."""
+    return tuple(
+        Fraction(level, 24) * sum(
+            Fraction(gcd(c, d) ** 2 * r, gcd(c, level // c) * c * d) for d, r in eq.factors
+        )
+        for c in _divisors(level)
+    )
+
+
+def is_cusp_form_on_gamma0(eq, level, weight):
+    """Ligozat's criterion for eq in S_weight(Gamma_0(level)), weight even,
+    trivial character: every delta divides the level, the weight is
+    sum r / 2, sum delta r and sum (N/delta) r are multiples of 24, the
+    character (prod delta^r / .) is trivial because prod delta^r is a
+    square, and the order at every cusp is positive."""
+    square = prod(Fraction(d) ** r for d, r in eq.factors)
+    return (
+        weight % 2 == 0
+        and all(level % d == 0 for d, _ in eq.factors)
+        and eq.weight == weight
+        and sum(d * r for d, r in eq.factors) % 24 == 0
+        and sum(level // d * r for d, r in eq.factors) % 24 == 0
+        and all(isqrt(x) ** 2 == x for x in (square.numerator, square.denominator))
+        and min(ligozat_orders(eq, level)) > 0
+    )
+
+
+def gamma0_index(level):
+    """[SL_2(Z) : Gamma_0(N)] = N prod_{q | N} (1 + 1/q)."""
+    return Fraction(level) * prod(Fraction(q + 1, q) for q in _prime_divisors(level))
+
+
+def dim_cusp_forms(level, weight):
+    """dim S_k(Gamma_0(N)) for even k >= 4, from the genus g, the cusps c and
+    the elliptic points e_2, e_3 of X_0(N) (Diamond and Shurman, GTM 228,
+    3.1.1, 3.5.1, 3.9.1):
+    (k - 1)(g - 1) + (k/2 - 1) c + floor(k/4) e_2 + floor(k/3) e_3."""
+    assert weight >= 4 and weight % 2 == 0
+    qs = _prime_divisors(level)
+    # (-4/q) and (-3/q) for the primes q | N
+    e2 = 0 if level % 4 == 0 else prod(1 + {1: 1, 3: -1}.get(q % 4, 0) for q in qs)
+    e3 = 0 if level % 9 == 0 else prod(1 + {1: 1, 2: -1}.get(q % 3, 0) for q in qs)
+    cusps = sum(
+        sum(gcd(i, gcd(d, level // d)) == 1 for i in range(1, gcd(d, level // d) + 1))
+        for d in _divisors(level)
+    )
+    genus = 1 + gamma0_index(level) / 12 - Fraction(e2, 4) - Fraction(e3, 3) - Fraction(cusps, 2)
+    assert genus.denominator == 1
+    return int(
+        (weight - 1) * (genus - 1) + (weight // 2 - 1) * cusps
+        + weight // 4 * e2 + weight // 3 * e3
+    )
+
+
+def hecke_t(series, ell, weight, n):
+    """Coefficient of q^n in T_ell f, ell prime to the level:
+    a(ell n) + ell^(k-1) a(n / ell)."""
+    return series.coefficient(ell * n) + (
+        ell ** (weight - 1) * series.coefficient(n // ell) if n % ell == 0 else 0
+    )
+
+
+class TestSturmCertificate:
+    """Degrees 6 and 8 are eigenforms of every T_l, l prime to 6, proven
+    from finitely many coefficients, so a sweep reads their a(p) unchecked.
+
+    Degree 6 lies in S_4(Gamma_0(6)), which is 1-dimensional: T_l maps the
+    normalized form to a multiple of itself. Degree 8 lies in
+    S_6(Gamma_0(6)), of dimension 3. Its old part is g(t), g(2t) for the
+    level-3 form g = (eta(t) eta(3t))^6, which spans S_6(Gamma_0(3)), and
+    T_5 acts on it by a_g(5) = 6. T_5 f + 66 f is in S_6(Gamma_0(6)) and
+    vanishes through q^7, past Sturm's bound k [SL_2(Z) : Gamma_0(6)] / 12
+    = 6 (J. Sturm, LNM 1240, 1987), so it is 0. T_5 is self-adjoint on the
+    space, so its -66-eigenspace lies in the 1-dimensional complement of
+    the old part: it is the line C f. Every T_l commutes with T_5, so f is
+    an eigenform of each, with eigenvalue a(l) since a(1) = 1.
+    """
+
+    @pytest.mark.parametrize("degree, index, orders", [
+        (6, 0, (1, 1, 1, 1)),
+        (8, 0, (2, 2, 1, 1)),
+        (8, 1, (1, 2, 1, 2)),
+        (8, 2, (1, 1, 1, 3)),
+    ])
+    def test_eta_quotients_are_cusp_forms(self, degree, index, orders):
+        form = REGISTRY[degree]
+        _, eq = form.eta_terms[index]
+        assert ligozat_orders(eq, form.level) == orders
+        assert is_cusp_form_on_gamma0(eq, form.level, form.weight)
+
+    def test_registry_forms_are_these_combinations(self):
+        assert [len(REGISTRY[d].eta_terms) for d in (6, 8)] == [1, 3]
+        assert [registry_expansion(d, 1).coefficient(1) for d in (6, 8)] == [1, 1]
+
+    @pytest.mark.parametrize("level, weight, dim", [
+        (6, 4, 1), (6, 6, 3), (3, 6, 1), (2, 6, 0), (1, 6, 0),
+        # the formula against known spaces: Delta, and (eta(t) eta(2t))^8
+        (1, 12, 1), (2, 8, 1), (1, 4, 0),
+    ])
+    def test_dimensions(self, level, weight, dim):
+        assert dim_cusp_forms(level, weight) == dim
+
+    def test_degree6_spans_its_space(self):
+        form = REGISTRY[6]
+        assert dim_cusp_forms(form.level, form.weight) == 1
+
+    def test_level3_old_form(self):
+        g_eq = EtaQuotient(((1, 6), (3, 6)))
+        assert is_cusp_form_on_gamma0(g_eq, 3, 6)
+        g = eta_quotient_series(g_eq, 5)
+        assert (g.coefficient(1), g.coefficient(5)) == (1, 6)
+        # S_6(SL_2(Z)) = S_6(Gamma_0(2)) = 0, so the old part of
+        # S_6(Gamma_0(6)) is g(t), g(2t), and one dimension is left
+        assert dim_cusp_forms(1, 6) == dim_cusp_forms(2, 6) == 0
+        assert dim_cusp_forms(6, 6) - 2 * dim_cusp_forms(3, 6) == 1
+
+    def test_degree8_is_the_t5_eigenform_past_sturms_bound(self):
+        form = REGISTRY[8]
+        sturm = form.weight * gamma0_index(form.level) / 12
+        assert sturm == 6
+        f = registry_expansion(8, 5 * 7)
+        assert f.coefficient(5) == -66
+        assert [hecke_t(f, 5, form.weight, n) + 66 * f.coefficient(n) for n in range(8)] == [0] * 8

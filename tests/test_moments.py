@@ -11,7 +11,7 @@ from klmoments.errors import (
     MissingPowerSum,
     WrongConvention,
 )
-from klmoments.ffprime import primes_in_range
+from klmoments.ffprime import jacobi_symbol, primes_in_range
 from klmoments.kloosterman import kl2_counts
 from klmoments.moments import (
     COMPLETED,
@@ -144,23 +144,61 @@ class TestGaloisOrbits:
             power_sums_exact(7, 4)
 
     def test_broken_congruence_fails_identities(self, monkeypatch):
-        # S_3 one off: the parity, S_1, S_2 and the Weil bound still hold,
+        # S_5 one off: the parity, S_1..S_4 and the Weil bound still hold,
         # the completed congruence mod p^2 breaks
         orbit_sum = moments._orbit_sum
         monkeypatch.setattr(
             moments, "_orbit_sum",
-            lambda e, traces, what: orbit_sum(e, traces, what) + what.startswith("S_3("),
+            lambda e, traces, what: orbit_sum(e, traces, what) + what.startswith("S_5("),
         )
-        with pytest.raises(IdentityFailure, match=r"S'_3\(7\)"):
-            power_sums_exact(7, 4)
+        with pytest.raises(IdentityFailure, match=r"S'_5\(7\)"):
+            power_sums_exact(7, 6)
 
     def test_weil_bound_checked(self):
-        # |S_4(13)| <= (p - 1)(2 sqrt p)^4 = 12 * 52^2 = 32448, with equality allowed
-        values = {1: 1, 2: 13**2 - 13 - 1}
-        moments._check_power_sums(13, {**values, 4: -32448})
-        for s4 in (32449, -32449):
-            with pytest.raises(IdentityFailure, match=r"S_4\(13\).*Weil"):
-                moments._check_power_sums(13, {**values, 4: s4})
+        # |S_6(13)| <= (p - 1)(2 sqrt p)^6 = 12 * 52^3 = 1687296, with equality allowed
+        values = power_sums_exact(13, 5).values
+        moments._check_power_sums(13, {**values, 6: -1687296})
+        for s6 in (1687297, -1687297):
+            with pytest.raises(IdentityFailure, match=r"S_6\(13\).*Weil"):
+                moments._check_power_sums(13, {**values, 6: s6})
+
+    def test_salie_closed_forms_to_400(self, monkeypatch):
+        # S_3 = (p/3) p^2 + 2p + 1 and S_4 = 2p^3 - 3p^2 - 3p - 1 (S_4(2) = 1),
+        # against tables built with the library's own identity checks switched off
+        monkeypatch.setattr(moments, "_check_power_sums", lambda p, values: None)
+        for p in primes_in_range(2, 400):
+            table = power_sums_exact(p, 4, exact_limit=p)
+            assert table[3] == jacobi_symbol(p, 3) * p * p + 2 * p + 1, p
+            assert table[4] == (2 * p**3 - 3 * p * p - 3 * p - 1 if p % 2 else 1), p
+
+    @pytest.mark.parametrize("route", ["exact", "float"])
+    def test_s3_moved_by_p_squared_fails_identities(self, monkeypatch, route):
+        # the congruence mod p^2 cannot see the move, and the float route
+        # picks the admissible integer it finds; Salie's S_3 sees it
+        p = 7
+        if route == "exact":
+            orbit_sum = moments._orbit_sum
+            monkeypatch.setattr(
+                moments, "_orbit_sum",
+                lambda e, traces, what: orbit_sum(e, traces, what) + p * p * what.startswith("S_3("),
+            )
+            build = lambda: power_sums_exact(p, 4)
+        else:
+            precision = float_precision(p, 4)
+            interval_sums = moments._interval_power_sums
+
+            def moved(intervals, nmax):
+                lo, hi = interval_sums(intervals, nmax)
+                shift = p * p << (3 * precision)
+                lo[3] += shift
+                hi[3] += shift
+                return lo, hi
+
+            monkeypatch.setattr(moments, "_interval_power_sums", moved)
+            build = lambda: power_sums_float(p, 4, precision)
+        want = jacobi_symbol(p, 3) * p * p + 2 * p + 1
+        with pytest.raises(IdentityFailure, match=rf"S_3\(7\) = {want + p * p}, the theory forces {want}$"):
+            build()
 
 
 class TestPowerSumsExact:
