@@ -31,6 +31,7 @@ applies the limits; this module only applies the identities.
 from __future__ import annotations
 
 import json
+import os
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -378,6 +379,14 @@ def _sweep_one(
     return row, len(engine.float_primes) > floats
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def batch_report(
     d: int,
     pmin: int,
@@ -390,10 +399,11 @@ def batch_report(
     Per-prime failures become error rows; the sweep never aborts, but a
     pmax above PRIME_CEILING raises PrimeTooLarge before it starts. Rows are
     ordered by p regardless of execution order. With jobs > 1 the primes
-    are spread over min(jobs, #primes) worker processes, each running a
-    pickled copy of `engine` (settings, store, subclass). When any prime
-    used the float path, one of them (chosen by a seeded RNG for
-    reproducibility) is re-verified against the exact path.
+    are spread over min(jobs, #primes, usable CPUs) worker processes, each
+    running a pickled copy of `engine` (settings, store, subclass); the
+    pool starts every worker at once, so the CPU cap bounds the fan-out.
+    When any prime used the float path, one of them (chosen by a seeded RNG
+    for reproducibility) is re-verified against the exact path.
     """
     if d not in _PIPELINES:
         raise ValueError(f"no pipeline for degree {d}; have {sorted(_PIPELINES)}")
@@ -411,7 +421,7 @@ def batch_report(
         kwargs["registry_coeffs"] = prime_coefficients(series, max(primes))
 
     run = partial(_sweep_one, engine, d, kwargs)
-    workers = min(jobs, len(primes))
+    workers = min(jobs, len(primes), _usable_cpus())
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only pools pay its import
 

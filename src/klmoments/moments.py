@@ -21,7 +21,7 @@ interval powers.
 
 MomentEngine is the one router: exact up to its exact_limit, float above.
 Before its cache is read, it refuses a prime above PRIME_CEILING, a table
-above TABLE_CEILING and an exact table above exact_limit.
+above TABLE_CEILING, an exact table above exact_limit and an nmax below 1.
 
 Three independent routes to m^d_2(p) are provided and must agree:
 
@@ -448,10 +448,11 @@ def sym_moment_appendix8(p: int, table: PowerSumTable) -> MomentValue:
 class MomentEngine:
     """Computes m^d_2(p), exact up to exact_limit, float-congruence above.
 
-    Power-sum tables are memoized per prime (and optionally persisted
-    through `store`), since one sweep touches many degrees of the same
-    prime. An exact_limit below 3 raises ValueError on construction; the
-    refusals of `lookup` come before any table is read or built.
+    Power-sum tables are memoized, one restricted table per prime found
+    by p (and optionally persisted through `store`), since one sweep
+    touches many degrees of the same prime. An exact_limit below 3 raises
+    ValueError on construction; the refusals of `lookup` come before any
+    table is read or built.
     """
 
     def __init__(self, exact_limit: int = DEFAULT_EXACT_LIMIT, store: object | None = None):
@@ -459,14 +460,23 @@ class MomentEngine:
             raise ValueError("exact_limit must be >= 3")
         self.exact_limit = exact_limit
         self.store = store  # cache.PowerSumStore
-        self._tables: dict[tuple[int, int], PowerSumTable] = {}
+        self._tables: dict[int, PowerSumTable] = {}
         self.float_primes: list[int] = []
 
     def table(self, p: int, nmax: int) -> PowerSumTable:
-        """Restricted S_1..S_nmax at p: exact up to exact_limit, float beyond."""
-        for (tp, tn), tab in self._tables.items():
-            if tp == p and tn >= nmax:
-                return tab
+        """Restricted S_1..S_nmax at p: exact up to exact_limit, float beyond.
+
+        The memo's table of p serves every nmax up to its own. A larger nmax
+        builds a new table that replaces it, here and in `store`, rather
+        than extending it: the exact route's slot width isqrt((4p)**h),
+        h = ceil(nmax/2), covers the whole convolution chain, and neither
+        the memo nor the cache keeps the chain; the float route's
+        float_precision(p, nmax) grows with nmax, so the old enclosures are
+        too coarse.
+        """
+        tab = self._tables.get(p)
+        if tab is not None and max(tab.values) >= nmax:
+            return tab
         method = METHOD_EXACT if p <= self.exact_limit else METHOD_FLOAT
         tab = self.lookup(p, nmax, method)
         if method == METHOD_FLOAT:
@@ -482,9 +492,9 @@ class MomentEngine:
         cached in: restricted for exact tables, completed for float tables
         (the convention their congruence pins). Nothing is routed or memoized.
         Before `store` is read, a p above PRIME_CEILING raises PrimeTooLarge,
-        a table above TABLE_CEILING InputTooLarge, and an exact table above
-        exact_limit ExactLimitExceeded, so a warm cache refuses what a cold
-        one does.
+        a table above TABLE_CEILING InputTooLarge, an exact table above
+        exact_limit ExactLimitExceeded, and an nmax below 1 ValueError, so a
+        warm cache refuses what a cold one does.
         """
         if p > PRIME_CEILING:
             raise PrimeTooLarge(f"p = {p} is above the prime ceiling {PRIME_CEILING}")
@@ -501,6 +511,8 @@ class MomentEngine:
         else:
             def compute():
                 return power_sums_float_auto(p, nmax)[0]
+        if nmax < 1:
+            raise ValueError("nmax must be >= 1")
         if self.store is None:
             return compute()
         return self.store.get_or_compute(p, nmax, method, compute)
@@ -508,12 +520,11 @@ class MomentEngine:
     def seed(self, table: PowerSumTable) -> None:
         """Serve table's prime from a precomputed table, in place of any other.
 
-        The table is kept restricted under (p, nmax) and answers every
-        request up to its nmax without recomputation.
+        The table is kept restricted under its p, whatever the nmax of the
+        one it replaces, and answers every request up to its own nmax
+        without recomputation.
         """
-        tab = table.to_convention(RESTRICTED)
-        self._tables = {k: v for k, v in self._tables.items() if k[0] != tab.p}
-        self._tables[(tab.p, max(tab.values))] = tab
+        self._tables[table.p] = table.to_convention(RESTRICTED)
 
     def moment(self, p: int, d: int) -> MomentValue:
         tab = self.table(p, max(d, 1))

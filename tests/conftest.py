@@ -1,5 +1,6 @@
 import pytest
 
+from klmoments import evans
 from klmoments.evans import MomentEngine
 from klmoments.ffprime import primes_in_range
 from klmoments.moments import power_sums_exact
@@ -17,3 +18,9 @@ def engine_200(sum_tables_200):
     for tab in sum_tables_200.values():
         engine.seed(tab)
     return engine
+
+
+@pytest.fixture()
+def two_cpus(monkeypatch):
+    """Lets a jobs=2 sweep fork its 2 workers on a 1-CPU machine too."""
+    monkeypatch.setattr(evans, "_usable_cpus", lambda: 2)

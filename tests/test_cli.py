@@ -191,6 +191,20 @@ class TestSums:
         assert PowerSumStore(tmp_path).load(263, METHOD_EXACT) is not None
         assert run(capsys, *argv) == cold
 
+    @pytest.mark.parametrize("nmax", ["0", "-3"])
+    def test_warm_cache_refuses_nmax_below_one(self, capsys, tmp_path, nmax):
+        # the coverage test of an empty range 1..nmax is vacuously true, so
+        # the engine refuses nmax < 1 before its cache is read
+        argv = ("sums", "--p", "7", "--format", "json", "--cache-dir", str(tmp_path))
+        cold = run(capsys, *argv, "--nmax", nmax)
+        assert cold[0] == 1
+        assert json.loads(cold[1])["error"] == {
+            "type": "ValueError", "message": "nmax must be >= 1",
+        }
+        assert run(capsys, *argv, "--nmax", "4")[0] == 0
+        assert PowerSumStore(tmp_path).load(7, METHOD_EXACT) is not None
+        assert run(capsys, *argv, "--nmax", nmax) == cold
+
 
 class TestMoments:
     def test_value(self, capsys):
@@ -233,6 +247,7 @@ class TestEvans:
         assert code2 == 0
         assert cold == warm
 
+    @pytest.mark.usefixtures("two_cpus")
     def test_jobs_do_not_change_output_or_cache(self, capsys, tmp_path):
         argv = ("evans", "--d", "5", "--pmin", "2", "--pmax", "40",
                 "--exact-limit", "11", "--format", "json")

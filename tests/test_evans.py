@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import os
 import tracemalloc
 from fractions import Fraction
 
@@ -416,6 +417,7 @@ class TestBatchReport:
         failed = [r for r in rows if r.error is not None]
         assert len(failed) == 1 and failed[0].p == 13
 
+    @pytest.mark.usefixtures("two_cpus")
     def test_parallel_matches_sequential(self):
         seq_rows, seq_sum = batch_report(6, 2, 40, jobs=1)
         par_rows, par_sum = batch_report(6, 2, 40, jobs=2)
@@ -480,6 +482,7 @@ class TestBatchReport:
             ):
                 engine.audit(6)
 
+    @pytest.mark.usefixtures("two_cpus")
     def test_parallel_audit_uses_the_degree(self, monkeypatch):
         # the workers' tables stay in the workers, so the parent's audit
         # recomputes its prime: at the sweep's nmax, not a fixed 8
@@ -496,6 +499,7 @@ class TestBatchReport:
         assert summary.errors == 0
         assert asked and max(asked) <= 6
 
+    @pytest.mark.usefixtures("two_cpus")
     def test_pool_runs_the_callers_engine(self, tmp_path):
         store = PowerSumStore(tmp_path)
         engine = FailAt13Engine(exact_limit=11, store=store)
@@ -511,16 +515,39 @@ class TestBatchReport:
             "p7-restricted-exact-cyclotomic.json",
         ]
 
-    def test_workers_capped_at_prime_count(self, monkeypatch):
+    @pytest.fixture()
+    def requested(self, monkeypatch):
+        # the worker counts asked of an inline stand-in: no process starts
         requested = []
         monkeypatch.setattr(
             concurrent.futures, "ProcessPoolExecutor",
             lambda max_workers: InlinePool(max_workers, requested),
         )
+        return requested
+
+    def test_workers_capped_at_prime_count(self, monkeypatch, requested):
+        monkeypatch.setattr(evans, "_usable_cpus", lambda: 64)
         rows, _ = batch_report(8, 3, 7, jobs=64)
         assert [r.p for r in rows] == [3, 5, 7] and requested == [3]
         rows, _ = batch_report(8, 3, 3, jobs=64)
         assert [r.p for r in rows] == [3] and requested == [3]
+
+    def test_workers_capped_at_usable_cpus(self, monkeypatch, requested):
+        monkeypatch.setattr(evans, "_usable_cpus", lambda: 2)
+        rows, _ = batch_report(8, 3, 7, jobs=10**6)
+        assert [r.p for r in rows] == [3, 5, 7] and requested == [2]
+        monkeypatch.setattr(evans, "_usable_cpus", lambda: 1)
+        rows, _ = batch_report(8, 3, 7, jobs=10**6)
+        assert [r.p for r in rows] == [3, 5, 7] and requested == [2]
+
+    def test_usable_cpus_is_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert evans._usable_cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert evans._usable_cpus() == 4
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert evans._usable_cpus() == 1
 
     def test_unknown_degree(self):
         with pytest.raises(ValueError):

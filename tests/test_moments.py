@@ -507,3 +507,53 @@ class TestMomentSelector:
     def test_invalid_settings_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             MomentEngine(**kwargs)
+
+
+class TestEngineMemo:
+    # one restricted table per prime, found by p; a larger nmax replaces it
+    @staticmethod
+    def no_route(monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the memo's table must serve this nmax")
+
+        monkeypatch.setattr(moments, "power_sums_exact", unreachable)
+        monkeypatch.setattr(moments, "power_sums_float_auto", unreachable)
+
+    @pytest.mark.parametrize("p, exact_limit", [(7, 257), (11, 7)])
+    def test_larger_nmax_replaces_the_entry(self, monkeypatch, p, exact_limit):
+        engine = MomentEngine(exact_limit=exact_limit)
+        engine.table(p, 4)
+        big = engine.table(p, 8)
+        assert list(engine._tables) == [p] and engine._tables[p] is big
+        assert sorted(big.values) == list(range(1, 9))
+        assert big.convention == RESTRICTED
+        self.no_route(monkeypatch)
+        assert engine.table(p, 6) is big
+
+    def test_smaller_seed_replaces_a_larger_one(self, monkeypatch):
+        engine = MomentEngine()
+        engine.seed(power_sums_exact(7, 8))
+        small = power_sums_exact(7, 4)
+        engine.seed(small)
+        assert engine._tables == {7: small}
+        asked = []
+        real = moments.power_sums_exact
+
+        def recording(p, nmax):
+            asked.append((p, nmax))
+            return real(p, nmax)
+
+        monkeypatch.setattr(moments, "power_sums_exact", recording)
+        assert sorted(engine.table(7, 8).values) == list(range(1, 9))
+        assert asked == [(7, 8)]
+
+    def test_seeding_one_prime_twice_keeps_one_entry(self, monkeypatch):
+        engine = MomentEngine()
+        engine.seed(power_sums_exact(11, 6))
+        completed = power_sums_exact(11, 3, convention=COMPLETED)
+        engine.seed(completed)
+        engine.seed(power_sums_exact(13, 2))
+        assert sorted(engine._tables) == [11, 13]
+        assert engine._tables[11] == completed.to_convention(RESTRICTED)
+        self.no_route(monkeypatch)
+        assert engine.table(11, 3) is engine._tables[11]
