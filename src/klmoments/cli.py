@@ -196,10 +196,12 @@ def _parse_quotient(spec: str) -> EtaQuotient:
 def _cmd_eta(args) -> int:
     eq = _parse_quotient(args.quotient)
     series = eta_quotient_series(eq, args.terms)
+    # the quotient's own order: a series truncated below it is empty
+    lead = eq.q_order_times_24 // 24
     coeffs = [series.coefficient(e) for e in range(0, args.terms + 1)]
     lines = [
         f"eta quotient {args.quotient}: weight = {eq.weight}, "
-        f"leading exponent = {series.lead}"
+        f"leading exponent = {lead}"
     ]
     lines += [f"q^{e}: {c}" for e, c in enumerate(coeffs) if c]
     csv_text = "exponent,coefficient\n" + "".join(
@@ -208,7 +210,7 @@ def _cmd_eta(args) -> int:
     doc = {
         "quotient": args.quotient,
         "weight": str(eq.weight),
-        "lead": series.lead,
+        "lead": lead,
         "coefficients": [str(c) for c in coeffs],
     }
     _emit(doc, args.format, lines, csv_text)

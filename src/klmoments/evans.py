@@ -22,7 +22,8 @@ Steinberg blocks with eigenvalues +-p**(d/2). Two layers of checks follow:
 
 The d = 5, 6, 7, 8 pipelines divide by the power of p the eigenform
 identity actually provides (p**2 in all four cases) and record the finer
-divisibility and bound facts as named check rows in the report.
+divisibility and bound facts as named check rows in the report. A sweep
+(batch_report) then compares degree 6's a(p) with its registry form.
 
 Moments come from moments.MomentEngine, which routes each prime and
 applies the limits; this module only applies the identities.
@@ -230,25 +231,7 @@ def _p2_quotient(
     return p, mv, q
 
 
-def _compared(
-    d: int, p: int, mv: MomentValue, a: int, checks: list[CheckResult],
-    registry_coeffs: dict[int, int] | None,
-) -> EvansReport:
-    """The report, with a registry_match row where the registry form's
-    coefficients (or None) have a(p)."""
-    want = None if registry_coeffs is None else registry_coeffs.get(p)
-    if want is not None:
-        detail = f"{REGISTRY[d].label} a({p}) = {want}"
-        checks.append(CheckResult("registry_match", want == a, detail))
-    source = "none" if want is None else "registry-form"
-    return EvansReport(d, p, mv.value, a, tuple(checks), source, mv.method)
-
-
-def evans_d5(
-    p: int,
-    engine: MomentEngine | None = None,
-    registry_coeffs: dict[int, int] | None = None,
-) -> EvansReport:
+def evans_d5(p: int, engine: MomentEngine | None = None) -> EvansReport:
     """Degree 5: a(p) = (-m^5 - 1)/p^2 against the weight-3 CM structure.
 
     Divisibility by p^2 is required (DivisibilityFailure otherwise). The
@@ -256,38 +239,23 @@ def evans_d5(
     at primes inert in Q(sqrt(-15)); false at every split prime <= 500,
     where a(p) is the trace of an element of norm p^2), the weight-3 bound
     |a| <= 2p, and the vanishing a(p) = 0 forced at primes inert in
-    Q(sqrt(-15)), i.e. with Jacobi symbol (p/15) = -1. With the registry
-    form's coefficients, equality with a(p) is recorded.
+    Q(sqrt(-15)), i.e. with Jacobi symbol (p/15) = -1.
     """
     p, mv, a = _p2_quotient(5, p, engine)
     chi = jacobi_symbol(p, 15)
-    checks = [
+    checks = (
         CheckResult("p_divides_a", a % p == 0, f"a = {a}"),
         CheckResult("deligne_weight3", a * a <= 4 * p * p, f"|a| vs 2p = {2*p}"),
-        CheckResult(
-            "cm_vanishing",
-            chi != -1 or a == 0,
-            f"(p/15) = {chi}",
-        ),
-    ]
-    return _compared(5, p, mv, a, checks, registry_coeffs)
+        CheckResult("cm_vanishing", chi != -1 or a == 0, f"(p/15) = {chi}"),
+    )
+    return EvansReport(5, p, mv.value, a, checks, "none", mv.method)
 
 
-def evans_d6(
-    p: int,
-    engine: MomentEngine | None = None,
-    registry_coeffs: dict[int, int] | None = None,
-) -> EvansReport:
-    """Degree 6: a(p) = (-m^6 - 1)/p^2, valid at every prime including 2.
-
-    When the registry form's coefficients are supplied, equality with its
-    p-th coefficient is recorded.
-    """
+def evans_d6(p: int, engine: MomentEngine | None = None) -> EvansReport:
+    """Degree 6: a(p) = (-m^6 - 1)/p^2, valid at every prime including 2."""
     p, mv, a = _p2_quotient(6, p, engine)
-    checks = [
-        CheckResult("deligne_weight4", a * a <= 4 * p**3, f"a = {a}"),
-    ]
-    return _compared(6, p, mv, a, checks, registry_coeffs)
+    checks = (CheckResult("deligne_weight4", a * a <= 4 * p**3, f"a = {a}"),)
+    return EvansReport(6, p, mv.value, a, checks, "none", mv.method)
 
 
 def evans_d7(
@@ -329,21 +297,14 @@ def evans_d7(
     )
 
 
-def evans_d8(
-    p: int,
-    engine: MomentEngine | None = None,
-    registry_coeffs: dict[int, int] | None = None,
-) -> EvansReport:
+def evans_d8(p: int, engine: MomentEngine | None = None) -> EvansReport:
     """Degree 8: a(p) = (-m^8 - 1 - p^4)/p^2 against the weight-6 bound.
 
     The eigenform has weight 6, so Deligne's bound is |a| <= 2 p^(5/2).
-    With the registry form's coefficients, equality with a(p) is recorded.
     """
     p, mv, a = _p2_quotient(8, p, engine)
-    checks = [
-        CheckResult("deligne_weight6", a * a <= 4 * p**5, f"a = {a}"),
-    ]
-    return _compared(8, p, mv, a, checks, registry_coeffs)
+    checks = (CheckResult("deligne_weight6", a * a <= 4 * p**5, f"a = {a}"),)
+    return EvansReport(8, p, mv.value, a, checks, "none", mv.method)
 
 
 # ---------------------------------------------------------------------------
@@ -364,19 +325,32 @@ class BatchSummary:
         self.errors = errors
 
 
-def _sweep_one(
-    engine: MomentEngine, d: int, kwargs: dict, p: int
-) -> tuple[EvansReport, bool]:
+def _sweep_one(engine: MomentEngine, d: int, p: int) -> tuple[EvansReport, bool]:
     """Pipeline d at p with this engine, or an error row; and whether p
     took the float route (a pool worker's engine is a copy)."""
     floats = len(engine.float_primes)
     try:
-        row = _PIPELINES[d](p, engine, **kwargs)
+        row = _PIPELINES[d](p, engine)
     except KlmomentsError as exc:
         row = EvansReport(
             d, p, None, None, (), "none", "", error=f"{type(exc).__name__}: {exc}"
         )
     return row, len(engine.float_primes) > floats
+
+
+def _match_registry(row: EvansReport, coeffs: dict[int, int]) -> None:
+    """Compare a derived row's a(p) with the registry form's coefficient.
+
+    A row with no error whose prime `coeffs` holds gets a last check,
+    registry_match, and the source "registry-form"; any other row is left
+    as it is.
+    """
+    want = coeffs.get(row.p)
+    if row.error is not None or want is None:
+        return
+    detail = f"{REGISTRY[row.d].label} a({row.p}) = {want}"
+    row.checks += (CheckResult("registry_match", want == row.derived, detail),)
+    row.source = "registry-form"
 
 
 def _usable_cpus() -> int:
@@ -401,7 +375,10 @@ def batch_report(
     ordered by p regardless of execution order. With jobs > 1 the primes
     are spread over min(jobs, #primes, usable CPUs) worker processes, each
     running a pickled copy of `engine` (settings, store, subclass); the
-    pool starts every worker at once, so the CPU cap bounds the fan-out.
+    pool starts every worker at once, so the CPU cap bounds the fan-out,
+    and each task carries only its prime. Degree 6's form is expanded
+    through q^pmax before any prime is swept, and the parent compares its
+    coefficients with the rows from either path.
     When any prime used the float path, one of them (chosen by a seeded RNG
     for reproducibility) is re-verified against the exact path.
     """
@@ -412,15 +389,15 @@ def batch_report(
     excluded, _ = _EXCLUDED[d]
     primes = [p for p in primes_in_range(pmin, pmax) if p not in excluded]
     engine = engine or MomentEngine()
-    kwargs = {}
+    coeffs = {}
     # Degrees 5 and 8 have registry forms too, compared in the tests: their
     # registry_match rows reach stdout with the report's schema 2 (ROADMAP
-    # item 6), so that stdout changes once, on purpose.
+    # item 6b), so that stdout changes once, on purpose.
     if d == 6 and primes:
         series = registry_expansion(6, max(primes))
-        kwargs["registry_coeffs"] = prime_coefficients(series, max(primes))
+        coeffs = prime_coefficients(series, max(primes))
 
-    run = partial(_sweep_one, engine, d, kwargs)
+    run = partial(_sweep_one, engine, d)  # a pool pickles it with every prime
     workers = min(jobs, len(primes), _usable_cpus())
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only pools pay its import
@@ -431,6 +408,8 @@ def batch_report(
     else:
         results = [run(p) for p in primes]
     rows = [row for row, _ in results]  # in the order of primes, ascending
+    for row in rows:
+        _match_registry(row, coeffs)
     engine.audit(d)
     summary = BatchSummary(
         d,

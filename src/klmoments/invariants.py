@@ -153,8 +153,8 @@ class DimsTable:
         return self.prime_rows[p][d - 1]
 
 
-def dims_table(dmax: int = 13, primes: Sequence[int] = TABLE_PRIMES) -> DimsTable:
-    """Middle-extension dimensions for d = 1..dmax over the given primes.
+def dims_table(dmax: int = 13) -> DimsTable:
+    """Middle-extension dimensions for d = 1..dmax over TABLE_PRIMES.
 
     Cells where p is good carry the GOOD marker instead of repeating the
     stable value.
@@ -163,12 +163,12 @@ def dims_table(dmax: int = 13, primes: Sequence[int] = TABLE_PRIMES) -> DimsTabl
         raise InputTooLarge(f"dmax = {dmax} is above the dims ceiling {DIMS_CEILING}")
     good_row = tuple(dim_m_middle(d, GOOD) for d in range(1, dmax + 1))
     rows = {}
-    for p in primes:
+    for p in TABLE_PRIMES:
         row = []
         for d in range(1, dmax + 1):
             row.append(GOOD if is_good(d, p) else dim_m_middle(d, p))
         rows[p] = tuple(row)
-    return DimsTable(dmax, tuple(primes), good_row, rows)
+    return DimsTable(dmax, TABLE_PRIMES, good_row, rows)
 
 
 def render_dims_text(table: DimsTable) -> str:

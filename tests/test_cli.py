@@ -307,6 +307,21 @@ class TestEta:
         assert "weight = 4" in out and "leading exponent = 1" in out
         assert "q^2: -2" in out and "q^3: -3" in out
 
+    @pytest.mark.parametrize("quotient, terms, lead", [
+        ("1:24", "0", 1), ("1:48", "1", 2), ("1:2,2:2,3:2,6:2", "0", 1),
+    ])
+    def test_lead_above_the_terms(self, capsys, quotient, terms, lead):
+        # every coefficient through q^terms is 0, and the order is the quotient's
+        code, out, _ = run(capsys, "eta", "--quotient", quotient, "--terms", terms)
+        assert code == 0
+        assert out.splitlines()[-1].endswith(f"leading exponent = {lead}")
+        code, out, _ = run(
+            capsys, "eta", "--quotient", quotient, "--terms", terms, "--format", "json",
+        )
+        doc = json.loads(out)
+        assert code == 0 and doc["lead"] == lead
+        assert doc["coefficients"] == ["0"] * (int(terms) + 1)
+
 
 class TestMolien:
     def test_dim_series(self, capsys):

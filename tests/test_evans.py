@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import os
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -43,6 +44,12 @@ def checks_by_name(report):
     return {c.name: c.passed for c in report.checks}
 
 
+def matched(report, coeffs):
+    """The report after the sweep's comparison with these coefficients."""
+    evans._match_registry(report, coeffs)
+    return report
+
+
 class FailAt13Engine(MomentEngine):
     """Module level, so a process pool can unpickle it."""
 
@@ -53,10 +60,12 @@ class FailAt13Engine(MomentEngine):
 
 
 class InlinePool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps inline."""
+    """Stands in for ProcessPoolExecutor: records max_workers and the
+    pickled function, and maps a copy of it inline, as a worker would."""
 
-    def __init__(self, max_workers, requested):
+    def __init__(self, max_workers, requested, shipped):
         requested.append(max_workers)
+        self.shipped = shipped
 
     def __enter__(self):
         return self
@@ -65,7 +74,9 @@ class InlinePool:
         return False
 
     def map(self, fn, items):
-        return map(fn, items)
+        task = pickle.dumps(fn)  # a process pool sends it with every item
+        self.shipped.append(task)
+        return map(pickle.loads(task), items)
 
 
 class TestTraceMiddle:
@@ -248,13 +259,13 @@ class TestEvansD5:
 
     def test_table_comparison(self, engine_200):
         good = {7: 0, 17: -14}
-        r = evans_d5(17, engine_200, registry_coeffs=good)
+        r = matched(evans_d5(17, engine_200), good)
         assert checks_by_name(r)["registry_match"] and r.source == "registry-form"
         assert r.checks[-1].detail == "cm-theta a(17) = -14"
-        r = evans_d5(7, engine_200, registry_coeffs={7: 5})
+        r = matched(evans_d5(7, engine_200), {7: 5})
         assert not checks_by_name(r)["registry_match"]
         # a prime the coefficients lack gets no comparison row
-        r = evans_d5(11, engine_200, registry_coeffs=good)
+        r = matched(evans_d5(11, engine_200), good)
         assert "registry_match" not in checks_by_name(r) and r.source == "none"
 
 
@@ -267,7 +278,7 @@ class TestEvansD6:
     def test_registry_equality_to_97(self, engine_200):
         coeffs = prime_coefficients(registry_expansion(6, 97), 97)
         for p in primes_in_range(2, 97):
-            r = evans_d6(p, engine_200, registry_coeffs=coeffs)
+            r = matched(evans_d6(p, engine_200), coeffs)
             assert checks_by_name(r)["registry_match"], p
             assert r.source == "registry-form"
 
@@ -320,10 +331,10 @@ class TestEvansD8:
 
     def test_table_comparison(self, engine_200):
         coeffs = {5: -66, 7: 176}
-        r = evans_d8(5, engine_200, registry_coeffs=coeffs)
+        r = matched(evans_d8(5, engine_200), coeffs)
         assert checks_by_name(r)["registry_match"] and r.source == "registry-form"
         assert r.checks[-1].detail == "eta-quotient a(5) = -66"
-        r = evans_d8(7, engine_200, registry_coeffs={7: -176})
+        r = matched(evans_d8(7, engine_200), {7: -176})
         assert not checks_by_name(r)["registry_match"] and not r.passed
 
 
@@ -350,7 +361,7 @@ class TestRegistryForms:
         primes = [p for p in primes_in_range(2, 500) if p not in excluded]
         assert len(primes) == admissible
         for p in primes:
-            r = pipeline(p, engine_500, registry_coeffs=coeffs)
+            r = matched(pipeline(p, engine_500), coeffs)
             assert checks_by_name(r)["registry_match"], p
             assert r.source == "registry-form"
 
@@ -451,7 +462,7 @@ class TestBatchReport:
         # a pool task's engine is a fresh copy, so "built here" is "took
         # the float route"; a memo hit builds nothing
         engine = MomentEngine(exact_limit=11)
-        flags = [evans._sweep_one(engine, 6, {}, p)[1] for p in (7, 13, 13)]
+        flags = [evans._sweep_one(engine, 6, p)[1] for p in (7, 13, 13)]
         assert flags == [False, True, False]
         assert engine.float_primes == [13]
 
@@ -516,14 +527,57 @@ class TestBatchReport:
         ]
 
     @pytest.fixture()
-    def requested(self, monkeypatch):
+    def shipped(self):
+        # the pickled task functions handed to the inline stand-in
+        return []
+
+    @pytest.fixture()
+    def requested(self, monkeypatch, shipped):
         # the worker counts asked of an inline stand-in: no process starts
         requested = []
         monkeypatch.setattr(
             concurrent.futures, "ProcessPoolExecutor",
-            lambda max_workers: InlinePool(max_workers, requested),
+            lambda max_workers: InlinePool(max_workers, requested, shipped),
         )
         return requested
+
+    @pytest.mark.usefixtures("two_cpus", "requested")
+    def test_pool_task_size_does_not_grow_with_the_range(self, shipped):
+        # the registry form's coefficients stay in the parent, so a task
+        # is the engine, the degree and one prime, whatever pmax is
+        for pmax in (31, 257):
+            rows, summary = batch_report(6, 2, pmax, jobs=2)
+            assert summary.rows == summary.passed == len(rows)
+            assert all(checks_by_name(r)["registry_match"] for r in rows)
+        assert len(shipped) == 2 and len(shipped[0]) == len(shipped[1])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.usefixtures("two_cpus")
+    def test_wrong_coefficient_fails_its_row(self, monkeypatch, requested, jobs):
+        real = evans.prime_coefficients
+
+        def one_wrong(series, pmax):
+            coeffs = real(series, pmax)
+            coeffs[13] += 1
+            return coeffs
+
+        monkeypatch.setattr(evans, "prime_coefficients", one_wrong)
+        rows, summary = batch_report(6, 2, 31, jobs=jobs)
+        failed = [r.p for r in rows if not r.passed]
+        assert failed == [13] and not checks_by_name(rows[5])["registry_match"]
+        assert rows[5].checks[-1].detail == "eta-quotient a(13) = 39"
+        assert (summary.rows, summary.passed, summary.failed, summary.errors) == (11, 10, 1, 0)
+        assert requested == [2] * (jobs - 1)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.usefixtures("two_cpus")
+    def test_error_row_gets_no_registry_check(self, requested, jobs):
+        rows, summary = batch_report(6, 2, 17, engine=FailAt13Engine(), jobs=jobs)
+        (error,) = [r for r in rows if r.error is not None]
+        assert error.p == 13 and error.checks == () and error.source == "none"
+        assert all(r.source == "registry-form" for r in rows if r is not error)
+        assert summary.errors == 1 and summary.passed == summary.rows - 1
+        assert requested == [2] * (jobs - 1)
 
     def test_workers_capped_at_prime_count(self, monkeypatch, requested):
         monkeypatch.setattr(evans, "_usable_cpus", lambda: 64)
