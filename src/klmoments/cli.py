@@ -15,11 +15,20 @@ import json
 import os
 import sys
 from functools import partial
+from itertools import chain
 
 from . import __version__
 from .cache import PowerSumStore, resolve_cache_dir
 from .errors import KlmomentsError
-from .evans import EvenTrace, batch_report, render_reports, trace_middle
+from .evans import (
+    CSV_HEADER,
+    REPORT_SCHEMA_VERSION,
+    BatchSummary,
+    EvansReport,
+    EvenTrace,
+    batch_report,
+    trace_middle,
+)
 from .ffprime import Prime
 from .modforms import EtaQuotient, eta_quotient_series
 from .moments import (
@@ -99,15 +108,27 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _emit(doc: dict, fmt: str, text_lines: list[str], csv_text: str) -> None:
+def _render(fmt: str, doc: dict, text_lines, header, rows,
+            schema: int = SCHEMA_VERSION) -> str:
+    """A command's output in fmt: the JSON document under its schema
+    version, the CSV header and rows, or the text lines. Lines and rows
+    may be generators: only the format's own one is consumed."""
     if fmt == "json":
-        doc = {"schema_version": SCHEMA_VERSION, **doc}
-        print(json.dumps(doc, sort_keys=True, indent=1))
-    elif fmt == "csv":
-        sys.stdout.write(csv_text)
-    else:
-        for line in text_lines:
-            print(line)
+        return json.dumps({"schema_version": schema, **doc}, sort_keys=True, indent=1) + "\n"
+    if fmt == "csv":
+        import csv
+        import io
+
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buf.getvalue()
+    return "".join(line + "\n" for line in text_lines)
+
+
+def _emit(fmt: str, doc: dict, text_lines, header, rows) -> None:
+    sys.stdout.write(_render(fmt, doc, text_lines, header, rows))
 
 
 def _engine(args) -> MomentEngine:
@@ -131,26 +152,44 @@ def _cmd_sums(args, engine: MomentEngine) -> int:
         _check_agreement(*tables)
     label = "S" if args.convention == RESTRICTED else "S'"
     lines = []
-    csv_lines = ["n,value,method"]
-    entries = []
     for t in tables:
         lines.append(f"p={p} convention={t.convention} method={t.method}")
-        for n in range(1, args.nmax + 1):
-            lines.append(f"{label}_{n} = {t.values[n]}")
-            csv_lines.append(f"{n},{t.values[n]},{t.method}")
-            entries.append({"n": n, "value": str(t.values[n]), "method": t.method})
-    doc = {"p": int(p), "convention": args.convention, "entries": entries}
-    _emit(doc, args.format, lines, "\n".join(csv_lines) + "\n")
+        lines += (f"{label}_{n} = {t.values[n]}" for n in range(1, args.nmax + 1))
+    entries = [(n, t.values[n], t.method) for t in tables for n in range(1, args.nmax + 1)]
+    doc = {
+        "p": int(p),
+        "convention": args.convention,
+        "entries": [{"n": n, "value": str(v), "method": m} for n, v, m in entries],
+    }
+    _emit(args.format, doc, lines, ("n", "value", "method"), entries)
     return 0
 
 
 def _cmd_moments(args, engine: MomentEngine) -> int:
     mv = engine.moment(Prime(args.p), args.d)
     doc = {"p": args.p, "d": args.d, "value": str(mv.value), "method": mv.method}
-    _emit(doc, args.format,
-          [f"m^{args.d}_2({args.p}) = {mv.value}  [{mv.method}]"],
-          f"p,d,value,method\n{args.p},{args.d},{mv.value},{mv.method}\n")
+    _emit(args.format, doc, [f"m^{args.d}_2({args.p}) = {mv.value}  [{mv.method}]"],
+          list(doc), [doc.values()])
     return 0
+
+
+def _report_line(r: EvansReport) -> str:
+    if r.error is not None:
+        return f"p={r.p}: ERROR {r.error}"
+    marks = " ".join(f"{c.name}={'ok' if c.passed else 'FAIL'}" for c in r.checks)
+    return f"p={r.p}: m={r.moment} derived={r.derived} {marks}"
+
+
+def render_reports(rows: list[EvansReport], summary: BatchSummary, fmt: str) -> str:
+    """A sweep's report as `evans` prints it: fmt is text, csv or json."""
+    head = (
+        f"evans d={summary.d} primes in [{summary.pmin}, {summary.pmax}]: "
+        f"{summary.rows} rows, {summary.passed} passed, "
+        f"{summary.failed} failed, {summary.errors} errors"
+    )
+    doc = {"summary": vars(summary), "reports": [r.to_json_dict() for r in rows]}
+    return _render(fmt, doc, chain([head], map(_report_line, rows)), CSV_HEADER,
+                   (r.csv_row() for r in rows), schema=REPORT_SCHEMA_VERSION)
 
 
 def _cmd_evans(args, engine: MomentEngine) -> int:
@@ -162,7 +201,7 @@ def _cmd_evans(args, engine: MomentEngine) -> int:
 
 
 def _cmd_dims(args) -> int:
-    from .invariants import dims_table, render_dims_csv, render_dims_text
+    from .invariants import dims_table
 
     table = dims_table(args.dmax)
     doc = {
@@ -170,7 +209,16 @@ def _cmd_dims(args) -> int:
         "good": list(table.good_row),
         "primes": {str(p): [str(v) for v in table.prime_rows[p]] for p in table.primes},
     }
-    _emit(doc, args.format, render_dims_text(table).splitlines(), render_dims_csv(table))
+    grid = [
+        ("d", range(1, table.dmax + 1)),
+        ("good", table.good_row),
+        *((f"p={p}", table.prime_rows[p]) for p in table.primes),
+    ]
+    lines = (label.ljust(6) + "".join(str(v).rjust(6) for v in cells) for label, cells in grid)
+    header = ("d", "good", *(f"p={p}" for p in table.primes))
+    columns = (table.prime_rows[p] for p in table.primes)
+    rows = zip(range(1, table.dmax + 1), table.good_row, *columns)
+    _emit(args.format, doc, lines, header, rows)
     return 0
 
 
@@ -178,10 +226,9 @@ def _cmd_det(args) -> int:
     from .invariants import fuwan_det
 
     rows = [(p, fuwan_det(args.d, p)) for p in args.p]
-    lines = [f"det d={args.d} p={p}: {v:+d}" for p, v in rows]
-    csv_text = "p,det\n" + "".join(f"{p},{v}\n" for p, v in rows)
     doc = {"d": args.d, "values": [{"p": p, "det": v} for p, v in rows]}
-    _emit(doc, args.format, lines, csv_text)
+    lines = (f"det d={args.d} p={p}: {v:+d}" for p, v in rows)
+    _emit(args.format, doc, lines, ("p", "det"), rows)
     return 0
 
 
@@ -198,22 +245,21 @@ def _cmd_eta(args) -> int:
     series = eta_quotient_series(eq, args.terms)
     # the quotient's own order: a series truncated below it is empty
     lead = eq.q_order_times_24 // 24
-    coeffs = [series.coefficient(e) for e in range(0, args.terms + 1)]
-    lines = [
+    # from q^0, or from q^lead when the quotient has a pole at q = 0
+    exponents = range(min(0, lead), args.terms + 1)
+    coeffs = [series.coefficient(e) for e in exponents]
+    head = (
         f"eta quotient {args.quotient}: weight = {eq.weight}, "
         f"leading exponent = {lead}"
-    ]
-    lines += [f"q^{e}: {c}" for e, c in enumerate(coeffs) if c]
-    csv_text = "exponent,coefficient\n" + "".join(
-        f"{e},{c}\n" for e, c in enumerate(coeffs)
     )
+    lines = chain([head], (f"q^{e}: {c}" for e, c in zip(exponents, coeffs) if c))
     doc = {
         "quotient": args.quotient,
         "weight": str(eq.weight),
         "lead": lead,
         "coefficients": [str(c) for c in coeffs],
     }
-    _emit(doc, args.format, lines, csv_text)
+    _emit(args.format, doc, lines, ("exponent", "coefficient"), zip(exponents, coeffs))
     return 0
 
 
@@ -225,11 +271,10 @@ def _cmd_molien(args) -> int:
         if args.kind == "dim"
         else molien_frob_series(args.dmax)
     )
-    lines = [f"{args.kind} series coefficients 0..{args.dmax}:"]
-    lines += [f"d={d}: {c}" for d, c in enumerate(series)]
-    csv_text = "d,coefficient\n" + "".join(f"{d},{c}\n" for d, c in enumerate(series))
+    head = f"{args.kind} series coefficients 0..{args.dmax}:"
+    lines = chain([head], (f"d={d}: {c}" for d, c in enumerate(series)))
     doc = {"kind": args.kind, "coefficients": series}
-    _emit(doc, args.format, lines, csv_text)
+    _emit(args.format, doc, lines, ("d", "coefficient"), enumerate(series))
     return 0
 
 
@@ -249,16 +294,10 @@ def _cmd_trace(args, engine: MomentEngine) -> int:
             "pure_part": str(result.pure_part),
             "pure_dim": result.pure_dim,
         }
-        csv_text = (
-            "d,p,value,steinberg_blocks,sign_sum,pure_part,pure_dim\n"
-            f"{args.d},{args.p},{result.value},{result.steinberg_blocks},"
-            f"{result.sign_sum},{result.pure_part},{result.pure_dim}\n"
-        )
     else:
         lines = [f"d={args.d} p={args.p}: normalized trace = {result}"]
         doc = {"d": args.d, "p": args.p, "trace": str(result)}
-        csv_text = f"d,p,trace\n{args.d},{args.p},{result}\n"
-    _emit(doc, args.format, lines, csv_text)
+    _emit(args.format, doc, lines, list(doc), [doc.values()])
     return 0
 
 
@@ -280,6 +319,8 @@ def main(argv: list[str] | None = None) -> int:
     run = _COMMANDS[args.command]
     if "jobs" in args and args.jobs < 1:
         parser.error("jobs must be >= 1")  # exits 2
+    if "terms" in args and args.terms < 0:
+        parser.error("terms must be >= 0")
     if "exact_limit" in args:  # the command computes through a MomentEngine
         try:
             run = partial(run, engine=_engine(args))

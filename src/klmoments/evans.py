@@ -26,12 +26,13 @@ divisibility and bound facts as named check rows in the report. A sweep
 (batch_report) then compares degree 6's a(p) with its registry form.
 
 Moments come from moments.MomentEngine, which routes each prime and
-applies the limits; this module only applies the identities.
+applies the limits; this module only applies the identities. It keeps
+the report's data shape (EvansReport.to_json_dict and csv_row,
+CSV_HEADER, REPORT_SCHEMA_VERSION); cli.render_reports prints it.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from functools import partial
 from typing import TYPE_CHECKING
@@ -422,36 +423,3 @@ def batch_report(
     )
     return rows, summary
 
-
-def render_reports(rows: list[EvansReport], summary: BatchSummary, fmt: str) -> str:
-    """The sweep's report as the CLI prints it: fmt is text, csv or json."""
-    if fmt == "json":
-        doc = {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "summary": vars(summary),
-            "reports": [r.to_json_dict() for r in rows],
-        }
-        return json.dumps(doc, sort_keys=True, indent=1) + "\n"
-    if fmt == "csv":
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows(r.csv_row() for r in rows)
-        return buf.getvalue()
-    lines = [
-        f"evans d={summary.d} primes in [{summary.pmin}, {summary.pmax}]: "
-        f"{summary.rows} rows, {summary.passed} passed, "
-        f"{summary.failed} failed, {summary.errors} errors"
-    ]
-    for r in rows:
-        if r.error is not None:
-            lines.append(f"p={r.p}: ERROR {r.error}")
-            continue
-        marks = " ".join(
-            f"{c.name}={'ok' if c.passed else 'FAIL'}" for c in r.checks
-        )
-        lines.append(f"p={r.p}: m={r.moment} derived={r.derived} {marks}")
-    return "".join(line + "\n" for line in lines)

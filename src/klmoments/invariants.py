@@ -159,6 +159,8 @@ def dims_table(dmax: int = 13) -> DimsTable:
     Cells where p is good carry the GOOD marker instead of repeating the
     stable value.
     """
+    if dmax < 1:
+        raise ValueError("dmax must be >= 1")
     if dmax > DIMS_CEILING:
         raise InputTooLarge(f"dmax = {dmax} is above the dims ceiling {DIMS_CEILING}")
     good_row = tuple(dim_m_middle(d, GOOD) for d in range(1, dmax + 1))
@@ -169,27 +171,6 @@ def dims_table(dmax: int = 13) -> DimsTable:
             row.append(GOOD if is_good(d, p) else dim_m_middle(d, p))
         rows[p] = tuple(row)
     return DimsTable(dmax, TABLE_PRIMES, good_row, rows)
-
-
-def render_dims_text(table: DimsTable) -> str:
-    width = 6
-    header = "d".ljust(width) + "".join(str(d).rjust(width) for d in range(1, table.dmax + 1))
-    lines = [header]
-    lines.append("good".ljust(width) + "".join(str(v).rjust(width) for v in table.good_row))
-    for p in table.primes:
-        cells = "".join(str(v).rjust(width) for v in table.prime_rows[p])
-        lines.append(f"p={p}".ljust(width) + cells)
-    return "\n".join(lines) + "\n"
-
-
-def render_dims_csv(table: DimsTable) -> str:
-    cols = ["d", "good"] + [f"p={p}" for p in table.primes]
-    lines = [",".join(cols)]
-    for d in range(1, table.dmax + 1):
-        row = [str(d), str(table.good_row[d - 1])]
-        row += [str(table.prime_rows[p][d - 1]) for p in table.primes]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

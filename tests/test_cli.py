@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -41,6 +43,25 @@ class TestDims:
         _, second, _ = run(capsys, "dims", "--format", "json")
         assert first == second
 
+    def test_renderers_are_deterministic(self, capsys):
+        outputs = {}
+        for fmt in ("text", "csv", "json"):
+            outputs[fmt] = run(capsys, "dims", "--format", fmt)[1]
+            assert run(capsys, "dims", "--format", fmt)[1] == outputs[fmt]
+        assert outputs["csv"].splitlines()[0] == "d,good,p=2,p=3,p=5,p=7,p=11,p=13"
+
+    @pytest.mark.parametrize("dmax", ["0", "-3"])
+    def test_dmax_below_one_is_refused(self, capsys, dmax):
+        for fmt in ("text", "csv"):
+            assert run(capsys, "dims", "--dmax", dmax, "--format", fmt) == (
+                1, "", "error: dmax must be >= 1\n",
+            )
+        code, out, _ = run(capsys, "dims", "--dmax", dmax, "--format", "json")
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "type": "ValueError", "message": "dmax must be >= 1",
+        }
+
 
 class TestParser:
     @pytest.mark.parametrize("argv", [
@@ -61,6 +82,8 @@ class TestParser:
         ["evans", "--d", "7", "--pmin", "2", "--pmax", "5", "--table", "t.json"],
         # the coefficient-table import is gone for every degree
         ["evans", "--d", "8", "--pmin", "3", "--pmax", "5", "--table", "t.json"],
+        *(["eta", "--quotient", "1:24", "--terms", "-3", "--format", fmt]
+          for fmt in ("text", "csv", "json")),
     ])
     def test_usage_errors(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -322,6 +345,22 @@ class TestEta:
         assert code == 0 and doc["lead"] == lead
         assert doc["coefficients"] == ["0"] * (int(terms) + 1)
 
+    def test_negative_lead_lists_the_pole(self, capsys):
+        # 1/Delta = q^-1 + 24 + 324q + 3200q^2 + ...: the rows start at q^lead
+        argv = ("eta", "--quotient", "1:-24", "--terms", "2")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[1:] == ["q^-1: 1", "q^0: 24", "q^1: 324", "q^2: 3200"]
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert out.splitlines() == [
+            "exponent,coefficient", "-1,1", "0,24", "1,324", "2,3200",
+        ]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        doc = json.loads(out)
+        assert code == 0 and doc["lead"] == -1
+        assert doc["coefficients"] == ["1", "24", "324", "3200"]
+
 
 class TestMolien:
     def test_dim_series(self, capsys):
@@ -335,6 +374,33 @@ class TestMolien:
         )
         assert code == 0
         assert "d=6: -1" in out and "d=8: 1" in out
+
+
+# one small run of every command
+SMALL_RUNS = [
+    ("sums", "--p", "7", "--nmax", "3", "--method", "both", "--no-cache"),
+    ("moments", "--p", "5", "--d", "4", "--no-cache"),
+    ("evans", "--d", "6", "--pmin", "2", "--pmax", "13", "--no-cache"),
+    ("dims", "--dmax", "4"),
+    ("det", "--d", "5", "--p", "7", "11"),
+    ("eta", "--quotient", "1:-24", "--terms", "3"),
+    ("molien", "--dmax", "6", "--kind", "frob"),
+    ("trace", "--d", "8", "--p", "3", "--no-cache"),
+]
+
+
+class TestFormats:
+    def test_every_command_is_covered(self):
+        assert sorted(argv[0] for argv in SMALL_RUNS) == sorted(cli._COMMANDS)
+
+    @pytest.mark.parametrize("argv", SMALL_RUNS, ids=lambda argv: argv[0])
+    def test_csv_rows_fill_the_header_and_json_has_schema_1(self, capsys, argv):
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        header, *rows = csv.reader(io.StringIO(out))
+        assert code == 0 and rows
+        assert all(len(row) == len(header) for row in rows)
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0 and json.loads(out)["schema_version"] == 1
 
 
 class TestInputCeilings:

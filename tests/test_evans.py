@@ -9,6 +9,7 @@ import pytest
 
 from klmoments import cyclotomic, evans, kloosterman, modforms, moments
 from klmoments.cache import PowerSumStore
+from klmoments.cli import render_reports
 from klmoments.errors import (
     CacheMismatch,
     DivisibilityFailure,
@@ -25,7 +26,6 @@ from klmoments.evans import (
     evans_d6,
     evans_d7,
     evans_d8,
-    render_reports,
     trace_middle,
 )
 from klmoments.ffprime import is_prime, jacobi_symbol, primes_in_range

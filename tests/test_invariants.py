@@ -16,8 +16,6 @@ from klmoments.invariants import (
     molien_dim_series,
     molien_frob_closed_form,
     molien_frob_series,
-    render_dims_csv,
-    render_dims_text,
     swan_sym,
 )
 
@@ -86,12 +84,6 @@ class TestDimsTable:
                 "g" if v == GOOD else v for v in table.prime_rows[p]
             ]
             assert got == row, f"p = {p}"
-
-    def test_renderers_are_deterministic(self):
-        t1, t2 = dims_table(), dims_table()
-        assert render_dims_text(t1) == render_dims_text(t2)
-        assert render_dims_csv(t1) == render_dims_csv(t2)
-        assert render_dims_csv(t1).splitlines()[0] == "d,good,p=2,p=3,p=5,p=7,p=11,p=13"
 
 
 class TestSwan:
