@@ -10,8 +10,12 @@ congruence pins). sums/p{p}-{convention}-{method}.json holds, e.g.:
      "checksum": "<sha256 of the canonical payload>"}
 
 Values are decimal strings so no consumer has to guess integer widths.
-Writes go to a temporary file in the same directory followed by an atomic
-rename; concurrent readers see either the old or the new complete file.
+The checksum is CPython's built-in SHA-256 (the digest hashlib gives,
+without loading OpenSSL). A store encodes the document once and writes it
+to a temporary file in the same directory, followed by an atomic rename;
+concurrent readers see either the old or the new complete file. A load
+opens its file, and the sibling record's, directly: a file that is not
+there is a miss, with no stat before the read.
 The cache is advisory: unreadable or corrupt entries, and entries that
 break the restricted closed forms of S_1..S_4 or the Weil bound
 S_n^2 <= (p-1)^2 4^n p^n (moments._check_power_sums), are discarded with
@@ -25,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from functools import cache
 from pathlib import Path
 
 from .errors import IdentityFailure
@@ -69,11 +74,23 @@ def _payload(table: PowerSumTable) -> dict:
     }
 
 
-def _checksum(payload: dict) -> str:
-    import hashlib
+@cache
+def _sha256():
+    """CPython's built-in SHA-256 constructor. It gives hashlib's digest
+    without loading OpenSSL; hashlib serves only an interpreter without it."""
+    try:
+        from _sha2 import sha256  # CPython 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256
 
+
+def _checksum(payload: dict) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return _sha256()(canonical.encode()).hexdigest()
 
 
 class PowerSumStore:
@@ -87,14 +104,18 @@ class PowerSumStore:
 
     def store(self, table: PowerSumTable) -> Path:
         """Write table, in its method's convention."""
-        self.root.mkdir(parents=True, exist_ok=True)
         payload = _payload(table.to_convention(CONVENTION[table.method]))
         payload["checksum"] = _checksum(payload)
+        text = json.dumps(payload, sort_keys=True)
         path = self._path(table.p, table.method)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        try:
+            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        except FileNotFoundError:  # the first store under this root
+            self.root.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, sort_keys=True)
+                fh.write(text)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -115,8 +136,6 @@ class PowerSumStore:
 
     def _load_raw(self, p: int, method: str) -> PowerSumTable | None:
         path = self._path(p, method)
-        if not path.exists():
-            return None
         convention = CONVENTION[method]
         try:
             with open(path) as fh:
@@ -134,6 +153,8 @@ class PowerSumStore:
             table = PowerSumTable(p, convention, values, method)
             _check_power_sums(p, table.to_convention(RESTRICTED).values)
             return table
+        except FileNotFoundError:  # absent: nothing to discard
+            return None
         except (
             OSError, ValueError, KeyError, TypeError, json.JSONDecodeError, IdentityFailure
         ) as exc:

@@ -233,15 +233,18 @@ def _cmd_det(args) -> int:
 
 
 def _parse_quotient(spec: str) -> EtaQuotient:
+    """The quotient --quotient names; a ValueError for a malformed one."""
     factors = []
     for part in spec.split(","):
         div, _, exp = part.partition(":")
-        factors.append((int(div), int(exp)))
+        try:
+            factors.append((int(div), int(exp)))
+        except ValueError:
+            raise ValueError(f"{part!r} is not a divisor:exponent pair") from None
     return EtaQuotient(tuple(factors))
 
 
-def _cmd_eta(args) -> int:
-    eq = _parse_quotient(args.quotient)
+def _cmd_eta(args, eq: EtaQuotient) -> int:
     series = eta_quotient_series(eq, args.terms)
     # the quotient's own order: a series truncated below it is empty
     lead = eq.q_order_times_24 // 24
@@ -321,6 +324,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("jobs must be >= 1")  # exits 2
     if "terms" in args and args.terms < 0:
         parser.error("terms must be >= 0")
+    if "quotient" in args:
+        try:
+            run = partial(run, eq=_parse_quotient(args.quotient))
+        except ValueError as exc:
+            parser.error(f"quotient {args.quotient!r}: {exc}")
     if "exact_limit" in args:  # the command computes through a MomentEngine
         try:
             run = partial(run, engine=_engine(args))

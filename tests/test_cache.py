@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from klmoments.cache import PowerSumStore, _checksum, resolve_cache_dir
+from klmoments.cache import PowerSumStore, _checksum, _payload, resolve_cache_dir
 from klmoments.errors import CacheMismatch
 from klmoments.moments import (
     COMPLETED,
@@ -26,8 +27,13 @@ class TestRoundTrip:
         loaded = store.load(7, METHOD_EXACT)
         assert loaded == table
 
-    def test_missing_returns_none(self, store):
-        assert store.load(11, METHOD_EXACT) is None
+    def test_missing_returns_none(self, store, caplog):
+        # neither a miss nor a record without its sibling is a corrupt entry
+        with caplog.at_level("WARNING"):
+            assert store.load(11, METHOD_EXACT) is None
+            store.store(power_sums_exact(7, 3))
+            assert store.load(7, METHOD_EXACT) == power_sums_exact(7, 3)
+        assert caplog.records == []
 
     @pytest.mark.parametrize("method, convention", [
         (METHOD_EXACT, RESTRICTED), (METHOD_FLOAT, COMPLETED),
@@ -51,6 +57,50 @@ class TestRoundTrip:
         doc = json.loads(path.read_text())
         assert all(isinstance(e["value"], str) for e in doc["entries"])
         assert doc["schema_version"] == 1
+
+    def test_store_makes_its_directory(self, tmp_path):
+        # the first store under a missing root makes it, and leaves one file
+        store = PowerSumStore(tmp_path / "a" / "b")
+        path = store.store(power_sums_exact(7, 3))
+        assert list(store.root.iterdir()) == [path]
+        assert store.load(7, METHOD_EXACT) == power_sums_exact(7, 3)
+
+
+class TestPinnedBytes:
+    @pytest.fixture()
+    def stored(self, store):
+        exact = power_sums_exact(13, 8)
+        completed = exact.to_convention(COMPLETED).values
+        return [store.store(exact), store.store(PowerSumTable(13, COMPLETED, completed, METHOD_FLOAT))]
+
+    def test_checksum_is_hashlibs_sha256(self, stored):
+        # the checksum of the compact, sorted encoding, for exact and float records
+        for path in stored:
+            doc = json.loads(path.read_bytes())
+            checksum = doc.pop("checksum")
+            canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+            assert _checksum(doc) == checksum == hashlib.sha256(canonical.encode()).hexdigest()
+
+    def test_stored_bytes_are_the_sorted_encoding(self, stored):
+        for path in stored:
+            data = path.read_bytes()
+            assert data == json.dumps(json.loads(data), sort_keys=True).encode()
+
+    def test_record_written_by_json_dump_is_a_hit(self, store):
+        # written as caches were before a store encoded once: the same bytes,
+        # and a hit that computes nothing
+        exact = power_sums_exact(13, 8)
+        doc = _payload(exact)
+        doc["checksum"] = _checksum(doc)
+        path = store._path(13, METHOD_EXACT)
+        path.parent.mkdir(parents=True)
+        with open(path, "w") as fh:
+            json.dump(doc, fh, sort_keys=True)
+        data = path.read_bytes()
+        calls = []
+        assert store.get_or_compute(13, 8, METHOD_EXACT, lambda: calls.append(1)) == exact
+        assert calls == []
+        assert store.store(exact).read_bytes() == data
 
 
 class TestCorruption:

@@ -361,6 +361,20 @@ class TestEta:
         assert code == 0 and doc["lead"] == -1
         assert doc["coefficients"] == ["1", "24", "324", "3200"]
 
+    @pytest.mark.parametrize("quotient, message", [
+        ("1:x", "'1:x' is not a divisor:exponent pair"),
+        ("1", "'1' is not a divisor:exponent pair"),
+        ("1:2,2", "'2' is not a divisor:exponent pair"),
+        ("0:24", "eta factor needs a positive divisor"),
+    ])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_malformed_quotient_is_a_usage_error(self, capsys, quotient, message, fmt):
+        with pytest.raises(SystemExit) as exc:
+            main(["eta", "--quotient", quotient, "--terms", "1", "--format", fmt])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert out.err.endswith(f"error: quotient {quotient!r}: {message}\n")
+
 
 class TestMolien:
     def test_dim_series(self, capsys):
@@ -532,6 +546,21 @@ others = [
 print(json.dumps([after_import, exact, float_route, others]))
 """
 
+# Cached runs, cold then warm, and a warm sums whose exact record is
+# cross-checked against its float sibling, in the cache directory argv[1].
+CACHED_PROBE = """
+import contextlib, io, json, sys
+import klmoments.cli
+def command(*argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = klmoments.cli.main([*argv, "--cache-dir", sys.argv[1]])
+    return [code, out.getvalue()]
+evans = [command("evans", "--d", "5", "--pmin", "2", "--pmax", "31") for _ in "cw"]
+sums = [command("sums", "--p", "263", "--nmax", "8", "--method", "both",
+                "--exact-limit", "263") for _ in "cw"]
+print(json.dumps([evans, sums, [m for m in ("hashlib", "_hashlib") if m in sys.modules]]))
+"""
+
 # Every public name of the package, by the module that defines it; the
 # submodules themselves are public names too.
 PUBLIC_NAMES = {
@@ -564,11 +593,11 @@ PUBLIC_NAMES = {
 class TestStartup:
     def test_import_and_exact_sweep_skip_mpmath_and_the_pool(self):
         # a fresh interpreter: importing the CLI loads neither mpmath, numpy,
-        # the process pool, nor the modules only other commands or formats
-        # use (invariants, fractions, csv) or only the cache uses (hashlib,
-        # logging), but every layer the benchmark tracer wraps; an exact
-        # --jobs 1 JSON sweep and a float sweep (263 and 269 lie above the
-        # exact limit; its root tables are seeded from integer series) load
+        # the process pool, hashlib, nor the modules only other commands or
+        # formats use (invariants, fractions, csv) or only a corrupt cache
+        # entry uses (logging), but every layer the benchmark tracer wraps;
+        # an exact --jobs 1 JSON sweep and a float sweep (263 and 269 lie
+        # above the exact limit; its root tables are seeded from integer series) load
         # none of those either; nor does any command, dims included, load
         # dataclasses or inspect; and dims, det and molien, whose series are
         # integer QSeries, load neither fractions nor decimal
@@ -580,6 +609,23 @@ class TestStartup:
             env=env, capture_output=True, text=True, check=True,
         )
         assert json.loads(done.stdout) == [[[], []], [0, []], [0, []], [[0, []]] * 3]
+
+    def test_cached_runs_load_no_openssl(self, tmp_path):
+        # the checksum is CPython's built-in SHA-256, cold, warm, and when a
+        # record is cross-checked against its sibling
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", CACHED_PROBE, str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            check=True,
+        )
+        evans, sums, loaded = json.loads(done.stdout)
+        assert loaded == []
+        for cold, warm in (evans, sums):
+            assert cold == warm and cold[0] == 0
+        names = {path.name for path in (tmp_path / "sums").iterdir()}
+        assert {"p263-restricted-exact-cyclotomic.json",
+                "p263-completed-float-congruence.json", "p31-restricted-exact-cyclotomic.json"} <= names
 
     def test_public_names_resolve_to_their_modules(self):
         expected = sorted([*PUBLIC_NAMES, *(n for ns in PUBLIC_NAMES.values() for n in ns)])
