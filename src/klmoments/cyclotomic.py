@@ -249,14 +249,14 @@ def unit_root_intervals(p: int, precision: int) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=1)  # both orbit representatives of one prime
-def _cached_roots(p: int, precision: int) -> tuple[tuple[int, ...], ...]:
+def _cached_roots(p: int, precision: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The cosine table of unit_root_intervals in generator order.
 
-    Returns g**j mod p for j < p - 1 with g = primitive_root(p), the lo
+    Returns g**j mod p for j < p - 1 with g = primitive_root(p), and the lo
     endpoints Q_m of cos(2*pi*g**m/p) for m below the orbit length
-    L = (p - 1) / gcd(2, p - 1), and their widths hi - lo (0 to 2 units).
-    The table holds t <= p/2 only, so cos(2*pi*t/p) is read at
-    min(t, p - t). Q has period L: at odd p, g**(m+L) = -g**m.
+    L = (p - 1) / gcd(2, p - 1). The table holds t <= p/2 only, so
+    cos(2*pi*t/p) is read at min(t, p - t). Q has period L: at odd p,
+    g**(m+L) = -g**m.
     """
     cos_iv = unit_root_intervals(p, precision)
     g = primitive_root(p)
@@ -264,41 +264,39 @@ def _cached_roots(p: int, precision: int) -> tuple[tuple[int, ...], ...]:
     for _ in range(p - 2):
         powers.append(powers[-1] * g % p)
     length = (p - 1) // gcd(2, p - 1)
-    pairs = [cos_iv[min(t, p - t)] for t in powers[:length]]
-    lo = tuple(a for a, _ in pairs)
-    widths = tuple(b - a for a, b in pairs)
-    return tuple(powers), lo, widths
+    half = [lo for lo, _ in cos_iv]
+    full = half + half[p - p // 2 - 1 : 0 : -1]  # full[t] = half[min(t, p - t)]
+    return tuple(powers), tuple(map(full.__getitem__, powers[:length]))
 
 
-def enclose_sum(counts: Sequence[int], precision: int) -> list[tuple[int, int]]:
-    """Integer bounds (lo, hi) of sum_t c_t cos(2*pi*g**i*t/p) at scale
-    2**-precision, for i = 0..L-1.
+def enclose_sum(counts: Sequence[int], precision: int) -> tuple[list[int], int]:
+    """Lower bounds of sum_t c_t cos(2*pi*g**i*t/p) at scale 2**-precision,
+    for i = 0..L-1, and one width w that every upper bound is within.
 
     counts holds c_t >= 0 for t = 0..p-1, and g and L are those of
     _cached_roots. When counts are the fibre sizes of Kl_2(p; r), entry i
     encloses Kl_2(p; g**(2i) r), since zeta -> zeta**k sends Kl_2(p; r) to
     Kl_2(p; k**2 r): the entries are the orbit of r. The counts are
-    non-negative, so lo pairs with lo and hi with hi. With t = g**j
-    (Rader's reindexing), C_j = c_(g**j) and Q's period L, each bound is
-    the cyclic correlation
+    non-negative, so lo endpoints bound from below. With t = g**j
+    (Rader's reindexing), C_j = c_(g**j) and Q's period L, each lower
+    bound is the cyclic correlation
         E_i = c_0 2**precision + sum_(j<L) D_j Q_(i+j),
     where D_j = sum_k C_(j+kL) folds C onto one period; one exact
-    cyclic_convolve computes all L lo bounds, and a second one, with the
-    widths of Q in place of Q, adds what each hi bound exceeds its lo by:
-    its products fit slots of a byte or two instead of ten.
+    cyclic_convolve computes all L of them. Each pair of
+    unit_root_intervals is at most 2 units wide and t = 0 is exact, so
+    every value lies in [E_i, E_i + w] with w = 2 sum_j D_j.
     """
     p = Prime(len(counts))
     if min(counts) < 0:
         raise ValueError("enclose_sum needs non-negative counts")
-    powers, q_lo, q_widths = _cached_roots(p, precision)
+    powers, q_lo = _cached_roots(p, precision)
     length = len(q_lo)
-    reordered = [counts[t] for t in powers]
-    folded = [sum(col) for col in zip(*(
-        reordered[k : k + length] for k in range(0, p - 1, length)
-    ))]
+    reordered = list(map(counts.__getitem__, powers))
+    folded = reordered[:length]
+    for k in range(length, p - 1, length):
+        folded = list(map(add, folded, reordered[k : k + length]))
     # correlation as convolution: E_i = sum_m Q_m D_(m-i), D reversed cyclically
     flipped = folded[:1] + folded[:0:-1]
     base = counts[0] << precision
-    lo = convolve.cyclic_convolve(q_lo, flipped)
-    spread = convolve.cyclic_convolve(q_widths, flipped)
-    return [(base + a, base + a + b) for a, b in zip(lo, spread)]
+    lows = [base + a for a in convolve.cyclic_convolve(q_lo, flipped)]
+    return lows, 2 * sum(folded)

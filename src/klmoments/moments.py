@@ -17,7 +17,7 @@ takes field traces of powers in Z[zeta_p], as entries of the cyclic
 convolution powers of the orbit's Legendre vector chi(t**2 - 4r)
 (convolve.cyclic_powers, at a slot width from Weil's bound); the float
 route encloses the whole orbit at once (cyclotomic.enclose_sum) and sums
-interval powers.
+the powers of midpoint-radius balls (_ball_power_sums).
 
 MomentEngine is the one router: exact up to its exact_limit, float above.
 Before its cache is read, it refuses a prime above PRIME_CEILING, a table
@@ -40,9 +40,9 @@ appendix8    the fixed degree-8 polynomial in completed sums
 from __future__ import annotations
 
 import random
+from itertools import repeat
 from math import comb, gcd, isqrt
 from operator import add, mul
-from typing import Iterable
 
 from .convolve import cyclic_convolve, cyclic_powers
 from .cyclotomic import enclose_sum
@@ -258,44 +258,40 @@ def completed_congruence_class(n: int, p: int) -> int:
     return ((-1) ** (n - 1) * (n - 1) * p) % p**2
 
 
-def _interval_power_sums(
-    intervals: Iterable[tuple[int, int]], nmax: int
+def _ball_power_sums(
+    centres: list[int], radius: int, nmax: int
 ) -> tuple[list[int], list[int]]:
-    """Lower and upper bounds, indexed by n = 1..nmax, on the sum of x**n
-    over one x from each integer interval [lo, hi].
+    """Power sums of the centres and their error bounds, indexed by
+    n = 1..nmax: every choice of one x within radius of each centre m has
+    |sum x**n - sum m**n| <= N (B**n - (B - R)**n), with N the number of
+    centres, R the radius and B = max|m| + R.
 
-    Each term is the exact range of x**n on its interval, from the running
-    powers of the endpoints: in order for odd n (x**n is monotone) and for
-    even n when lo >= 0, swapped for even n when hi <= 0, and [0, the larger]
-    for even n when the interval straddles 0.
+    Proof. With x = m + e, |e| <= R, the binomial theorem gives
+    |x**n - m**n| <= (|m| + R)**n - |m|**n, which grows with |m|.
     """
-    sum_lo = [0] * (nmax + 1)
-    sum_hi = [0] * (nmax + 1)
-    for lo, hi in intervals:
-        lo_n = hi_n = 1
-        for n in range(1, nmax + 1):
-            lo_n *= lo
-            hi_n *= hi
-            if n & 1 or lo >= 0:
-                sum_lo[n] += lo_n
-                sum_hi[n] += hi_n
-            elif hi <= 0:
-                sum_lo[n] += hi_n
-                sum_hi[n] += lo_n
-            else:
-                sum_hi[n] += max(lo_n, hi_n)
-    return sum_lo, sum_hi
+    sums = [0] * (nmax + 1)
+    errors = [0] * (nmax + 1)
+    big = max(map(abs, centres)) + radius
+    powers = centres
+    for n in range(1, nmax + 1):
+        if n > 1:
+            powers = list(map(mul, powers, centres))
+        sums[n] = sum(powers)
+        errors[n] = len(centres) * (big**n - (big - radius) ** n)
+    return sums, errors
 
 
 def power_sums_float(p: int, nmax: int, precision: int) -> PowerSumTable:
     """Completed S'_n(p) from rigorous enclosures plus the mod-p**2 congruence.
 
     Each Galois orbit of Kl_2(p; .) is counted once by kl2_counts at its
-    representative and enclosed by enclose_sum, as integer bounds at scale
-    2**-precision for every a of the orbit. Powers and the a-sum stay
-    integer intervals (_interval_power_sums), the n-th power at scale
-    2**-(n*precision): products of integer endpoints are exact, so the final
-    enclosure is certified without further rounding.
+    representative and enclosed by enclose_sum, as integer lower bounds at
+    scale 2**-precision for every a of the orbit and one width w. Each
+    2**precision Kl_2(p; a) lies in the ball of centre lo + w/2 (w is even)
+    and radius R, the largest w/2 of the orbits. The centres' powers are
+    exact integers at scale 2**-(n*precision), and _ball_power_sums bounds
+    how far the true sum can be from theirs, so the final enclosure is
+    certified without further rounding.
     The unique admissible integer is the one in the enclosure congruent to
     (-1)**(n-1)(n-1)p mod p**2. Admissible integers are p**2 apart, so an
     enclosure narrower than p**2 holds at most one; a wider enclosure, or
@@ -306,21 +302,21 @@ def power_sums_float(p: int, nmax: int, precision: int) -> PowerSumTable:
     p = Prime(p)
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    sum_lo, sum_hi = _interval_power_sums(
-        (
-            interval
-            for r in _orbit_representatives(p)
-            for interval in enclose_sum(kl2_counts(p, r), precision)
-        ),
-        nmax,
-    )
+    centres = []
+    radius = 0
+    for r in _orbit_representatives(p):
+        lows, width = enclose_sum(kl2_counts(p, r), precision)
+        half = width >> 1
+        centres += map(add, lows, repeat(half))
+        radius = max(radius, half)
+    sums, errors = _ball_power_sums(centres, radius, nmax)
     values = {}
     modulus = p**2
     for n in range(1, nmax + 1):
         bits = n * precision
-        a_zero = (-1) ** n << bits
-        lo = sum_lo[n] + a_zero
-        hi = sum_hi[n] + a_zero
+        mid = sums[n] + ((-1) ** n << bits)  # the a = 0 term is exact
+        lo = mid - errors[n]
+        hi = mid + errors[n]
         if hi - lo >= modulus << bits:
             raise AmbiguousRounding(
                 f"S'_{n}({p}): enclosure width {(hi - lo) / (1 << bits):.3g} >= p^2"
@@ -341,17 +337,17 @@ def float_precision(p: int, nmax: int) -> int:
 
         P = max(bitlen(p - 1), bitlen(2 nmax c**(nmax - 1))),  c = isqrt(4p) + 3.
 
-    Proof. enclose_sum gives each 2**P Kl_2(p; a) an integer interval of
+    Proof. enclose_sum gives each 2**P Kl_2(p; a) a lower bound and a
     width w <= 2(p - 1): its counts sum to p - 1, and each cosine interval
-    of unit_root_intervals is at most 2 units wide. The interval holds
-    2**P Kl_2(p; a), |Kl_2| <= 2 sqrt p (Weil) and 2**P >= p - 1, so every
-    point x of it has |x| <= M = 2**P (2 sqrt p + 2) <= c 2**P, as
-    isqrt(4p) > 2 sqrt p - 1. By the mean value theorem
-    the range of x**n over the interval is at most n M**(n-1) w wide, so
-    summed over the p - 1 values of a the enclosure of 2**(nP) S'_n (the
-    a = 0 term is exact) has width
-        W_n <= 2n (p - 1)**2 c**(n-1) 2**((n-1)P),
-    which is below p**2 2**(nP) once 2**P > 2n c**(n-1). Admissible
+    of unit_root_intervals is at most 2 units wide. power_sums_float puts
+    it in a ball of centre m_a and radius R <= p - 1. As |Kl_2| <= 2 sqrt p
+    (Weil) and 2**P >= p - 1, B = max|m| + R <= 2**P 2 sqrt p + 2R
+    <= 2**P (2 sqrt p + 2) <= c 2**P, since isqrt(4p) > 2 sqrt p - 1. The
+    enclosure of 2**(nP) S'_n (the a = 0 term is exact) from
+    _ball_power_sums over the p - 1 balls is, by the mean value theorem,
+        W_n = 2(p - 1)(B**n - (B - R)**n) <= 2n (p - 1) B**(n-1) R
+            <= 2n (p - 1)**2 c**(n-1) 2**((n-1)P)
+    wide, which is below p**2 2**(nP) once 2**P > 2n c**(n-1). Admissible
     integers are p**2 apart, so exactly one lies in the enclosure. The
     bound grows with n, so n = nmax covers every n.
     """

@@ -168,7 +168,8 @@ def test_criterion_05_trace_shadow():
     start = time.perf_counter()
     tables = shared_tables()
     engine = MomentEngine()
-    engine._tables.update({(p, 13): tab for p, tab in tables.items()})
+    for tab in tables.values():
+        engine.seed(tab)
     odd_rows = odd_p2_fail = odd_trace_fail = odd_range_fail = 0
     stronger_fail = 0
     first_stronger = []

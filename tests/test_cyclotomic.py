@@ -259,6 +259,16 @@ class TestApproxComplex:
         assert hi == -3 * cos_iv[1][0] + 2 * cos_iv[1][1]
 
 
+def assert_naive_within(lows, width, rows, cos_iv):
+    """Each low is the naive lower bound of its row, and the naive upper
+    bound lies within the orbit's one width of it."""
+    assert len(lows) == len(rows)
+    for low, row in zip(lows, rows):
+        lo, hi = naive_enclosure(row, cos_iv)
+        assert low == lo
+        assert hi - lo <= width
+
+
 class TestEncloseSum:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -272,11 +282,12 @@ class TestEncloseSum:
         g = primitive_root(p)
         r = g if non_residue else 1
         cos_iv = unit_root_intervals(p, precision)
-        orbit = enclose_sum(kl2_counts(p, r), precision)
-        assert len(orbit) == (p - 1) // math.gcd(2, p - 1)
-        for i, enclosure in enumerate(orbit):
-            a = pow(g, 2 * i, p) * r % p
-            assert enclosure == naive_enclosure(kl2_counts(p, a), cos_iv), (p, a)
+        lows, width = enclose_sum(kl2_counts(p, r), precision)
+        assert len(lows) == (p - 1) // math.gcd(2, p - 1)
+        rows = [kl2_counts(p, pow(g, 2 * i, p) * r % p) for i in range(len(lows))]
+        assert_naive_within(lows, width, rows, cos_iv)
+        # two units per count off t = 0, where the root is exact
+        assert width == 2 * (p - 1 - kl2_counts(p, r)[0])
 
     def test_any_non_negative_counts(self):
         # entry i encloses sum_t c_t cos(2 pi g^i t / p) for every i below
@@ -286,12 +297,16 @@ class TestEncloseSum:
             cos_iv = unit_root_intervals(p, 64)
             g = primitive_root(p)
             counts = [rng.randrange(10**6) for _ in range(p)]
-            for i, enclosure in enumerate(enclose_sum(counts, 64)):
+            lows, width = enclose_sum(counts, 64)
+            rows = []
+            for i in range(len(lows)):
                 k = pow(g, i, p)
                 dilated = [0] * p
                 for t, c in enumerate(counts):
                     dilated[k * t % p] += c
-                assert enclosure == naive_enclosure(dilated, cos_iv), (p, i)
+                rows.append(dilated)
+            assert_naive_within(lows, width, rows, cos_iv)
+            assert width == 2 * sum(counts[1:]), p
 
     def test_negative_count_raises(self):
         with pytest.raises(ValueError, match="non-negative"):

@@ -86,14 +86,15 @@ class TestKl2Value:
 
 
 def orbit_enclosures(p, precision):
-    """{a: (lo, hi)} for every a in F_p^*, at scale 2**-precision, from
+    """{a: (lo, lo + w)} for every a in F_p^*, at scale 2**-precision, from
     enclose_sum over the orbits of 1 and of g: entry i of the orbit of r
-    is a = g^(2i) r."""
+    is a = g^(2i) r, and w is the orbit's width."""
     g = primitive_root(p)
     out = {}
     for r in (1, g)[: gcd(2, p - 1)]:
-        for i, enclosure in enumerate(enclose_sum(kl2_counts(p, r), precision)):
-            out[pow(g, 2 * i, p) * r % p] = enclosure
+        lows, width = enclose_sum(kl2_counts(p, r), precision)
+        for i, lo in enumerate(lows):
+            out[pow(g, 2 * i, p) * r % p] = (lo, lo + width)
     assert sorted(out) == list(range(1, p))
     return out
 

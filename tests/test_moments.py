@@ -185,16 +185,14 @@ class TestGaloisOrbits:
             build = lambda: power_sums_exact(p, 4)
         else:
             precision = float_precision(p, 4)
-            interval_sums = moments._interval_power_sums
+            ball_sums = moments._ball_power_sums
 
-            def moved(intervals, nmax):
-                lo, hi = interval_sums(intervals, nmax)
-                shift = p * p << (3 * precision)
-                lo[3] += shift
-                hi[3] += shift
-                return lo, hi
+            def moved(centres, radius, nmax):
+                sums, errors = ball_sums(centres, radius, nmax)
+                sums[3] += p * p << (3 * precision)
+                return sums, errors
 
-            monkeypatch.setattr(moments, "_interval_power_sums", moved)
+            monkeypatch.setattr(moments, "_ball_power_sums", moved)
             build = lambda: power_sums_float(p, 4, precision)
         want = jacobi_symbol(p, 3) * p * p + 2 * p + 1
         with pytest.raises(IdentityFailure, match=rf"S_3\(7\) = {want + p * p}, the theory forces {want}$"):
@@ -293,6 +291,20 @@ class TestPowerSumsFloat:
             power_sums_float(263, 4, 256)
         assert str(info.value) == "S'_1(263): no admissible integer in enclosure"
 
+    def test_derived_precision_agrees_with_exact_to_400(self):
+        # nmax 1..8 at every prime up to 400: the centres' powers and the
+        # ball bound pin the same integers as the exact route
+        for p in primes_in_range(2, 400):
+            completed = power_sums_exact(p, 8, COMPLETED, exact_limit=p).values
+            for nmax in range(1, 9):
+                flt, _ = power_sums_float_auto(p, nmax)
+                assert flt.values == {n: completed[n] for n in range(1, nmax + 1)}, (p, nmax)
+
+    @pytest.mark.parametrize("p, nmax", [(101, 40), (3, 30)])
+    def test_derived_precision_agrees_with_exact_at_high_nmax(self, p, nmax):
+        flt, _ = power_sums_float_auto(p, nmax)
+        assert flt.values == power_sums_exact(p, nmax, COMPLETED).values
+
     def test_derived_precision_pins_101_16(self):
         flt, used = power_sums_float_auto(101, 16)
         assert used == 73
@@ -315,22 +327,55 @@ class TestPowerSumsFloat:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        ends=st.lists(st.integers(-40, 40), min_size=2, max_size=2).map(sorted),
+        centres=st.lists(st.integers(-40, 40), min_size=1, max_size=4),
+        radius=st.integers(0, 6),
         nmax=st.integers(1, 8),
     )
-    def test_interval_powers_are_the_exact_range(self, ends, nmax):
-        # one interval, which may straddle 0 or be a single point: each
-        # bound is the brute-force min or max of x**n over its integers
-        lo, hi = ends
-        sum_lo, sum_hi = moments._interval_power_sums([(lo, hi)], nmax)
+    def test_ball_powers_cover_every_point(self, centres, radius, nmax):
+        # balls of either sign, straddling 0 or not, one to four of them:
+        # the brute-force least and greatest sum of x**n, one integer x
+        # within radius of each centre, lie in the bound
+        sums, errors = moments._ball_power_sums(centres, radius, nmax)
         for n in range(1, nmax + 1):
-            powers = [x**n for x in range(lo, hi + 1)]
-            assert (sum_lo[n], sum_hi[n]) == (min(powers), max(powers))
+            ranges = [[x**n for x in range(m - radius, m + radius + 1)] for m in centres]
+            assert sums[n] == sum(m**n for m in centres)
+            assert sums[n] - errors[n] <= sum(map(min, ranges))
+            assert sum(map(max, ranges)) <= sums[n] + errors[n]
 
-    def test_interval_powers_add_over_intervals(self):
-        sum_lo, sum_hi = moments._interval_power_sums([(-3, 2), (-5, -4), (1, 2)], 3)
-        assert sum_lo[1:] == [-3 - 5 + 1, 0 + 16 + 1, -27 - 125 + 1]
-        assert sum_hi[1:] == [2 - 4 + 2, 9 + 25 + 4, 8 - 64 + 8]
+    @pytest.mark.parametrize("centre", [-9, -1, 0, 4])
+    def test_one_ball_bound_is_attained(self, centre):
+        # one ball: the bound is (|m| + R)**n - |m|**n, reached at the
+        # endpoint away from 0
+        sums, errors = moments._ball_power_sums([centre], 3, 6)
+        far = centre - 3 if centre < 0 else centre + 3
+        for n in range(1, 7):
+            assert errors[n] == (abs(centre) + 3) ** n - abs(centre) ** n
+            assert abs(far**n - sums[n]) == errors[n]
+
+    def test_ball_bound_scales_with_the_count(self):
+        # three balls around -5, 0 and 7, radius 2: B = 9, so each n is
+        # enclosed within 3 (9**n - 7**n) of the centres' sum
+        sums, errors = moments._ball_power_sums([-5, 0, 7], 2, 3)
+        assert sums[1:] == [2, 74, 218]
+        assert errors[1:] == [6, 96, 1158]
+
+    @pytest.mark.parametrize("edge", ["bottom", "top"])
+    def test_values_at_an_edge_of_their_enclosure(self, monkeypatch, edge):
+        # Kl_2(3; 1) = -1 and Kl_2(3; 2) = 2 are integers, one per orbit:
+        # placed at either end of enclosures of the widest width the proof
+        # allows, 2(p - 1), the balls still hold them, so the tables are
+        # the exact ones
+        values = {kl2_counts(3, 1): -1, kl2_counts(3, 2): 2}
+        width = 4
+
+        def at_edge(counts, precision):
+            low = values[counts] << precision
+            return [low - width if edge == "top" else low], width
+
+        monkeypatch.setattr(moments, "enclose_sum", at_edge)
+        for nmax in (1, 2, 5, 8):
+            flt = power_sums_float(3, nmax, float_precision(3, nmax))
+            assert flt.values == power_sums_exact(3, nmax, COMPLETED).values
 
     def test_identities_checked_on_fresh_tables(self, monkeypatch):
         # integer stand-ins for Kl_2(5; a) whose completed sums meet the
@@ -339,7 +384,7 @@ class TestPowerSumsFloat:
         fake = {kl2_counts(5, 1): [7, 0], kl2_counts(5, 2): [-4, -2]}
         monkeypatch.setattr(
             moments, "enclose_sum",
-            lambda counts, precision: [(v << precision,) * 2 for v in fake[counts]],
+            lambda counts, precision: ([v << precision for v in fake[counts]], 0),
         )
         with pytest.raises(IdentityFailure, match="S_2"):
             power_sums_float(5, 2, 64)
