@@ -5,17 +5,20 @@ Commands: sums, moments, evans, dims, det, eta, molien, trace.
 Output is deterministic: identical inputs and configuration produce
 byte-identical output (fixed ordering, no timestamps). Usage errors exit
 with status 2; computation failures exit with status 1 and, in JSON mode,
-a machine-readable error object on stdout.
+a machine-readable error object on stdout. A well-formed command line is
+read from the flag table without importing argparse; argparse parses every
+other one and prints every help text and usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from functools import partial
 from itertools import chain
+from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from . import __version__
 from .cache import PowerSumStore, resolve_cache_dir
@@ -44,14 +47,77 @@ from .moments import (
 SCHEMA_VERSION = 1
 
 
-def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    """The flags of the MomentEngine and its cache, for commands that use one."""
-    parser.add_argument("--cache-dir", default=None)
-    parser.add_argument("--no-cache", action="store_true")
-    parser.add_argument("--exact-limit", type=int, default=DEFAULT_EXACT_LIMIT)
+_ENGINE_FLAGS = {
+    "--cache-dir": {"default": None},
+    "--no-cache": {"action": "store_true"},
+    "--exact-limit": {"type": int, "default": DEFAULT_EXACT_LIMIT},
+}
+_FORMAT_FLAG = {"--format": {"choices": ("text", "csv", "json"), "default": "text"}}
+
+# Each command's help line and flags, in help order, written once as
+# add_argument keyword arguments: build_parser() builds argparse's parser
+# from this table, and _parse_exact() parses well-formed command lines by it.
+_FLAGS = {
+    "sums": ("power sums S_n(p)", {
+        "--p": {"type": int, "required": True},
+        "--nmax": {"type": int, "required": True},
+        "--convention": {"choices": (RESTRICTED, COMPLETED), "default": RESTRICTED},
+        "--method": {"choices": ("exact", "float", "both"), "default": "exact"},
+        **_ENGINE_FLAGS, **_FORMAT_FLAG,
+    }),
+    "moments": ("symmetric-power moment m^d_2(p)", {
+        "--p": {"type": int, "required": True},
+        "--d": {"type": int, "required": True},
+        **_ENGINE_FLAGS, **_FORMAT_FLAG,
+    }),
+    "evans": ("degree-5/6/7/8 identity sweep", {
+        "--d": {"type": int, "required": True, "choices": (5, 6, 7, 8)},
+        "--pmin": {"type": int, "required": True},
+        "--pmax": {"type": int, "required": True},
+        "--jobs": {"type": int, "default": 1},
+        **_ENGINE_FLAGS, **_FORMAT_FLAG,
+    }),
+    "dims": ("middle-extension dimension table", {
+        "--dmax": {"type": int, "default": 13},
+        **_FORMAT_FLAG,
+    }),
+    "det": ("normalized Frobenius determinant", {
+        "--d": {"type": int, "required": True},
+        "--p": {"type": int, "nargs": "+", "required": True},
+        **_FORMAT_FLAG,
+    }),
+    "eta": ("eta-quotient q-expansion", {
+        "--quotient": {
+            "required": True,
+            "help": "comma-separated divisor:exponent pairs, e.g. 1:2,2:2,3:2,6:2",
+        },
+        "--terms": {"type": int, "required": True},
+        **_FORMAT_FLAG,
+    }),
+    "molien": ("invariant-dimension / Frobenius series", {
+        "--dmax": {"type": int, "required": True},
+        "--kind": {"choices": ("dim", "frob"), "default": "dim"},
+        **_FORMAT_FLAG,
+    }),
+    "trace": ("normalized middle trace of -m^d-1", {
+        "--d": {"type": int, "required": True},
+        "--p": {"type": int, "required": True},
+        "--rational": {
+            "action": "store_true",
+            "help": "return the exact rational quotient instead of failing "
+            "on non-integral traces",
+        },
+        **_ENGINE_FLAGS, **_FORMAT_FLAG,
+    }),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser of every command. A well-formed command line
+    never needs it (_parse_exact); it parses the rest, and prints every
+    help text and usage error."""
+    import argparse
+
     top = argparse.ArgumentParser(
         prog="klmoments",
         description="Exact Kloosterman power sums, symmetric-power moments, "
@@ -59,53 +125,85 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sums", help="power sums S_n(p)")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--convention", choices=(RESTRICTED, COMPLETED), default=RESTRICTED)
-    p.add_argument("--method", choices=("exact", "float", "both"), default="exact")
-    _add_engine_flags(p)
-
-    p = sub.add_parser("moments", help="symmetric-power moment m^d_2(p)")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    _add_engine_flags(p)
-
-    p = sub.add_parser("evans", help="degree-5/6/7/8 identity sweep")
-    p.add_argument("--d", type=int, required=True, choices=(5, 6, 7, 8))
-    p.add_argument("--pmin", type=int, required=True)
-    p.add_argument("--pmax", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    _add_engine_flags(p)
-
-    p = sub.add_parser("dims", help="middle-extension dimension table")
-    p.add_argument("--dmax", type=int, default=13)
-
-    p = sub.add_parser("det", help="normalized Frobenius determinant")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--p", type=int, nargs="+", required=True)
-
-    p = sub.add_parser("eta", help="eta-quotient q-expansion")
-    p.add_argument("--quotient", required=True,
-                   help="comma-separated divisor:exponent pairs, e.g. 1:2,2:2,3:2,6:2")
-    p.add_argument("--terms", type=int, required=True)
-
-    p = sub.add_parser("molien", help="invariant-dimension / Frobenius series")
-    p.add_argument("--dmax", type=int, required=True)
-    p.add_argument("--kind", choices=("dim", "frob"), default="dim")
-
-    p = sub.add_parser("trace", help="normalized middle trace of -m^d-1")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--rational", action="store_true",
-                   help="return the exact rational quotient instead of failing "
-                   "on non-integral traces")
-    _add_engine_flags(p)
-
-    for p in sub.choices.values():
-        p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    for command, (help_line, flags) in _FLAGS.items():
+        p = sub.add_parser(command, help=help_line)
+        for flag, kwargs in flags.items():
+            p.add_argument(flag, **kwargs)
     return top
+
+
+def _parse_exact(argv):
+    """The namespace argparse gives argv, when argv is a command followed
+    only by its own flags, spelled out in full: a switch, or a flag and one
+    value that does not start with "-", converts by the flag's type and lies
+    in its choices; with every required flag given. None for any other argv
+    (help, --version, --flag=value, an abbreviation, an nargs flag, a bad or
+    missing value), which build_parser() then parses."""
+    if not argv or argv[0] not in _FLAGS:
+        return None
+    flags = _FLAGS[argv[0]][1]
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        spec = flags.get(flag)
+        if spec is None or "nargs" in spec:
+            return None
+        if spec.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[flag] = value
+    args = SimpleNamespace(command=argv[0])
+    for flag, spec in flags.items():
+        if flag in given:
+            value = given[flag]
+        elif spec.get("required"):
+            return None
+        elif spec.get("action") == "store_true":
+            value = False
+        else:
+            value = spec.get("default")
+        setattr(args, flag[2:].replace("-", "_"), value)
+    return args
+
+
+def _json(value, newline: str = "\n") -> str:
+    """value as json.dumps(value, sort_keys=True, indent=1) writes it, when
+    newline opens a line at value's own nesting: strings (ASCII-escaped),
+    ints and their subclasses, bools, None, lists, tuples, and dicts with
+    str keys. Anything else raises TypeError. (indent=1 runs json's
+    pure-Python encoder; this writer prints the same bytes in less time.)"""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + " "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # a non-str key fails to sort or to encode, either way a TypeError
+        items = [encode_basestring_ascii(k) + ": " + _json(value[k], inner)
+                 for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _render(fmt: str, doc: dict, text_lines, header, rows,
@@ -114,7 +212,7 @@ def _render(fmt: str, doc: dict, text_lines, header, rows,
     version, the CSV header and rows, or the text lines. Lines and rows
     may be generators: only the format's own one is consumed."""
     if fmt == "json":
-        return json.dumps({"schema_version": schema, **doc}, sort_keys=True, indent=1) + "\n"
+        return _json({"schema_version": schema, **doc}) + "\n"
     if fmt == "csv":
         import csv
         import io
@@ -317,23 +415,26 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_exact(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     run = _COMMANDS[args.command]
-    if "jobs" in args and args.jobs < 1:
-        parser.error("jobs must be >= 1")  # exits 2
-    if "terms" in args and args.terms < 0:
-        parser.error("terms must be >= 0")
-    if "quotient" in args:
+    if hasattr(args, "jobs") and args.jobs < 1:
+        build_parser().error("jobs must be >= 1")  # exits 2
+    if hasattr(args, "terms") and args.terms < 0:
+        build_parser().error("terms must be >= 0")
+    if hasattr(args, "quotient"):
         try:
             run = partial(run, eq=_parse_quotient(args.quotient))
         except ValueError as exc:
-            parser.error(f"quotient {args.quotient!r}: {exc}")
-    if "exact_limit" in args:  # the command computes through a MomentEngine
+            build_parser().error(f"quotient {args.quotient!r}: {exc}")
+    if hasattr(args, "exact_limit"):  # the command computes through a MomentEngine
         try:
             run = partial(run, engine=_engine(args))
         except ValueError as exc:
-            parser.error(str(exc))
+            build_parser().error(str(exc))
     try:
         code = run(args)
         sys.stdout.flush()  # a closed pipe fails here, not at exit

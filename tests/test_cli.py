@@ -1,22 +1,28 @@
 import csv
+import importlib.util
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import klmoments
 from klmoments import cli, evans, invariants, modforms, moments
 from klmoments.cache import PowerSumStore
 from klmoments.cli import main
 from klmoments.errors import InputTooLarge
+from klmoments.ffprime import Prime
 from klmoments.moments import DEFAULT_EXACT_LIMIT, METHOD_EXACT, METHOD_FLOAT, PowerSumTable
 
 GOLDEN = Path(__file__).parent / "data" / "golden_dims.txt"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -63,14 +69,129 @@ class TestDims:
         }
 
 
+@cache
+def argparse_parser():
+    return cli.build_parser()
+
+
+def benchmark_argvs() -> list[list[str]]:
+    """Every command line the benchmark's workloads run, with its cache flag."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return [
+        inv.argv(Path("cache") if inv.cached else None)
+        for workload in workloads.WORKLOADS.values()
+        for inv in workload.invocations
+    ]
+
+
+def readme_argvs() -> list[list[str]]:
+    """The command lines of the README's CLI section."""
+    section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()]
+
+
+def has_nargs_flag(argv: list[str]) -> bool:
+    flags = cli._FLAGS[argv[0]][1]
+    return any("nargs" in flags.get(token, {}) for token in argv[1:])
+
+
+# Tokens that argparse reads in its own ways: negative numbers, empty and
+# dash-led values, the end-of-options marker, help and version.
+ODD_VALUES = ("", "-x", "--", "-1", "-", " 5", "5 ", "1_0", "x", "1:2", "dim", "csv")
+STRAY = ("-h", "--help", "--version", "evans", "7", "--", "--no-such-flag")
+
+
+@st.composite
+def command_lines(draw):
+    """A command and tokens drawn from the flag table: its own flags with
+    values of their type and choice or just outside them, then flags of any
+    command, odd values, --flag=value, abbreviations and stray tokens, in
+    any order and repeated."""
+    command = draw(st.sampled_from([*cli._FLAGS, "bogus"]))
+    own = cli._FLAGS.get(command, ("", {}))[1]
+    every = sorted({flag for _, flags in cli._FLAGS.values() for flag in flags})
+
+    def flag_and_value(flag):
+        # mostly a value argparse takes, sometimes one just outside
+        spec = own[flag]
+        if spec.get("action") == "store_true":
+            return st.just([flag])
+        if "choices" in spec:
+            values = st.sampled_from([*(str(c) for c in spec["choices"]), "0", "xml"])
+        elif spec.get("type") is int:
+            values = st.integers(-3, 400).map(str) | st.just("x")
+        else:
+            values = st.sampled_from(["c", "1:2,2:-2", "", "-x", "--"])
+        return values.map(lambda v: [flag, v])
+
+    value = st.sampled_from(ODD_VALUES) | st.integers(-10**6, 10**6).map(str)
+    flag = st.sampled_from(every) | st.sampled_from(list(own) or every)
+    noise = st.one_of(
+        flag.map(lambda f: [f]),
+        st.tuples(flag, value).map(list),
+        st.tuples(flag, value).map(lambda fv: ["=".join(fv)]),
+        flag.flatmap(
+            lambda f: st.integers(3, len(f) - 1).map(lambda k: [f[:k]])
+            if len(f) > 3 else st.just([f])
+        ),
+        st.sampled_from(STRAY).map(lambda t: [t]),
+    )
+    # a required flag is left out one time in ten, any other one time in two
+    groups = [draw(flag_and_value(flag)) for flag in own
+              if draw(st.integers(0, 9)) < (9 if own[flag].get("required") else 5)]
+    groups += draw(st.lists(noise, max_size=3))
+    if own:
+        groups += draw(st.lists(st.sampled_from(list(own)).flatmap(flag_and_value), max_size=2))
+    groups = draw(st.permutations(groups))
+    return [command, *(token for group in groups for token in group)]
+
+
 class TestParser:
     @pytest.mark.parametrize("argv", [
         ["sums", "--p", "5", "--nmax", "2"],
         ["evans", "--d", "5", "--pmin", "2", "--pmax", "3"],
     ])
     def test_route_defaults_are_the_library_constants(self, argv):
-        args = cli.build_parser().parse_args(argv)
-        assert args.exact_limit == DEFAULT_EXACT_LIMIT
+        for parse in (cli._parse_exact, cli.build_parser().parse_args):
+            assert parse(argv).exact_limit == DEFAULT_EXACT_LIMIT
+
+    @settings(max_examples=400, deadline=None)
+    @given(command_lines())
+    def test_exact_parse_is_argparse_or_none(self, argv):
+        fast = cli._parse_exact(argv)
+        event("exact parse" if fast is not None else "left to argparse")
+        if fast is not None:
+            assert vars(fast) == vars(argparse_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        *benchmark_argvs(),
+        *(argv for argv in readme_argvs() if not has_nargs_flag(argv)),
+    ], ids=shlex.join)
+    def test_benchmark_and_readme_lines_skip_argparse(self, argv):
+        fast = cli._parse_exact(argv)
+        assert fast is not None
+        assert vars(fast) == vars(argparse_parser().parse_args(argv))
+
+    def test_only_the_readme_nargs_line_is_left_to_argparse(self):
+        left = [argv for argv in readme_argvs() if cli._parse_exact(argv) is None]
+        assert left == [["det", "--d", "7", "--p", "3", "5", "7"]]
+
+    def test_forms_only_argparse_reads_give_the_same_output(self, capsys):
+        full = ("evans", "--d", "6", "--pmin", "2", "--pmax", "31", "--no-cache",
+                "--format", "json")
+        short = ("evans", "--d=6", "--pmi", "2", "--pmax", "31", "--no-cache",
+                 "--format=json")
+        assert cli._parse_exact(list(short)) is None
+        assert run(capsys, *short) == run(capsys, *full)
 
     @pytest.mark.parametrize("argv", [
         ["dims", "--no-cache"],
@@ -403,9 +524,37 @@ SMALL_RUNS = [
 ]
 
 
+# Values of the types a JSON document holds, Prime among the ints
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.sampled_from([2, 3, 257, 3067829]).map(Prime),
+    lambda children: st.lists(children) | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children),
+    max_leaves=40,
+)
+
+
 class TestFormats:
     def test_every_command_is_covered(self):
-        assert sorted(argv[0] for argv in SMALL_RUNS) == sorted(cli._COMMANDS)
+        assert sorted(argv[0] for argv in SMALL_RUNS) == sorted(cli._COMMANDS) == sorted(cli._FLAGS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    def test_json_writer_prints_the_bytes_of_json_dumps(self, value):
+        assert cli._json(value) == json.dumps(value, sort_keys=True, indent=1)
+
+    @pytest.mark.parametrize("value", [
+        1.5, {1: 2}, {"a": 1, 2: 3}, {"a": [{"b": {1, 2}}]}, b"bytes", object(),
+    ], ids=["float", "int-key", "mixed-keys", "nested-set", "bytes", "object"])
+    def test_json_writer_refuses_other_types(self, value):
+        with pytest.raises(TypeError):
+            cli._json(value)
+
+    @pytest.mark.parametrize("argv", SMALL_RUNS, ids=lambda argv: argv[0])
+    def test_json_output_is_what_json_dumps_prints(self, capsys, argv):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=1) + "\n"
 
     @pytest.mark.parametrize("argv", SMALL_RUNS, ids=lambda argv: argv[0])
     def test_csv_rows_fill_the_header_and_json_has_schema_1(self, capsys, argv):
@@ -522,7 +671,8 @@ STARTUP_PROBE = """
 import contextlib, io, json, sys
 import klmoments.cli
 lazy = ("mpmath", "concurrent.futures.process", "numpy")
-deferred = ("klmoments.invariants", "fractions", "csv", "hashlib", "logging", "dataclasses", "inspect")
+deferred = ("klmoments.invariants", "fractions", "csv", "hashlib", "logging", "dataclasses", "inspect",
+            "argparse", "gettext", "locale")
 traced = ("evans", "moments", "kloosterman", "cyclotomic", "convolve", "modforms", "cache")
 after_import = [
     [m for m in lazy + deferred if m in sys.modules],
@@ -595,7 +745,9 @@ class TestStartup:
         # a fresh interpreter: importing the CLI loads neither mpmath, numpy,
         # the process pool, hashlib, nor the modules only other commands or
         # formats use (invariants, fractions, csv) or only a corrupt cache
-        # entry uses (logging), but every layer the benchmark tracer wraps;
+        # entry uses (logging), nor argparse and the gettext and locale it
+        # brings, which only help and usage errors need, but every layer the
+        # benchmark tracer wraps;
         # an exact --jobs 1 JSON sweep and a float sweep (263 and 269 lie
         # above the exact limit; its root tables are seeded from integer series) load
         # none of those either; nor does any command, dims included, load
