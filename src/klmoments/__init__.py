@@ -3,9 +3,32 @@ modular-form identities they satisfy, over prime fields.
 
 The public names below are resolved on first access (PEP 562), so
 ``import klmoments.cli`` loads only the modules the CLI itself imports.
+Three submodules are used or not according to a run's options: ``cache``
+(the cache directory), ``cyclotomic`` (the float route) and ``modforms``
+(the degree). Importing the package binds each of them here and in
+``sys.modules`` at once, but compiles and runs it only when one of its
+attributes is first read (importlib.util.LazyLoader).
 """
 
 __version__ = "0.1.0"
+
+
+def _bind_lazily(*names: str) -> None:
+    """Bind each submodule in `names` in this namespace and in sys.modules,
+    to be compiled and run on its first attribute access."""
+    import sys
+    from importlib.util import LazyLoader, find_spec, module_from_spec
+
+    for name in names:
+        spec = find_spec(f"{__name__}.{name}")
+        spec.loader = LazyLoader(spec.loader)
+        module = module_from_spec(spec)
+        sys.modules[spec.name] = module
+        spec.loader.exec_module(module)
+        globals()[name] = module
+
+
+_bind_lazily("cache", "cyclotomic", "modforms")
 
 # Each submodule, with the names the package re-exports from it; the
 # submodules are public names too.

@@ -12,16 +12,18 @@ other one and prints every help text and usage error.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from functools import partial
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
-from . import __version__
-from .cache import PowerSumStore, resolve_cache_dir
+try:  # json.encoder's own function, from its C module: a run need not load json
+    from _json import encode_basestring_ascii
+except ImportError:  # an interpreter built without _json
+    from json.encoder import encode_basestring_ascii
+
+from . import __version__, cache, modforms
 from .errors import KlmomentsError
 from .evans import (
     CSV_HEADER,
@@ -33,7 +35,6 @@ from .evans import (
     trace_middle,
 )
 from .ffprime import Prime
-from .modforms import EtaQuotient, eta_quotient_series
 from .moments import (
     COMPLETED,
     DEFAULT_EXACT_LIMIT,
@@ -231,7 +232,9 @@ def _emit(fmt: str, doc: dict, text_lines, header, rows) -> None:
 
 def _engine(args) -> MomentEngine:
     """The moment engine, and its cache store, that the run's flags describe."""
-    store = None if args.no_cache else PowerSumStore(resolve_cache_dir(args.cache_dir))
+    store = None
+    if not args.no_cache:
+        store = cache.PowerSumStore(cache.resolve_cache_dir(args.cache_dir))
     return MomentEngine(args.exact_limit, store)
 
 
@@ -330,7 +333,7 @@ def _cmd_det(args) -> int:
     return 0
 
 
-def _parse_quotient(spec: str) -> EtaQuotient:
+def _parse_quotient(spec: str) -> modforms.EtaQuotient:
     """The quotient --quotient names; a ValueError for a malformed one."""
     factors = []
     for part in spec.split(","):
@@ -339,11 +342,11 @@ def _parse_quotient(spec: str) -> EtaQuotient:
             factors.append((int(div), int(exp)))
         except ValueError:
             raise ValueError(f"{part!r} is not a divisor:exponent pair") from None
-    return EtaQuotient(tuple(factors))
+    return modforms.EtaQuotient(tuple(factors))
 
 
-def _cmd_eta(args, eq: EtaQuotient) -> int:
-    series = eta_quotient_series(eq, args.terms)
+def _cmd_eta(args, eq: modforms.EtaQuotient) -> int:
+    series = modforms.eta_quotient_series(eq, args.terms)
     # the quotient's own order: a series truncated below it is empty
     lead = eq.q_order_times_24 // 24
     # from q^0, or from q^lead when the quotient has a pole at q = 0
@@ -444,6 +447,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (KlmomentsError, ValueError, OSError) as exc:
         if args.format == "json":
+            import json
+
             print(json.dumps(
                 {
                     "schema_version": SCHEMA_VERSION,

@@ -37,6 +37,7 @@ import os
 from functools import partial
 from typing import TYPE_CHECKING
 
+from . import modforms
 from .errors import (
     DivisibilityFailure,
     KlmomentsError,
@@ -44,7 +45,6 @@ from .errors import (
     RangeFailure,
 )
 from .ffprime import Prime, jacobi_symbol, primes_in_range
-from .modforms import REGISTRY, prime_coefficients, registry_expansion
 from .moments import PRIME_CEILING, MomentEngine, MomentValue
 
 if TYPE_CHECKING:
@@ -349,7 +349,7 @@ def _match_registry(row: EvansReport, coeffs: dict[int, int]) -> None:
     want = coeffs.get(row.p)
     if row.error is not None or want is None:
         return
-    detail = f"{REGISTRY[row.d].label} a({row.p}) = {want}"
+    detail = f"{modforms.REGISTRY[row.d].label} a({row.p}) = {want}"
     row.checks += (CheckResult("registry_match", want == row.derived, detail),)
     row.source = "registry-form"
 
@@ -395,8 +395,8 @@ def batch_report(
     # registry_match rows reach stdout with the report's schema 2 (ROADMAP
     # item 6b), so that stdout changes once, on purpose.
     if d == 6 and primes:
-        series = registry_expansion(6, max(primes))
-        coeffs = prime_coefficients(series, max(primes))
+        series = modforms.registry_expansion(6, max(primes))
+        coeffs = modforms.prime_coefficients(series, max(primes))
 
     run = partial(_sweep_one, engine, d)  # a pool pickles it with every prime
     workers = min(jobs, len(primes), _usable_cpus())

@@ -44,8 +44,8 @@ from itertools import repeat
 from math import comb, gcd, isqrt
 from operator import add, mul
 
+from . import cyclotomic
 from .convolve import cyclic_convolve, cyclic_powers
-from .cyclotomic import enclose_sum
 from .errors import (
     AmbiguousRounding,
     CacheMismatch,
@@ -305,7 +305,7 @@ def power_sums_float(p: int, nmax: int, precision: int) -> PowerSumTable:
     centres = []
     radius = 0
     for r in _orbit_representatives(p):
-        lows, width = enclose_sum(kl2_counts(p, r), precision)
+        lows, width = cyclotomic.enclose_sum(kl2_counts(p, r), precision)
         half = width >> 1
         centres += map(add, lows, repeat(half))
         radius = max(radius, half)

@@ -667,23 +667,34 @@ class TestTrace:
         assert "pure part = 0" in out
 
 
+# Run in a fresh interpreter with two sweep names, "exact" and "float", in
+# the order to run them. The three modules the package binds lazily are
+# in sys.modules from the import on, and run only once a sweep reads them;
+# json is imported only to print the record, once everything is recorded.
 STARTUP_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, sys, types
 import klmoments.cli
 lazy = ("mpmath", "concurrent.futures.process", "numpy")
 deferred = ("klmoments.invariants", "fractions", "csv", "hashlib", "logging", "dataclasses", "inspect",
-            "argparse", "gettext", "locale")
+            "argparse", "gettext", "locale", "json")
 traced = ("evans", "moments", "kloosterman", "cyclotomic", "convolve", "modforms", "cache")
+def unrun():
+    return [m for m in ("cache", "cyclotomic", "modforms")
+            if type(sys.modules["klmoments." + m]) is not types.ModuleType]
 after_import = [
     [m for m in lazy + deferred if m in sys.modules],
     [m for m in traced if "klmoments." + m not in sys.modules],
+    unrun(),
 ]
 def sweep(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         code = klmoments.cli.main(["evans", *argv, "--no-cache"])
-    return [code, [m for m in lazy + deferred if m in sys.modules]]
-exact = sweep("--d", "6", "--pmin", "2", "--pmax", "31", "--format", "json")
-float_route = sweep("--d", "5", "--pmin", "258", "--pmax", "270")
+    return [code, [m for m in lazy + deferred if m in sys.modules], unrun()]
+sweeps = {
+    "exact": ("--d", "6", "--pmin", "2", "--pmax", "31", "--format", "json"),
+    "float": ("--d", "5", "--pmin", "258", "--pmax", "270"),
+}
+first, second = (sweep(*sweeps[name]) for name in sys.argv[1:3])
 def command(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         code = klmoments.cli.main(list(argv))
@@ -693,7 +704,39 @@ others = [
     command("det", "--d", "5", "--p", "7"),
     command("molien", "--dmax", "8"),
 ]
-print(json.dumps([after_import, exact, float_route, others]))
+import json
+print(json.dumps([after_import, first, second, others]))
+"""
+
+# Every op of the benchmark's tracer (the file argv[1]) names a module that
+# importing the CLI puts in sys.modules, and an attribute of it that
+# resolves; the tracer then installs its wrappers.
+TRACER_PROBE = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+import klmoments.cli
+missing = [module for _, _, module, _ in tracer.OPS if module not in sys.modules]
+unresolved = []
+for _, _, module, attr in tracer.OPS:
+    value = sys.modules[module]
+    for name in attr.split("."):
+        value = getattr(value, name, None)
+    if not callable(value):
+        unresolved.append(module + "." + attr)
+tracer.Tracer().install()
+import json
+print(json.dumps([missing, unresolved, len(tracer.OPS)]))
+"""
+
+# The CLI in a fresh interpreter that lets --jobs 2 fork its 2 workers on
+# a 1-CPU machine too.
+JOBS_PROBE = """
+import sys
+import klmoments.cli, klmoments.evans
+klmoments.evans._usable_cpus = lambda: 2
+sys.exit(klmoments.cli.main(sys.argv[1:]))
 """
 
 # Cached runs, cold then warm, and a warm sums whose exact record is
@@ -740,38 +783,90 @@ PUBLIC_NAMES = {
 }
 
 
+def probe_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's
+    klmoments, with no cache directory set."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env.pop("KLMOMENTS_CACHE_DIR", None)
+    return env
+
+
+def run_probe(probe: str, *argv: str):
+    """The JSON record `probe` prints, run in a fresh interpreter."""
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        env=probe_env(), capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout)
+
+
 class TestStartup:
     def test_import_and_exact_sweep_skip_mpmath_and_the_pool(self):
         # a fresh interpreter: importing the CLI loads neither mpmath, numpy,
-        # the process pool, hashlib, nor the modules only other commands or
-        # formats use (invariants, fractions, csv) or only a corrupt cache
+        # the process pool, hashlib, json, nor the modules only other commands
+        # or formats use (invariants, fractions, csv) or only a corrupt cache
         # entry uses (logging), nor argparse and the gettext and locale it
-        # brings, which only help and usage errors need, but every layer the
-        # benchmark tracer wraps;
-        # an exact --jobs 1 JSON sweep and a float sweep (263 and 269 lie
-        # above the exact limit; its root tables are seeded from integer series) load
-        # none of those either; nor does any command, dims included, load
-        # dataclasses or inspect; and dims, det and molien, whose series are
-        # integer QSeries, load neither fractions nor decimal
-        src = Path(cli.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        env.pop("KLMOMENTS_CACHE_DIR", None)
-        done = subprocess.run(
-            [sys.executable, "-c", STARTUP_PROBE],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert json.loads(done.stdout) == [[[], []], [0, []], [0, []], [[0, []]] * 3]
+        # brings, which only help and usage errors need; it binds every layer
+        # the benchmark tracer wraps, but runs none of cache, cyclotomic and
+        # modforms;
+        # an exact --jobs 1 JSON sweep runs modforms only, and a float sweep
+        # after it (263 and 269 lie above the exact limit; its root tables are
+        # seeded from integer series) runs cyclotomic too: neither loads any
+        # of those modules, json included, nor runs cache; nor does any
+        # command, dims included, load dataclasses or inspect; and dims, det
+        # and molien, whose series are integer QSeries, load neither
+        # fractions nor decimal
+        assert run_probe(STARTUP_PROBE, "exact", "float") == [
+            [[], [], ["cache", "cyclotomic", "modforms"]],
+            [0, [], ["cache", "cyclotomic"]],
+            [0, [], ["cache"]],
+            [[0, []]] * 3,
+        ]
+
+    def test_float_sweep_runs_neither_cache_nor_modforms(self):
+        # the float sweep first: it runs cyclotomic only, and the exact sweep
+        # after it modforms
+        after_import, float_route, exact, _ = run_probe(STARTUP_PROBE, "float", "exact")
+        assert after_import == [[], [], ["cache", "cyclotomic", "modforms"]]
+        assert float_route == [0, [], ["cache", "modforms"]]
+        assert exact == [0, [], ["cache"]]
+
+    def test_every_traced_op_resolves_after_importing_the_cli(self):
+        missing, unresolved, ops = run_probe(TRACER_PROBE, str(ROOT / "perfbench" / "tracer.py"))
+        assert missing == unresolved == [] and ops > 0
+
+    @pytest.mark.parametrize("cached, runs", [
+        (False, [("--d", "5", "--pmin", "258", "--pmax", "330")]),
+        (True, [("--d", "8", "--pmin", "3", "--pmax", "60"),
+                ("--d", "5", "--pmin", "3", "--pmax", "60")]),
+    ], ids=["float-no-cache", "cold-d8-then-warm-d5"])
+    def test_jobs_2_from_a_cold_interpreter_prints_what_jobs_1_prints(self, tmp_path, cached, runs):
+        # cyclotomic first runs in the forked workers; with a cache, the
+        # parent runs cache and pickles its store to them
+        outs, caches = [], []
+        for jobs in ("1", "2"):
+            cache_dir = tmp_path / f"jobs{jobs}"
+            flags = ["--cache-dir", str(cache_dir)] if cached else ["--no-cache"]
+            outs.append([
+                subprocess.run(
+                    [sys.executable, "-c", JOBS_PROBE, "evans", *argv, *flags,
+                     "--format", "json", "--jobs", jobs],
+                    env=probe_env(), capture_output=True, check=True,
+                ).stdout
+                for argv in runs
+            ])
+            caches.append({
+                path.name: path.read_bytes() for path in cache_dir.glob("sums/*.json")
+            })
+        assert outs[0] == outs[1]
+        assert caches[0] == caches[1]
+        assert all(b'"errors": 0' in out for out in outs[0])
+        assert len(caches[0]) == (16 if cached else 0)  # d = 8 writes the primes 3..59
 
     def test_cached_runs_load_no_openssl(self, tmp_path):
         # the checksum is CPython's built-in SHA-256, cold, warm, and when a
         # record is cross-checked against its sibling
-        src = Path(cli.__file__).resolve().parents[1]
-        done = subprocess.run(
-            [sys.executable, "-c", CACHED_PROBE, str(tmp_path)],
-            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
-            check=True,
-        )
-        evans, sums, loaded = json.loads(done.stdout)
+        evans, sums, loaded = run_probe(CACHED_PROBE, str(tmp_path))
         assert loaded == []
         for cold, warm in (evans, sums):
             assert cold == warm and cold[0] == 0

@@ -372,11 +372,13 @@ class TestRegistryForms:
         def unreachable(*args):
             raise AssertionError("a degree-5 or degree-8 sweep built a form")
 
-        monkeypatch.setattr(evans, "registry_expansion", unreachable)
+        monkeypatch.setattr(modforms, "registry_expansion", unreachable)
         monkeypatch.setattr(modforms, "hecke_validate", unreachable)
         rows, summary = batch_report(d, 2, 60, engine=engine_200)
         assert summary.errors == 0
         assert all(r.source == "none" for r in rows)
+        with pytest.raises(AssertionError, match="built a form"):  # the patch reaches sweeps
+            batch_report(6, 2, 13, engine=engine_200)
 
     def test_degree6_sweep_reads_the_proven_form_unchecked(self, engine_200, monkeypatch):
         # the form is proven an eigenform (tests/test_modforms.py), so a
@@ -554,14 +556,14 @@ class TestBatchReport:
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.usefixtures("two_cpus")
     def test_wrong_coefficient_fails_its_row(self, monkeypatch, requested, jobs):
-        real = evans.prime_coefficients
+        real = modforms.prime_coefficients
 
         def one_wrong(series, pmax):
             coeffs = real(series, pmax)
             coeffs[13] += 1
             return coeffs
 
-        monkeypatch.setattr(evans, "prime_coefficients", one_wrong)
+        monkeypatch.setattr(modforms, "prime_coefficients", one_wrong)
         rows, summary = batch_report(6, 2, 31, jobs=jobs)
         failed = [r.p for r in rows if not r.passed]
         assert failed == [13] and not checks_by_name(rows[5])["registry_match"]

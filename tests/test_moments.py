@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from klmoments import moments
+from klmoments import cyclotomic, moments
 from klmoments.convolve import cyclic_convolve
 from klmoments.cyclotomic import CycInt, as_integer
 from klmoments.errors import (
@@ -367,15 +367,18 @@ class TestPowerSumsFloat:
         # the exact ones
         values = {kl2_counts(3, 1): -1, kl2_counts(3, 2): 2}
         width = 4
+        calls = []
 
         def at_edge(counts, precision):
+            calls.append(counts)
             low = values[counts] << precision
             return [low - width if edge == "top" else low], width
 
-        monkeypatch.setattr(moments, "enclose_sum", at_edge)
+        monkeypatch.setattr(cyclotomic, "enclose_sum", at_edge)
         for nmax in (1, 2, 5, 8):
             flt = power_sums_float(3, nmax, float_precision(3, nmax))
             assert flt.values == power_sums_exact(3, nmax, COMPLETED).values
+        assert len(calls) == 8  # two orbits per table
 
     def test_identities_checked_on_fresh_tables(self, monkeypatch):
         # integer stand-ins for Kl_2(5; a) whose completed sums meet the
@@ -383,7 +386,7 @@ class TestPowerSumsFloat:
         # g = 2 the orbit of 1 is a = 1, 4 and the orbit of 2 is a = 2, 3
         fake = {kl2_counts(5, 1): [7, 0], kl2_counts(5, 2): [-4, -2]}
         monkeypatch.setattr(
-            moments, "enclose_sum",
+            cyclotomic, "enclose_sum",
             lambda counts, precision: ([v << precision for v in fake[counts]], 0),
         )
         with pytest.raises(IdentityFailure, match="S_2"):
