@@ -7,7 +7,9 @@ byte-identical output (fixed ordering, no timestamps). Usage errors exit
 with status 2; computation failures exit with status 1 and, in JSON mode,
 a machine-readable error object on stdout. A well-formed command line is
 read from the flag table without importing argparse; argparse parses every
-other one and prints every help text and usage error.
+other one and prints every help text and usage error. main() runs a command
+line in-process; run(), the process entry, flushes its output and ends the
+process without the interpreter's teardown.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import sys
 from functools import partial
 from itertools import chain
 from types import SimpleNamespace
+from typing import NoReturn
 
 try:  # json.encoder's own function, from its C module: a run need not load json
     from _json import encode_basestring_ascii
@@ -418,33 +421,36 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the command line argv (sys.argv[1:] by default) in this process,
+    and return its exit code: 0, or 1 after a computation failure, which is
+    reported on stderr, or in JSON mode by the error object on stdout.
+    Help, --version and usage errors raise argparse's SystemExit, and a
+    write to a closed stdout raises BrokenPipeError. Output may still sit
+    in sys.stdout's buffer on return; run() flushes it."""
     if argv is None:
         argv = sys.argv[1:]
     args = _parse_exact(argv)
     if args is None:
         args = build_parser().parse_args(argv)
-    run = _COMMANDS[args.command]
+    command = _COMMANDS[args.command]
     if hasattr(args, "jobs") and args.jobs < 1:
         build_parser().error("jobs must be >= 1")  # exits 2
     if hasattr(args, "terms") and args.terms < 0:
         build_parser().error("terms must be >= 0")
     if hasattr(args, "quotient"):
         try:
-            run = partial(run, eq=_parse_quotient(args.quotient))
+            command = partial(command, eq=_parse_quotient(args.quotient))
         except ValueError as exc:
             build_parser().error(f"quotient {args.quotient!r}: {exc}")
     if hasattr(args, "exact_limit"):  # the command computes through a MomentEngine
         try:
-            run = partial(run, engine=_engine(args))
+            command = partial(command, engine=_engine(args))
         except ValueError as exc:
             build_parser().error(str(exc))
     try:
-        code = run(args)
-        sys.stdout.flush()  # a closed pipe fails here, not at exit
-        return code
-    except BrokenPipeError:  # the reader has gone: write nothing more
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+        return command(args)
+    except BrokenPipeError:  # not a computation failure: the reader has gone
+        raise
     except (KlmomentsError, ValueError, OSError) as exc:
         if args.format == "json":
             import json
@@ -461,5 +467,40 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> NoReturn:
+    """The process entry of `python -m klmoments` and of the installed
+    `klmoments` command: main() on sys.argv, sys.stdout and sys.stderr
+    flushed, then os._exit with main's code. So the process ends without
+    the interpreter's teardown: its last garbage collections, and the
+    clearing of every loaded module.
+
+    - os._exit ends the process only when main() returns, or when it
+      raises BrokenPipeError. argparse's SystemExit (help, --version, usage
+      errors) and any other uncaught exception leave run() and end the
+      process the normal way.
+    - A closed stdout, whether a write inside main() or the flush finds it,
+      and any flush that fails end the process with exit 1 and nothing on
+      stderr.
+    - Nothing is left unwritten. The flushes empty both streams, and what
+      else a run writes is complete before main() returns:
+      PowerSumStore.store closes and renames each cache record before it
+      returns, batch_report's `with` joins its process pool, and the
+      cache's corrupt-entry warning goes through logging's last-resort
+      handler, which writes to stderr at once.
+    - There is no flag, environment variable or second exit path. Nothing
+      happens at import: no atexit hook, no exit. So `import klmoments.cli`,
+      and every caller of main(), end with a normal interpreter exit."""
+    try:
+        code = main()
+    except BrokenPipeError:
+        code = 1
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:  # the reader has gone, or the device is full
+        code = 1
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import shlex
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -271,23 +272,22 @@ class TestSums:
     @pytest.mark.parametrize("unbuffered", ["1", ""])
     def test_closed_stdout_exits_1_without_a_traceback(self, unbuffered):
         # the pipe's read end is closed before the child starts, so its
-        # first write (per line unbuffered, at main's flush otherwise) fails
-        src = Path(cli.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": unbuffered}
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            child = subprocess.Popen(
-                [sys.executable, "-m", "klmoments", "sums", "--p", "7", "--nmax", "4",
-                 "--format", "json", "--no-cache"],
-                env=env, stdout=write_end, stderr=subprocess.PIPE,
-            )
-        finally:
-            os.close(write_end)
-        err = child.stderr.read().decode()
-        child.stderr.close()
-        assert child.wait() == 1
-        assert "Traceback" not in err and "BrokenPipeError" not in err
+        # first write (per line unbuffered, at run()'s flush otherwise)
+        # fails, whether it prints a table or the JSON error object
+        env = {**probe_env(), "PYTHONUNBUFFERED": unbuffered}
+        for argv in (("sums", "--p", "7", "--nmax", "4"), ("sums", "--p", "4", "--nmax", "2")):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                child = subprocess.Popen(
+                    [sys.executable, "-m", "klmoments", *argv, "--format", "json", "--no-cache"],
+                    env=env, stdout=write_end, stderr=subprocess.PIPE,
+                )
+            finally:
+                os.close(write_end)
+            err = child.stderr.read().decode()
+            child.stderr.close()
+            assert (child.wait(), err) == (1, ""), argv
 
     @pytest.mark.parametrize("argv", [
         ("sums", "--p", "1000000007", "--nmax", "2", "--method", "float"),
@@ -730,13 +730,12 @@ import json
 print(json.dumps([missing, unresolved, len(tracer.OPS)]))
 """
 
-# The CLI in a fresh interpreter that lets --jobs 2 fork its 2 workers on
-# a 1-CPU machine too.
+# The CLI's process entry in a fresh interpreter that lets --jobs 2 fork
+# its 2 workers on a 1-CPU machine too.
 JOBS_PROBE = """
-import sys
 import klmoments.cli, klmoments.evans
 klmoments.evans._usable_cpus = lambda: 2
-sys.exit(klmoments.cli.main(sys.argv[1:]))
+klmoments.cli.run()
 """
 
 # Cached runs, cold then warm, and a warm sums whose exact record is
@@ -886,3 +885,87 @@ class TestStartup:
         for name in ("no_such_name", "CycInt", "as_integer", "kl2_value"):
             with pytest.raises(AttributeError):
                 getattr(klmoments, name)
+
+
+def entry_argvs() -> list[list[str]]:
+    """The README's commands without a cache, a JSON error object, a text
+    error, a usage error, help and the version."""
+    readme = [
+        [*argv, "--no-cache"] if "--no-cache" in cli._FLAGS[argv[0]][1] else argv
+        for argv in readme_argvs()
+    ]
+    return readme + [
+        ["sums", "--p", "4", "--nmax", "2", "--format", "json", "--no-cache"],
+        ["sums", "--p", "4", "--nmax", "2", "--no-cache"],
+        ["evans", "--d", "9", "--pmin", "2", "--pmax", "31", "--no-cache"],
+        ["--help"],
+        ["--version"],
+    ]
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize("argv", entry_argvs(), ids=" ".join)
+    def test_prints_what_main_prints(self, capsys, monkeypatch, tmp_path, argv):
+        # buffered, so output that run() did not flush before os._exit is lost
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to it
+        env = probe_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        child = subprocess.run(
+            [sys.executable, "-m", "klmoments", *argv],
+            env=env, cwd=tmp_path, capture_output=True, timeout=120,
+        )
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # help, --version and usage errors
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (child.returncode, child.stdout, child.stderr.decode()) == (
+            code, out.encode(), err,
+        )
+        assert out or err
+
+    @pytest.mark.parametrize("argv", [
+        ("--d", "5", "--pmin", "258", "--pmax", "330", "--no-cache"),
+        ("--d", "8", "--pmin", "3", "--pmax", "60", "--cache-dir", "."),
+    ], ids=["float-no-cache", "cold-d8-cached"])
+    def test_nothing_outlives_the_process(self, tmp_path, argv):
+        # the child leads its own process group: once it has exited, no
+        # worker of its pool is left in it; and every record it wrote is
+        # complete
+        child = subprocess.Popen(
+            [sys.executable, "-c", JOBS_PROBE, "evans", *argv, "--jobs", "2"],
+            env=probe_env(), cwd=tmp_path, stdout=subprocess.DEVNULL, start_new_session=True,
+        )
+        try:
+            code = child.wait(timeout=120)
+        finally:
+            try:
+                os.killpg(child.pid, 0)
+            except ProcessLookupError:
+                outlived = False
+            else:  # kill what outlived the run, so that a failure leaves nothing behind
+                outlived = True
+                os.killpg(child.pid, signal.SIGKILL)
+        assert (code, outlived) == (0, False)
+        files = sorted(path.name for path in tmp_path.rglob("*") if path.is_file())
+        assert not any(name.endswith(".tmp") for name in files)
+        store = PowerSumStore(tmp_path)
+        for name in files:
+            p, _, method = name.removesuffix(".json")[1:].split("-", 2)
+            assert store.load(int(p), method) is not None, name
+        assert len(files) == (16 if "--cache-dir" in argv else 0)
+
+    def test_a_corrupt_record_is_reported_and_rewritten(self, tmp_path):
+        # logging's last-resort handler writes the warning before run()
+        # ends the process
+        sweep = [sys.executable, "-m", "klmoments", "evans", "--d", "5", "--pmin", "3",
+                 "--pmax", "31", "--cache-dir", str(tmp_path)]
+        cold = subprocess.run(sweep, env=probe_env(), capture_output=True, text=True, check=True)
+        record = tmp_path / "sums" / "p31-restricted-exact-cyclotomic.json"
+        intact = record.read_bytes()
+        record.write_bytes(intact[: len(intact) // 2])
+        warm = subprocess.run(sweep, env=probe_env(), capture_output=True, text=True, check=True)
+        assert warm.stdout == cold.stdout
+        assert f"discarding corrupt cache entry {record}" in warm.stderr
+        assert record.read_bytes() == intact
+        assert PowerSumStore(tmp_path).load(31, METHOD_EXACT) is not None
