@@ -122,7 +122,12 @@ def build_parser():
     help text and usage error."""
     import argparse
 
-    top = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        def _print_message(self, message, file=None):  # argparse's drops OSError
+            if message:
+                (file or sys.stderr).write(message)
+
+    top = Parser(
         prog="klmoments",
         description="Exact Kloosterman power sums, symmetric-power moments, "
         "and eigenform identity checks.",
@@ -229,10 +234,6 @@ def _render(fmt: str, doc: dict, text_lines, header, rows,
     return "".join(line + "\n" for line in text_lines)
 
 
-def _emit(fmt: str, doc: dict, text_lines, header, rows) -> None:
-    sys.stdout.write(_render(fmt, doc, text_lines, header, rows))
-
-
 def _engine(args) -> MomentEngine:
     """The moment engine, and its cache store, that the run's flags describe."""
     store = None
@@ -241,7 +242,7 @@ def _engine(args) -> MomentEngine:
     return MomentEngine(args.exact_limit, store)
 
 
-def _cmd_sums(args, engine: MomentEngine) -> int:
+def _cmd_sums(args, engine: MomentEngine) -> tuple[str, int]:
     p = Prime(args.p)
     methods = {
         "exact": (METHOD_EXACT,),
@@ -265,16 +266,14 @@ def _cmd_sums(args, engine: MomentEngine) -> int:
         "convention": args.convention,
         "entries": [{"n": n, "value": str(v), "method": m} for n, v, m in entries],
     }
-    _emit(args.format, doc, lines, ("n", "value", "method"), entries)
-    return 0
+    return _render(args.format, doc, lines, ("n", "value", "method"), entries), 0
 
 
-def _cmd_moments(args, engine: MomentEngine) -> int:
+def _cmd_moments(args, engine: MomentEngine) -> tuple[str, int]:
     mv = engine.moment(Prime(args.p), args.d)
     doc = {"p": args.p, "d": args.d, "value": str(mv.value), "method": mv.method}
-    _emit(args.format, doc, [f"m^{args.d}_2({args.p}) = {mv.value}  [{mv.method}]"],
-          list(doc), [doc.values()])
-    return 0
+    line = f"m^{args.d}_2({args.p}) = {mv.value}  [{mv.method}]"
+    return _render(args.format, doc, [line], list(doc), [doc.values()]), 0
 
 
 def _report_line(r: EvansReport) -> str:
@@ -296,15 +295,14 @@ def render_reports(rows: list[EvansReport], summary: BatchSummary, fmt: str) -> 
                    (r.csv_row() for r in rows), schema=REPORT_SCHEMA_VERSION)
 
 
-def _cmd_evans(args, engine: MomentEngine) -> int:
+def _cmd_evans(args, engine: MomentEngine) -> tuple[str, int]:
     rows, summary = batch_report(
         args.d, args.pmin, args.pmax, engine=engine, jobs=args.jobs
     )
-    sys.stdout.write(render_reports(rows, summary, args.format))
-    return 0 if summary.errors == 0 else 1
+    return render_reports(rows, summary, args.format), 0 if summary.errors == 0 else 1
 
 
-def _cmd_dims(args) -> int:
+def _cmd_dims(args) -> tuple[str, int]:
     from .invariants import dims_table
 
     table = dims_table(args.dmax)
@@ -322,18 +320,16 @@ def _cmd_dims(args) -> int:
     header = ("d", "good", *(f"p={p}" for p in table.primes))
     columns = (table.prime_rows[p] for p in table.primes)
     rows = zip(range(1, table.dmax + 1), table.good_row, *columns)
-    _emit(args.format, doc, lines, header, rows)
-    return 0
+    return _render(args.format, doc, lines, header, rows), 0
 
 
-def _cmd_det(args) -> int:
+def _cmd_det(args) -> tuple[str, int]:
     from .invariants import fuwan_det
 
     rows = [(p, fuwan_det(args.d, p)) for p in args.p]
     doc = {"d": args.d, "values": [{"p": p, "det": v} for p, v in rows]}
     lines = (f"det d={args.d} p={p}: {v:+d}" for p, v in rows)
-    _emit(args.format, doc, lines, ("p", "det"), rows)
-    return 0
+    return _render(args.format, doc, lines, ("p", "det"), rows), 0
 
 
 def _parse_quotient(spec: str) -> modforms.EtaQuotient:
@@ -348,7 +344,7 @@ def _parse_quotient(spec: str) -> modforms.EtaQuotient:
     return modforms.EtaQuotient(tuple(factors))
 
 
-def _cmd_eta(args, eq: modforms.EtaQuotient) -> int:
+def _cmd_eta(args, eq: modforms.EtaQuotient) -> tuple[str, int]:
     series = modforms.eta_quotient_series(eq, args.terms)
     # the quotient's own order: a series truncated below it is empty
     lead = eq.q_order_times_24 // 24
@@ -366,11 +362,11 @@ def _cmd_eta(args, eq: modforms.EtaQuotient) -> int:
         "lead": lead,
         "coefficients": [str(c) for c in coeffs],
     }
-    _emit(args.format, doc, lines, ("exponent", "coefficient"), zip(exponents, coeffs))
-    return 0
+    rows = zip(exponents, coeffs)
+    return _render(args.format, doc, lines, ("exponent", "coefficient"), rows), 0
 
 
-def _cmd_molien(args) -> int:
+def _cmd_molien(args) -> tuple[str, int]:
     from .invariants import molien_dim_series, molien_frob_series
 
     series = (
@@ -381,11 +377,10 @@ def _cmd_molien(args) -> int:
     head = f"{args.kind} series coefficients 0..{args.dmax}:"
     lines = chain([head], (f"d={d}: {c}" for d, c in enumerate(series)))
     doc = {"kind": args.kind, "coefficients": series}
-    _emit(args.format, doc, lines, ("d", "coefficient"), enumerate(series))
-    return 0
+    return _render(args.format, doc, lines, ("d", "coefficient"), enumerate(series)), 0
 
 
-def _cmd_trace(args, engine: MomentEngine) -> int:
+def _cmd_trace(args, engine: MomentEngine) -> tuple[str, int]:
     result = trace_middle(args.d, args.p, engine, strict=not args.rational)
     if isinstance(result, EvenTrace):
         lines = [
@@ -404,8 +399,7 @@ def _cmd_trace(args, engine: MomentEngine) -> int:
     else:
         lines = [f"d={args.d} p={args.p}: normalized trace = {result}"]
         doc = {"d": args.d, "p": args.p, "trace": str(result)}
-    _emit(args.format, doc, lines, list(doc), [doc.values()])
-    return 0
+    return _render(args.format, doc, lines, list(doc), [doc.values()]), 0
 
 
 _COMMANDS = {
@@ -424,9 +418,9 @@ def main(argv: list[str] | None = None) -> int:
     """Run the command line argv (sys.argv[1:] by default) in this process,
     and return its exit code: 0, or 1 after a computation failure, which is
     reported on stderr, or in JSON mode by the error object on stdout.
-    Help, --version and usage errors raise argparse's SystemExit, and a
-    write to a closed stdout raises BrokenPipeError. Output may still sit
-    in sys.stdout's buffer on return; run() flushes it."""
+    Help, --version and usage errors raise argparse's SystemExit. The output
+    is written once the command has run; a failed write raises its OSError
+    (BrokenPipeError for a closed stdout), and run() flushes what is left."""
     if argv is None:
         argv = sys.argv[1:]
     args = _parse_exact(argv)
@@ -448,39 +442,35 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             build_parser().error(str(exc))
     try:
-        return command(args)
-    except BrokenPipeError:  # not a computation failure: the reader has gone
-        raise
+        out, code = command(args)
     except (KlmomentsError, ValueError, OSError) as exc:
-        if args.format == "json":
-            import json
-
-            print(json.dumps(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "error": {"type": type(exc).__name__, "message": str(exc)},
-                },
-                sort_keys=True,
-            ))
-        else:
+        if args.format != "json":
             print(f"error: {exc}", file=sys.stderr)
-        return 1
+            return 1
+        import json
+
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        out, code = json.dumps({"schema_version": SCHEMA_VERSION, "error": error},
+                               sort_keys=True) + "\n", 1
+    sys.stdout.write(out)
+    return code
 
 
 def run() -> NoReturn:
     """The process entry of `python -m klmoments` and of the installed
     `klmoments` command: main() on sys.argv, sys.stdout and sys.stderr
-    flushed, then os._exit with main's code. So the process ends without
+    flushed, then os._exit with the run's code. So the process ends without
     the interpreter's teardown: its last garbage collections, and the
     clearing of every loaded module.
 
-    - os._exit ends the process only when main() returns, or when it
-      raises BrokenPipeError. argparse's SystemExit (help, --version, usage
-      errors) and any other uncaught exception leave run() and end the
-      process the normal way.
-    - A closed stdout, whether a write inside main() or the flush finds it,
-      and any flush that fails end the process with exit 1 and nothing on
-      stderr.
+    - os._exit ends the process when main() returns, when argparse's
+      SystemExit (help, --version, usage errors) leaves it, with its code,
+      and when stdout fails. Any other uncaught exception leaves run() and
+      ends the process the normal way.
+    - Whatever the format and the buffering, a closed stdout
+      (BrokenPipeError), in main() or at the flush, exits 1 with nothing on
+      stderr, and any other stdout OSError, such as a full device, prints
+      `error: ...` on stderr and exits 1. A failed stderr flush exits 1.
     - Nothing is left unwritten. The flushes empty both streams, and what
       else a run writes is complete before main() returns:
       PowerSumStore.store closes and renames each cache record before it
@@ -491,13 +481,19 @@ def run() -> NoReturn:
       happens at import: no atexit hook, no exit. So `import klmoments.cli`,
       and every caller of main(), end with a normal interpreter exit."""
     try:
-        code = main()
-    except BrokenPipeError:
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse's: help, --version, usage errors
+            code = exc.code
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader has gone
+        code = 1
+    except OSError as exc:  # stdout takes no more output: a full device, say
+        print(f"error: {exc}", file=sys.stderr)
         code = 1
     try:
-        sys.stdout.flush()
         sys.stderr.flush()
-    except OSError:  # the reader has gone, or the device is full
+    except OSError:
         code = 1
     os._exit(code)
 

@@ -1,7 +1,8 @@
-"""Exact arithmetic in Z[zeta_p] for prime p, and certified enclosures.
+"""Exact arithmetic in Z[zeta_p] for prime p, and the certified root table.
 
-The library computes only with enclose_sum. CycInt stays as the tests' ring
-oracle, and because perfbench's tracer names CycInt.__mul__ and __add__.
+The library computes only with the root table: unit_root_intervals, read in
+generator order by _rader_cosines. CycInt stays as the tests' ring oracle,
+and because perfbench's tracer names CycInt.__mul__ and __add__.
 
 An element is stored as an integer coefficient vector of length p against
 the spanning set 1, zeta, ..., zeta^(p-1). That set is linearly dependent
@@ -17,15 +18,14 @@ cost of one redundant word per element.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import repeat
 from math import gcd
 from operator import add, sub
 from typing import Iterable, Sequence
 
 from . import convolve
-from .errors import ModulusMismatch, NotRational
-from .ffprime import Prime, primitive_root
+from .errors import AmbiguousRounding, ModulusMismatch, NotRational
+from .ffprime import Prime, _generator_powers
 
 def _canonical(coeffs: Sequence[int]) -> tuple[int, ...]:
     c0 = coeffs[0]
@@ -221,13 +221,15 @@ def unit_root_intervals(p: int, precision: int) -> list[tuple[int, int]]:
     w_t w_1 / 2**g = w_(t+1), and flooring moves each component by less
     than 1 (the point by less than 2),
         r_(t+1) = ceil(E / 2**g) + 2
-    bounds |z_(t+1) - w_(t+1)|, and so each component's error. The pair at
-    t >= 2 is floor((x - r) / 2**(g - precision)) and
+    bounds |z_(t+1) - w_(t+1)|, and so each component's error. While
+    3 r_t r_1 <= 2**g, ceil(E / 2**g) <= r_t + r_1 + 1, so the radius
+    grows by at most r_1 + 3 per step, and r_t <= r = r_1 + floor(p/2)
+    (r_1 + 3) for every t <= p/2. The pair at t >= 2 is
+    floor((x - r) / 2**(g - precision)) and
     ceil((x + r) / 2**(g - precision)) for the real part x of z_t. The
-    seed is 8 bits finer than its scale, so r_1 is a few units and the
-    radius grows by at most r_1 + 3 per step: r_t stays below
-    2**(p.bit_length() + 3) for t <= p/2, and 2 r_t < 2**(g - precision),
-    so every pair is at most 2 units wide.
+    seed is 8 bits finer than its scale, so r_1 is a few units: r stays
+    below 2**(p.bit_length() + 3), so 2 r < 2**(g - precision) and every
+    pair is at most 2 units wide. _root_radius checks both conditions on r.
 
     cos is even, so only t <= p/2 is kept.
     """
@@ -239,64 +241,28 @@ def unit_root_intervals(p: int, precision: int) -> list[tuple[int, int]]:
     (x_lo, x_hi), (y_lo, y_hi) = ((lo >> 8, -(-hi >> 8)) for lo, hi in seed)
     x1, y1 = (x_lo + x_hi) >> 1, (y_lo + y_hi) >> 1
     r1 = (x_hi - x1) + (y_hi - y1)
-    one, drop = 1 << g, g - precision
-    x, y, r = x1, y1, r1
+    r, drop = _root_radius(p, r1, g, precision), g - precision
+    x, y = x1, y1
     for _ in range(2, p // 2 + 1):
         x, y = (x * x1 - y * y1) >> g, (x * y1 + y * x1) >> g
-        r = -(-((one + r) * r1 + (one + r1) * r + r * r1) >> g) + 2
         cos_iv.append(((x - r) >> drop, -(-(x + r) >> drop)))
     return cos_iv
 
 
-@lru_cache(maxsize=1)  # both orbit representatives of one prime
-def _cached_roots(p: int, precision: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The cosine table of unit_root_intervals in generator order.
+def _root_radius(p: int, r1: int, g: int, precision: int) -> int:
+    """r = r_1 + floor(p/2) (r_1 + 3), the radius of unit_root_intervals' z_t;
+    AmbiguousRounding unless 3 r r_1 <= 2**g and 2 r < 2**(g - precision)."""
+    r = r1 + p // 2 * (r1 + 3)
+    if 3 * r * r1 > 1 << g or 2 * r >= 1 << (g - precision):
+        raise AmbiguousRounding(f"root radius {r} too wide at p = {p}, {precision} bits")
+    return r
 
-    Returns g**j mod p for j < p - 1 with g = primitive_root(p), and the lo
-    endpoints Q_m of cos(2*pi*g**m/p) for m below the orbit length
-    L = (p - 1) / gcd(2, p - 1). The table holds t <= p/2 only, so
-    cos(2*pi*t/p) is read at min(t, p - t). Q has period L: at odd p,
-    g**(m+L) = -g**m.
-    """
-    cos_iv = unit_root_intervals(p, precision)
-    g = primitive_root(p)
-    powers = [1]
-    for _ in range(p - 2):
-        powers.append(powers[-1] * g % p)
-    length = (p - 1) // gcd(2, p - 1)
-    half = [lo for lo, _ in cos_iv]
+
+def _rader_cosines(p: int, precision: int) -> list[int]:
+    """The lo endpoints Q_m of unit_root_intervals' cos(2*pi*g**m/p), read
+    at min(t, p - t) for t = g**m (_generator_powers), for m below the orbit
+    length L = (p - 1) / gcd(2, p - 1). Q has period L: at odd p, g**(m+L) = -g**m."""
+    half = [lo for lo, _ in unit_root_intervals(p, precision)]
     full = half + half[p - p // 2 - 1 : 0 : -1]  # full[t] = half[min(t, p - t)]
-    return tuple(powers), tuple(map(full.__getitem__, powers[:length]))
-
-
-def enclose_sum(counts: Sequence[int], precision: int) -> tuple[list[int], int]:
-    """Lower bounds of sum_t c_t cos(2*pi*g**i*t/p) at scale 2**-precision,
-    for i = 0..L-1, and one width w that every upper bound is within.
-
-    counts holds c_t >= 0 for t = 0..p-1, and g and L are those of
-    _cached_roots. When counts are the fibre sizes of Kl_2(p; r), entry i
-    encloses Kl_2(p; g**(2i) r), since zeta -> zeta**k sends Kl_2(p; r) to
-    Kl_2(p; k**2 r): the entries are the orbit of r. The counts are
-    non-negative, so lo endpoints bound from below. With t = g**j
-    (Rader's reindexing), C_j = c_(g**j) and Q's period L, each lower
-    bound is the cyclic correlation
-        E_i = c_0 2**precision + sum_(j<L) D_j Q_(i+j),
-    where D_j = sum_k C_(j+kL) folds C onto one period; one exact
-    cyclic_convolve computes all L of them. Each pair of
-    unit_root_intervals is at most 2 units wide and t = 0 is exact, so
-    every value lies in [E_i, E_i + w] with w = 2 sum_j D_j.
-    """
-    p = Prime(len(counts))
-    if min(counts) < 0:
-        raise ValueError("enclose_sum needs non-negative counts")
-    powers, q_lo = _cached_roots(p, precision)
-    length = len(q_lo)
-    reordered = list(map(counts.__getitem__, powers))
-    folded = reordered[:length]
-    for k in range(length, p - 1, length):
-        folded = list(map(add, folded, reordered[k : k + length]))
-    # correlation as convolution: E_i = sum_m Q_m D_(m-i), D reversed cyclically
-    flipped = folded[:1] + folded[:0:-1]
-    base = counts[0] << precision
-    lows = [base + a for a in convolve.cyclic_convolve(q_lo, flipped)]
-    return lows, 2 * sum(folded)
+    length = (p - 1) // gcd(2, p - 1)
+    return list(map(full.__getitem__, _generator_powers(p)[:length]))

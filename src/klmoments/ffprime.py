@@ -109,6 +109,16 @@ def primitive_root(p: int) -> int:
     raise ValueError(f"no primitive root for {p}")  # unreachable for prime p
 
 
+@lru_cache(maxsize=1)  # a prime's orbit operands and root table, then the next
+def _generator_powers(p: int) -> tuple[int, ...]:
+    """g**j mod p for j < p - 1, g = primitive_root(p): Rader's reindexing."""
+    g = primitive_root(p)
+    powers = [1]
+    for _ in range(p - 2):
+        powers.append(powers[-1] * g % p)
+    return tuple(powers)
+
+
 def jacobi_symbol(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd n >= 1, by binary reciprocity.
 

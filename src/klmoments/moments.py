@@ -11,13 +11,13 @@ completed convention only; the restricted S_2 = p**2 - p - 1 already breaks
 it. The float path therefore always recovers completed values.
 
 Both power-sum routes work orbit by orbit: zeta -> zeta**k sends
-Kl_2(p; a) to Kl_2(p; k**2 a), so one exponent count per Galois orbit
-(_orbit_representatives) serves all p - 1 parameters. The exact route
-takes field traces of powers in Z[zeta_p], as entries of the cyclic
-convolution powers of the orbit's Legendre vector chi(t**2 - 4r)
-(convolve.cyclic_powers, at a slot width from Weil's bound); the float
-route encloses the whole orbit at once (cyclotomic.enclose_sum) and sums
-the powers of midpoint-radius balls (_ball_power_sums).
+Kl_2(p; a) to Kl_2(p; k**2 a), so one Galois orbit (_orbit_representatives)
+serves all p - 1 parameters. The exact route takes field traces of powers in
+Z[zeta_p], as entries of the cyclic convolution powers of the orbit's
+Legendre vector chi(t**2 - 4r) from kl2_counts (convolve.cyclic_powers, at a
+slot width from Weil's bound); the float route encloses the whole orbit by
+one Rader correlation (kloosterman._orbit_operand, cyclotomic._rader_cosines)
+and sums the powers of midpoint-radius balls (_ball_power_sums).
 
 MomentEngine is the one router: exact up to its exact_limit, float above.
 Before its cache is read, it refuses a prime above PRIME_CEILING, a table
@@ -40,7 +40,6 @@ appendix8    the fixed degree-8 polynomial in completed sums
 from __future__ import annotations
 
 import random
-from itertools import repeat
 from math import comb, gcd, isqrt
 from operator import add, mul
 
@@ -57,7 +56,7 @@ from .errors import (
     WrongConvention,
 )
 from .ffprime import Prime, jacobi_symbol, primitive_root
-from .kloosterman import kl2_counts
+from .kloosterman import _orbit_operand, kl2_counts
 
 DEFAULT_EXACT_LIMIT = 257
 # Either route's tables hold O(p) Python ints: a run's VmHWM grows by about 350
@@ -284,10 +283,16 @@ def _ball_power_sums(
 def power_sums_float(p: int, nmax: int, precision: int) -> PowerSumTable:
     """Completed S'_n(p) from rigorous enclosures plus the mod-p**2 congruence.
 
-    Each Galois orbit of Kl_2(p; .) is counted once by kl2_counts at its
-    representative and enclosed by enclose_sum, as integer lower bounds at
-    scale 2**-precision for every a of the orbit and one width w. Each
-    2**precision Kl_2(p; a) lies in the ball of centre lo + w/2 (w is even)
+    Each Galois orbit of Kl_2(p; .) is enclosed at once. zeta -> zeta**k
+    sends Kl_2(p; r) to Kl_2(p; k**2 r), so with the counts c of the
+    representative r, Kl_2(p; g**(2i) r) = sum_t c_t cos(2*pi*g**i*t/p).
+    The counts are non-negative, so with t = g**j (Rader's reindexing) its
+    lower bounds at scale 2**-precision are one exact cyclic correlation,
+        E_i = c_0 2**precision + sum_(j<L) D_j Q_(i+j),
+    of the operand D of kloosterman._orbit_operand with the cosine lo
+    endpoints Q of cyclotomic._rader_cosines. Each cosine pair is at most 2
+    units wide and t = 0 is exact, so the value lies in [E_i, E_i + w],
+    w = 2 sum_j D_j = 2 (p - 1 - c_0), and in the ball of centre E_i + w/2
     and radius R, the largest w/2 of the orbits. The centres' powers are
     exact integers at scale 2**-(n*precision), and _ball_power_sums bounds
     how far the true sum can be from theirs, so the final enclosure is
@@ -302,12 +307,13 @@ def power_sums_float(p: int, nmax: int, precision: int) -> PowerSumTable:
     p = Prime(p)
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    centres = []
-    radius = 0
+    q_lo = cyclotomic._rader_cosines(p, precision)
+    centres, radius = [], 0
     for r in _orbit_representatives(p):
-        lows, width = cyclotomic.enclose_sum(kl2_counts(p, r), precision)
-        half = width >> 1
-        centres += map(add, lows, repeat(half))
+        c0, operand = _orbit_operand(p, r)
+        half = p - 1 - c0
+        base = (c0 << precision) + half
+        centres += [base + e for e in cyclic_convolve(q_lo, operand)]
         radius = max(radius, half)
     sums, errors = _ball_power_sums(centres, radius, nmax)
     values = {}
@@ -337,9 +343,9 @@ def float_precision(p: int, nmax: int) -> int:
 
         P = max(bitlen(p - 1), bitlen(2 nmax c**(nmax - 1))),  c = isqrt(4p) + 3.
 
-    Proof. enclose_sum gives each 2**P Kl_2(p; a) a lower bound and a
-    width w <= 2(p - 1): its counts sum to p - 1, and each cosine interval
-    of unit_root_intervals is at most 2 units wide. power_sums_float puts
+    Proof. power_sums_float gives each 2**P Kl_2(p; a) a lower bound and
+    a width w <= 2(p - 1): its counts sum to p - 1, and each cosine
+    interval of unit_root_intervals is at most 2 units wide. It puts
     it in a ball of centre m_a and radius R <= p - 1. As |Kl_2| <= 2 sqrt p
     (Weil) and 2**P >= p - 1, B = max|m| + R <= 2**P 2 sqrt p + 2R
     <= 2**P (2 sqrt p + 2) <= c 2**P, since isqrt(4p) > 2 sqrt p - 1. The

@@ -969,3 +969,55 @@ class TestProcessEntry:
         assert f"discarding corrupt cache entry {record}" in warm.stderr
         assert record.read_bytes() == intact
         assert PowerSumStore(tmp_path).load(31, METHOD_EXACT) is not None
+
+    @staticmethod
+    def child_on(stdout, argv, unbuffered):
+        """Exit code and stderr of python -m klmoments argv, its stdout on
+        the file descriptor `stdout`, which the parent then closes."""
+        env = {**probe_env(), "PYTHONUNBUFFERED": unbuffered}
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "klmoments", *argv],
+                env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=120,
+            )
+        finally:
+            os.close(stdout)
+        return child.returncode, child.stderr.decode()
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["evans", "--help"]],
+                             ids=" ".join)
+    def test_help_and_version_with_a_closed_stdout_exit_1(self, argv, unbuffered):
+        # argparse's own printer drops the failed write (exit 0 unbuffered),
+        # and its SystemExit used to leave the flush to the teardown (exit
+        # 120 and "Exception ignored" buffered)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        assert self.child_on(write_end, argv, unbuffered) == (1, "")
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_usage_error_with_a_closed_stdout_exits_2(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        code, err = self.child_on(write_end, ["evans", "--d", "9", "--pmin", "2",
+                                              "--pmax", "31", "--no-cache"], unbuffered)
+        assert code == 2 and err.startswith("usage: klmoments evans"), err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    @pytest.mark.parametrize("argv", [
+        ["dims"],
+        ["dims", "--format", "json"],
+        ["molien", "--dmax", "3000"],  # 31 kB: the write itself fails, buffered too
+        ["evans", "--d", "6", "--pmin", "2", "--pmax", "31", "--no-cache", "--format", "json"],
+        ["sums", "--p", "4", "--nmax", "2", "--no-cache", "--format", "json"],
+        ["--help"],
+    ], ids=" ".join)
+    def test_full_stdout_is_one_error_line_in_every_mode(self, argv, unbuffered):
+        # the failed write surfaces in main()'s one write unbuffered, or for
+        # output beyond the buffer, and at run()'s flush otherwise: either
+        # way one line on stderr, exit 1, and no traceback
+        full = os.open("/dev/full", os.O_WRONLY)
+        assert self.child_on(full, argv, unbuffered) == (
+            1, "error: [Errno 28] No space left on device\n",
+        )

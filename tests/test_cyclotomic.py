@@ -10,13 +10,14 @@ from klmoments import convolve
 from klmoments.cyclotomic import (
     CycInt,
     _cos_sin_seed,
+    _rader_cosines,
+    _root_radius,
     as_integer,
-    enclose_sum,
     unit_root_intervals,
 )
-from klmoments.errors import ModulusMismatch, NotRational
+from klmoments.errors import AmbiguousRounding, ModulusMismatch, NotRational
 from klmoments.ffprime import primes_in_range, primitive_root
-from klmoments.kloosterman import kl2_counts
+from klmoments.kloosterman import _orbit_operand, kl2_counts
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
@@ -269,7 +270,14 @@ def assert_naive_within(lows, width, rows, cos_iv):
         assert hi - lo <= width
 
 
-class TestEncloseSum:
+def correlate(p, c0, operand, precision):
+    """The lower bounds E_i = c_0 2**precision + sum_j D_j Q_(i+j) of an
+    orbit, as power_sums_float correlates an operand with the root table."""
+    q_lo = _rader_cosines(p, precision)
+    return [(c0 << precision) + e for e in convolve.cyclic_convolve(q_lo, operand)]
+
+
+class TestOrbitCorrelation:
     @settings(max_examples=40, deadline=None)
     @given(
         p=st.sampled_from(list(primes_in_range(2, 600))),
@@ -282,40 +290,38 @@ class TestEncloseSum:
         g = primitive_root(p)
         r = g if non_residue else 1
         cos_iv = unit_root_intervals(p, precision)
-        lows, width = enclose_sum(kl2_counts(p, r), precision)
+        c0, operand = _orbit_operand(p, r)
+        lows = correlate(p, c0, operand, precision)
         assert len(lows) == (p - 1) // math.gcd(2, p - 1)
         rows = [kl2_counts(p, pow(g, 2 * i, p) * r % p) for i in range(len(lows))]
-        assert_naive_within(lows, width, rows, cos_iv)
         # two units per count off t = 0, where the root is exact
+        width = 2 * (p - 1 - c0)
+        assert_naive_within(lows, width, rows, cos_iv)
         assert width == 2 * (p - 1 - kl2_counts(p, r)[0])
 
-    def test_any_non_negative_counts(self):
+    def test_any_non_negative_operand(self):
         # entry i encloses sum_t c_t cos(2 pi g^i t / p) for every i below
-        # the orbit length, whatever the counts
+        # the orbit length, whatever the counts: here c_0 and c_(g^j) for
+        # j < L are random, and c is 0 on the rest of the period
         rng = random.Random(23)
         for p in (2, 3, 5, 13, 101):
             cos_iv = unit_root_intervals(p, 64)
             g = primitive_root(p)
-            counts = [rng.randrange(10**6) for _ in range(p)]
-            lows, width = enclose_sum(counts, 64)
+            length = (p - 1) // math.gcd(2, p - 1)
+            counts = [0] * p
+            counts[0] = rng.randrange(10**6)
+            for j in range(length):
+                counts[pow(g, j, p)] = rng.randrange(10**6)
+            folded = [counts[pow(g, j, p)] for j in range(length)]
+            lows = correlate(p, counts[0], folded[:1] + folded[:0:-1], 64)
             rows = []
-            for i in range(len(lows)):
+            for i in range(length):
                 k = pow(g, i, p)
                 dilated = [0] * p
                 for t, c in enumerate(counts):
                     dilated[k * t % p] += c
                 rows.append(dilated)
-            assert_naive_within(lows, width, rows, cos_iv)
-            assert width == 2 * sum(counts[1:]), p
-
-    def test_negative_count_raises(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            enclose_sum([0, 1, -1, 2, 0], 64)
-
-    def test_row_length_must_match_the_table(self):
-        # the length of the counts is the prime of the root table
-        with pytest.raises(ValueError):
-            enclose_sum([1, 2, 3, 4], 64)
+            assert_naive_within(lows, 2 * sum(folded), rows, cos_iv)
 
 
 def _scaled_bound(raw, precision, upper):
@@ -453,3 +459,29 @@ class TestUnitRootIntervals:
         assert ref_lo <= lo <= hi <= ref_hi
         with mpmath.workprec(256):
             assert lo <= mpmath.ldexp(mpmath.cos(2 * mpmath.pi * t / p), precision) <= hi
+
+    def test_closed_form_radius_bounds_the_recurrence(self):
+        # the old per-step radius r_(t+1) = ceil(E / 2**g) + 2 of the proof,
+        # from the seed's r_1, is the reference: the closed form is at least
+        # r_t at every t <= p/2. r_t depends on r_1 and g alone, so each
+        # run of the recurrence serves every prime with that r_1 and g
+        runs = {}
+        for p in primes_in_range(2, 600):
+            for precision in range(8, 257):
+                g = precision + p.bit_length() + 16
+                seed = _cos_sin_seed(p, g + 8)
+                (x_lo, x_hi), (y_lo, y_hi) = ((lo >> 8, -(-hi >> 8)) for lo, hi in seed)
+                r1 = (x_hi - ((x_lo + x_hi) >> 1)) + (y_hi - ((y_lo + y_hi) >> 1))
+                run, one = runs.setdefault((r1, g), [r1]), 1 << g
+                while len(run) < p // 2:  # run[t - 1] = r_t
+                    r = run[-1]
+                    run.append(-(-((one + r) * r1 + (one + r1) * r + r * r1) >> g) + 2)
+                radius = _root_radius(p, r1, g, precision)
+                assert max(run[: p // 2]) <= radius, (p, precision)
+
+    @pytest.mark.parametrize("r1, g", [(2**12, 31), (1, 19)])
+    def test_radius_beyond_its_proof_raises(self, r1, g):
+        # p = 1009 at 8 bits: only 3 r r_1 <= 2**g fails, then only
+        # 2 r < 2**(g - precision)
+        with pytest.raises(AmbiguousRounding, match="root radius"):
+            _root_radius(1009, r1, g, 8)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from klmoments import cyclotomic, evans, kloosterman, modforms, moments
+from klmoments import evans, ffprime, kloosterman, modforms, moments
 from klmoments.cache import PowerSumStore
 from klmoments.cli import render_reports
 from klmoments.errors import (
@@ -469,12 +469,14 @@ class TestBatchReport:
         assert engine.float_primes == [13]
 
     def test_float_sweep_keeps_one_prime_in_the_memos(self):
-        cyclotomic._cached_roots.cache_clear()
+        # the generator powers serve a prime's two orbit operands and its
+        # root table; the inverses, the audit's two chains
+        ffprime._generator_powers.cache_clear()
         kloosterman._inverses.cache_clear()
         engine = MomentEngine()
         _, summary = batch_report(5, 258, 300, engine=engine)
         assert summary.errors == 0 and len(set(engine.float_primes)) > 1
-        for memo in (cyclotomic._cached_roots, kloosterman._inverses):
+        for memo in (ffprime._generator_powers, kloosterman._inverses):
             info = memo.cache_info()
             assert info.currsize <= 1 and info.hits > 0, info
 

@@ -3,10 +3,11 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from klmoments.cyclotomic import CycInt, as_integer, enclose_sum
+from klmoments.convolve import cyclic_convolve
+from klmoments.cyclotomic import CycInt, _rader_cosines, as_integer
 from klmoments.errors import ZeroParameter
 from klmoments.ffprime import primes_in_range, primitive_root
-from klmoments.kloosterman import kl2_counts
+from klmoments.kloosterman import _orbit_operand, kl2_counts
 
 
 class TestKl2Counts:
@@ -46,8 +47,9 @@ class TestKl2Counts:
     @given(st.sampled_from(primes_in_range(3, 500)), st.data())
     def test_counts_are_one_plus_the_quadratic_character(self, p, data):
         # x + r/x = t  <=>  x^2 - t x + r = 0, which has 1 + chi(t^2 - 4r)
-        # roots, none of them 0. Both power-sum routes read these counts, so
-        # no comparison of the two routes could see a defect in them.
+        # roots, none of them 0. The exact route reads these counts, the
+        # float route this identity (_orbit_operand): chi here comes from a
+        # table of squares, not from the generator powers.
         r = data.draw(st.integers(1, p - 1))
         squares = {x * x % p for x in range(1, p)}
 
@@ -57,6 +59,23 @@ class TestKl2Counts:
 
         counts = kl2_counts(p, r)
         assert all(counts[t] == 1 + chi(t * t - 4 * r) for t in range(p))
+
+
+class TestOrbitOperand:
+    def test_equals_the_generator_order_fold_of_the_counts(self):
+        # the per-a reference: the counts of the inverse loop, read at
+        # t = g^j, folded onto one period L and flipped; p = 2 included
+        for p in primes_in_range(2, 1100):
+            g = primitive_root(p)
+            e = gcd(2, p - 1)
+            length = (p - 1) // e
+            for r in (1, g)[:e]:
+                counts = kl2_counts(p, r)
+                folded = [
+                    sum(counts[pow(g, j + k * length, p)] for k in range(e))
+                    for j in range(length)
+                ]
+                assert _orbit_operand(p, r) == (counts[0], folded[:1] + folded[:0:-1]), (p, r)
 
 
 def kl2_element(p, a):
@@ -86,15 +105,18 @@ class TestKl2Value:
 
 
 def orbit_enclosures(p, precision):
-    """{a: (lo, lo + w)} for every a in F_p^*, at scale 2**-precision, from
-    enclose_sum over the orbits of 1 and of g: entry i of the orbit of r
-    is a = g^(2i) r, and w is the orbit's width."""
+    """{a: (lo, lo + w)} for every a in F_p^*, at scale 2**-precision, as
+    power_sums_float encloses the orbits of 1 and of g: entry i of the
+    Rader correlation of r's operand with the root table is a = g^(2i) r,
+    and w = 2 (p - 1 - c_0) is the orbit's width."""
     g = primitive_root(p)
+    q_lo = _rader_cosines(p, precision)
     out = {}
     for r in (1, g)[: gcd(2, p - 1)]:
-        lows, width = enclose_sum(kl2_counts(p, r), precision)
-        for i, lo in enumerate(lows):
-            out[pow(g, 2 * i, p) * r % p] = (lo, lo + width)
+        c0, operand = _orbit_operand(p, r)
+        for i, e in enumerate(cyclic_convolve(q_lo, operand)):
+            lo = (c0 << precision) + e
+            out[pow(g, 2 * i, p) * r % p] = (lo, lo + 2 * (p - 1 - c0))
     assert sorted(out) == list(range(1, p))
     return out
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from klmoments import cyclotomic, moments
+from klmoments import cyclotomic, kloosterman, moments
 from klmoments.convolve import cyclic_convolve
 from klmoments.cyclotomic import CycInt, as_integer
 from klmoments.errors import (
@@ -363,34 +363,55 @@ class TestPowerSumsFloat:
     def test_values_at_an_edge_of_their_enclosure(self, monkeypatch, edge):
         # Kl_2(3; 1) = -1 and Kl_2(3; 2) = 2 are integers, one per orbit:
         # placed at either end of enclosures of the widest width the proof
-        # allows, 2(p - 1), the balls still hold them, so the tables are
-        # the exact ones
-        values = {kl2_counts(3, 1): -1, kl2_counts(3, 2): 2}
+        # allows, 2(p - 1) at c_0 = 0, the balls still hold them, so the
+        # tables are the exact ones. A root table of one 1 makes each
+        # orbit's one lower bound its operand's one entry
+        values = {1: -1, 2: 2}
         width = 4
         calls = []
 
-        def at_edge(counts, precision):
-            calls.append(counts)
-            low = values[counts] << precision
-            return [low - width if edge == "top" else low], width
+        def at_edge(p, r):
+            calls.append(r)
+            low = values[r] << precision
+            return 0, [low - width if edge == "top" else low]
 
-        monkeypatch.setattr(cyclotomic, "enclose_sum", at_edge)
+        monkeypatch.setattr(moments, "_orbit_operand", at_edge)
+        monkeypatch.setattr(cyclotomic, "_rader_cosines", lambda p, precision: [1])
         for nmax in (1, 2, 5, 8):
-            flt = power_sums_float(3, nmax, float_precision(3, nmax))
+            precision = float_precision(3, nmax)
+            flt = power_sums_float(3, nmax, precision)
             assert flt.values == power_sums_exact(3, nmax, COMPLETED).values
-        assert len(calls) == 8  # two orbits per table
+        assert calls == [1, 2] * 4  # two orbits per table
 
     def test_identities_checked_on_fresh_tables(self, monkeypatch):
         # integer stand-ins for Kl_2(5; a) whose completed sums meet the
         # mod-25 congruence, with S_1 = 1 but S_2 = 69 instead of 19; with
-        # g = 2 the orbit of 1 is a = 1, 4 and the orbit of 2 is a = 2, 3
-        fake = {kl2_counts(5, 1): [7, 0], kl2_counts(5, 2): [-4, -2]}
+        # g = 2 the orbit of 1 is a = 1, 4 and the orbit of 2 is a = 2, 3.
+        # c_0 = p - 1 makes every width 0, and the root table (1, 0) makes
+        # each lower bound c_0 2**64 + D_i
+        fake = {1: [7, 0], 2: [-4, -2]}
         monkeypatch.setattr(
-            cyclotomic, "enclose_sum",
-            lambda counts, precision: ([v << precision for v in fake[counts]], 0),
+            moments, "_orbit_operand",
+            lambda p, r: (p - 1, [(v - p + 1) << 64 for v in fake[r]]),
         )
+        monkeypatch.setattr(cyclotomic, "_rader_cosines", lambda p, precision: [1, 0])
         with pytest.raises(IdentityFailure, match="S_2"):
             power_sums_float(5, 2, 64)
+
+    @pytest.mark.parametrize("p, nmax", [(2, 12), (3, 8), (263, 5), (1009, 8)])
+    def test_reads_no_exponent_counts(self, monkeypatch, p, nmax):
+        # the operand comes from the quadratic character, so the float
+        # route runs with the inverse loop gone
+        exact = power_sums_exact(p, nmax, COMPLETED, exact_limit=p)
+
+        def no_counts(*args):
+            raise AssertionError("the float route counted exponents")
+
+        for module, name in ((kloosterman, "kl2_counts"), (moments, "kl2_counts"),
+                             (kloosterman, "_inverses")):
+            monkeypatch.setattr(module, name, no_counts)
+        table, _ = power_sums_float_auto(p, nmax)
+        assert table.values == exact.values
 
 
 class TestGirard:
