@@ -12,22 +12,23 @@ a signed product C unpacks from the two's-complement bytes of
 of 1, 2, 4 or 8 bytes, with the sign-extension bytes dropped or restored
 by strided byte copies; wider ones through int.to_bytes per entry.
 
-This is the one convolution kernel, and the only module that packs. It
-has two entry points. convolve_exact (and cyclic_convolve on top of it)
-takes the bound of _product_bound for each product, unpacks all the
-linear slots and folds a cyclic result as a list: the per-a products of
-moments.sym_moment_direct, the float route's correlations and the
-q-series products go through it (and CycInt's, which only tests form).
-cyclic_powers forms a whole chain of cyclic powers at one width from a
-bound the caller proves, and folds each product as a packed integer
-modulo 2**(8 w n) - 1: the exact power sums go through it.
+This is the one convolution kernel, and the only module that packs. A
+cyclic product modulo X**n - 1 is folded as a packed integer modulo
+2**(8 w n) - 1 (_fold) and unpacked into n slots. There are three entry
+points. convolve_exact takes the bound of _product_bound and unpacks
+every linear slot: the q-series products go through it.
+cyclic_convolve takes the same bound and folds: the float route's
+correlations, the per-a products of moments.sym_moment_direct and the
+tests' CycInt go through it. cyclic_powers forms a whole chain of cyclic
+powers at one width from a bound the caller proves, folding each
+product: the exact power sums go through it.
 """
 
 from __future__ import annotations
 
 import struct
 from math import isqrt
-from operator import add, mul
+from operator import mul
 from typing import Sequence
 
 # struct codes of the signed sizes, in bytes
@@ -87,11 +88,31 @@ def _unpack(c: int, count: int, width: int, signs: int) -> list[int]:
     return list(struct.unpack(f"<{count}{_STRUCT_CODES[size]}", raw))
 
 
-def convolve_exact(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Exact linear convolution of two integer sequences, as one product."""
-    if not a or not b:
-        return []
-    count = len(a) + len(b) - 1
+def _fold(x: int, modulus: int) -> int:
+    """The residue of x modulo M = modulus = 2**s - 1 in (-M/2, M/2], for
+    x the product of two integers in that range.
+
+    As 2**s = 1 mod M, x = (x & M) + (x >> s) mod M. With |x| <= M**2/4,
+    x >> s lies in [-M/4 - 1, M/4], so the sum lies in [-M/4 - 1, 5M/4],
+    and one subtraction of M when it exceeds M/2 (when its bit s - 1 or a
+    higher one is set) lands it in (-M/2, M/2], as M >= 255.
+
+    With X = 2**(8 w), M = X**n - 1 for n slots of w bytes, and the
+    residue range is exactly that of n signed slots. A product of two such
+    packed operands is then the packed cyclic product modulo X**n - 1,
+    provided each cyclic coefficient fits its slot: residues in a range of
+    M consecutive integers are unique. The linear coefficients need not fit.
+    """
+    shift = modulus.bit_length()
+    x = (x & modulus) + (x >> shift)
+    return x - modulus if x >> (shift - 1) > 0 else x
+
+
+def _product(
+    a: Sequence[int], b: Sequence[int], count: int, cyclic: bool
+) -> list[int]:
+    """a * b in count slots, as one product at the width of _product_bound;
+    cyclic reduces it modulo X**count - 1 by _fold before unpacking."""
     bound = _product_bound(a, b)
     if not bound:
         return [0] * count
@@ -100,17 +121,28 @@ def convolve_exact(a: Sequence[int], b: Sequence[int]) -> list[int]:
     signs = _sign_bits(count, width)
     packed = _pack(a, width, signs)
     product = packed * packed if a is b else packed * _pack(b, width, signs)
+    if cyclic:
+        product = _fold(product, (1 << 8 * width * count) - 1)
     return _unpack(product, count, width, signs)
 
 
+def convolve_exact(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Exact linear convolution of two integer sequences, as one product."""
+    if not a or not b:
+        return []
+    return _product(a, b, len(a) + len(b) - 1, cyclic=False)
+
+
 def cyclic_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Exact cyclic convolution modulo X**n - 1 (n = len(a) = len(b))."""
+    """Exact cyclic convolution modulo X**n - 1 (n = len(a) = len(b)).
+
+    Each cyclic coefficient sum_(i+j=k mod n) a_i b_j pairs a with a
+    permutation of b, so Cauchy-Schwarz bounds it by _product_bound too.
+    """
     n = len(a)
     if len(b) != n:
         raise ValueError("cyclic convolution needs equal lengths")
-    full = convolve_exact(a, b)
-    # full has 2n - 1 entries; entry n + t folds onto t
-    return list(map(add, full, full[n:])) + full[n - 1 : n]
+    return _product(a, b, n, cyclic=True)
 
 
 def cyclic_powers(v: Sequence[int], k: int, bound: int) -> list[list[int]]:
@@ -119,29 +151,19 @@ def cyclic_powers(v: Sequence[int], k: int, bound: int) -> list[list[int]]:
 
     bound must be at least |entry| of every one of those powers: it fixes
     one slot width w for the whole chain, so nothing is measured per
-    product. X = 2**(8 w) turns X**n - 1 into M = 2**(8 w n) - 1, and a
-    packed power is kept as the residue mod M in (-M/2, M/2], which is
-    exactly the range of n signed slots. v^(*j) is v^(*(j//2)) times
-    v^(*(j - j//2)): the exact product x folds to (x & M) + (x >> 8 w n),
-    since 2**(8 w n) = 1 mod M, and one subtraction of M brings it into
-    range. Only the cyclic coefficients must fit their slots; the linear
-    ones never do. Each power is unpacked once.
+    product. A packed power is kept as the residue modulo
+    M = 2**(8 w n) - 1 that _fold returns; v^(*j) is v^(*(j//2)) times
+    v^(*(j - j//2)), folded. Each power is unpacked once.
     """
     n = len(v)
     width = (bound.bit_length() + 8) // 8  # one more bit for the sign
     signs = _sign_bits(n, width)
-    shift = 8 * width * n
-    modulus = (1 << shift) - 1
-    half = modulus >> 1
+    modulus = (1 << 8 * width * n) - 1
     packed = [None, _pack(v, width, signs)]
     powers = [list(v)]
     for j in range(2, k + 1):
-        x = packed[j // 2] * packed[j - j // 2]
-        x = (x & modulus) + (x >> shift)
-        if x > half:
-            x -= modulus
-        packed.append(x)
-        powers.append(_unpack(x, n, width, signs))
+        packed.append(_fold(packed[j // 2] * packed[j - j // 2], modulus))
+        powers.append(_unpack(packed[j], n, width, signs))
     return powers
 
 

@@ -76,16 +76,6 @@ class Prime(int):
         return super().__new__(cls, value)
 
 
-def inverse_table(p: int) -> list[int]:
-    """inv[x] for all x in F_p (inv[0] = 0), built in O(p)."""
-    inv = [0] * p
-    if p > 1:
-        inv[1] = 1
-    for x in range(2, p):
-        inv[x] = (p - p // x) * inv[p % x] % p
-    return inv
-
-
 def primitive_root(p: int) -> int:
     """The least generator of F_p^* for the prime p (1 at p = 2).
 

@@ -15,13 +15,19 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import ZeroParameter
-from .ffprime import Prime, _generator_powers, inverse_table
+from .ffprime import Prime, _generator_powers
 
 
 @lru_cache(maxsize=1)  # callers count every a of one prime before the next
 def _inverses(p: int) -> tuple[int, ...]:
-    """inv[x] = x^-1 mod p for x in F_p (inv[0] = 0)."""
-    return tuple(inverse_table(p))
+    """inv[x] = x^-1 mod p for x in F_p (inv[0] = 0), built in O(p):
+    p = (p // x) x + p % x gives x^-1 = -(p // x) (p % x)^-1."""
+    inv = [0] * p
+    if p > 1:
+        inv[1] = 1
+    for x in range(2, p):
+        inv[x] = (p - p // x) * inv[p % x] % p
+    return tuple(inv)
 
 
 def kl2_counts(p: int, a: int) -> tuple[int, ...]:

@@ -30,7 +30,9 @@ girard       m^d = (-1)**d * sum_k (-1)**k C(d-k, k) p**k S_{d-2k}
              Girard conversion using alpha + beta = -Kl_2, alpha*beta = p.
 direct       per-a recurrence h_j = s*h_{j-1} - p*h_{j-2} in Z[zeta_p]
              with s = -Kl_2(p; a), summed over a, on coefficient vectors
-             (cyclic_convolve, shared with neither power-sum route).
+             (cyclic_convolve, as the float route's correlations; every
+             route folds through convolve's one fold, which the tests
+             check against a schoolbook product).
 appendix8    the fixed degree-8 polynomial in completed sums
              S'_8 - 7p S'_6 + 15p^2 S'_4 - 10p^3 S'_2
              + p^5 - p^4 + 10p^3 - 15p^2 + 7p - 1,

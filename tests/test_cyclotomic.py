@@ -142,6 +142,14 @@ def naive_convolution(a, b):
     return out
 
 
+def naive_cyclic(a, b):
+    """naive_convolution folded by hand modulo X**n - 1 (n = len(a))."""
+    out = [0] * len(a)
+    for t, c in enumerate(naive_convolution(a, b)):
+        out[t % len(a)] += c
+    return out
+
+
 class TestConvolveExact:
     @given(
         a=st.lists(KRONECKER_ENTRIES, min_size=1, max_size=40),
@@ -158,10 +166,18 @@ class TestConvolveExact:
         # the bound lands exactly on the edge, then one step past it
         for a, b in (([edge], [1]), ([edge, -edge, 1], [1, 1]), ([edge], [edge, 3])):
             assert convolve.convolve_exact(a, b) == naive_convolution(a, b)
+        # and so does a cyclic coefficient (in [0, edge] * [0, 1], the
+        # wrapped one)
+        for a, b in (([0, edge], [0, 1]), ([edge, -edge, 1], [1, 1, 0]), ([edge, 3], [edge, 3])):
+            assert convolve.cyclic_convolve(a, b) == naive_cyclic(a, b)
 
     def test_zero_operand_and_empty(self):
         assert convolve.convolve_exact([2**300, -5], [0, 0, 0]) == [0] * 4
         assert convolve.convolve_exact([], [1, 2]) == []
+        assert convolve.cyclic_convolve([2**300, -5], [0, 0]) == [0, 0]
+        assert convolve.cyclic_convolve([], []) == []
+        with pytest.raises(ValueError):
+            convolve.cyclic_convolve([1, 2], [1])
 
     def test_cyclic_matches_schoolbook(self):
         # scale 10**22 needs slots wider than 8 bytes
@@ -170,10 +186,21 @@ class TestConvolveExact:
             for scale in (5, 10**9, 10**22):
                 a = [rng.randrange(-scale, scale) for _ in range(p)]
                 b = [rng.randrange(-scale, scale) for _ in range(p)]
-                folded = [0] * p
-                for t, c in enumerate(naive_convolution(a, b)):
-                    folded[t % p] += c
-                assert convolve.cyclic_convolve(a, b) == folded
+                assert convolve.cyclic_convolve(a, b) == naive_cyclic(a, b)
+
+    @given(
+        a=st.lists(KRONECKER_ENTRIES, min_size=0, max_size=40),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_cyclic_equals_naive_fold(self, a, data):
+        b = data.draw(st.lists(KRONECKER_ENTRIES, min_size=len(a), max_size=len(a)))
+        assert convolve.cyclic_convolve(a, b) == naive_cyclic(a, b)
+        # a square packs its one operand once
+        assert convolve.cyclic_convolve(a, a) == naive_cyclic(a, a)
+        # a zero operand beside a huge one returns before anything is packed
+        huge = [2**300 + x for x in a]
+        assert convolve.cyclic_convolve(huge, [0] * len(a)) == [0] * len(a)
 
     @given(
         v=st.lists(KRONECKER_ENTRIES, min_size=1, max_size=40),
@@ -182,10 +209,11 @@ class TestConvolveExact:
     )
     @settings(max_examples=100, deadline=None)
     def test_cyclic_powers_equal_repeated_convolution(self, v, k, slack):
-        # the widest entry of the chain is the tightest admissible bound
+        # the widest entry of the chain is the tightest admissible bound;
+        # the reference shares no fold with the kernel
         chain = [v]
         for _ in range(k - 1):
-            chain.append(convolve.cyclic_convolve(chain[-1], v))
+            chain.append(naive_cyclic(chain[-1], v))
         bound = max(abs(x) for power in chain for x in power)
         assert convolve.cyclic_powers(v, k, bound) == chain
         assert convolve.cyclic_powers(v, k, bound + slack) == chain

@@ -29,6 +29,7 @@ from klmoments.evans import (
     trace_middle,
 )
 from klmoments.ffprime import is_prime, jacobi_symbol, primes_in_range
+from klmoments.invariants import GOOD, dim_m_middle, is_good
 from klmoments.modforms import prime_coefficients, registry_expansion
 from klmoments.moments import (
     METHOD_FLOAT,
@@ -393,6 +394,43 @@ class TestRegistryForms:
         assert summary.rows == summary.passed == 11
         assert all(checks_by_name(r)["registry_match"] for r in rows)
         assert all(r.source == "registry-form" for r in rows)
+
+
+class TestRamification:
+    # c_p(d) is the codimension of the inertia invariants at p in
+    # trace_middle's model, a lower bound for the conductor exponent, with
+    # equality where p is tame. p = 2 is left out: trace_middle defines
+    # even d at p = 2 only for d = 2.
+    @pytest.mark.parametrize("d, conductor", [
+        (3, 3),  # the conductor of (p/3) in Salie's S_3
+        (5, 15),  # REGISTRY[5]'s level and the modulus of its character
+        (6, 3),  # the odd part of level 6
+        (7, 105),  # the modulus of evans_d7's twist (p/105)
+        (8, 3),  # the odd part of level 6
+    ])
+    def test_conductor_from_local_invariants(self, d, conductor):
+        product = 1
+        for p in primes_in_range(3, d):
+            c = dim_m_middle(d, GOOD) - dim_m_middle(d, p) - (d % 2 == 0) * (d // (2 * p))
+            assert c >= 0
+            product *= p**c
+        assert product == conductor
+
+    @pytest.mark.parametrize("d", sorted(evans._EXCLUDED))
+    def test_excluded_primes_are_bad(self, d):
+        excluded, _ = evans._EXCLUDED[d]
+        assert all(not is_good(d, p) for p in excluded)
+
+    @pytest.mark.parametrize("d, pipeline, p", [
+        (6, evans_d6, 2),
+        (6, evans_d6, 3),
+        (8, evans_d8, 3),
+    ])
+    def test_accepted_bad_primes_pass(self, engine_200, d, pipeline, p):
+        assert not is_good(d, p)
+        coeffs = prime_coefficients(registry_expansion(d, p), p)
+        r = matched(pipeline(p, engine_200), coeffs)
+        assert r.passed and checks_by_name(r)["registry_match"]
 
 
 class TestBatchReport:

@@ -7,12 +7,12 @@ from klmoments.errors import EvenInput, EvenModulus
 from klmoments.ffprime import (
     Prime,
     double_factorial,
-    inverse_table,
     is_prime,
     jacobi_symbol,
     primes_in_range,
     primitive_root,
 )
+from klmoments.kloosterman import _inverses
 
 
 class TestPrimality:
@@ -57,20 +57,20 @@ class TestPrimality:
 
 
 class TestModInverse:
-    # inverse_table is the inverse kl2_counts uses
+    # _inverses is the inverse kl2_counts uses
     def test_identity(self):
-        assert inverse_table(7)[1] == 1
+        assert _inverses(7)[1] == 1
 
     def test_example(self):
-        assert inverse_table(7)[3] == 5
+        assert _inverses(7)[3] == 5
 
     def test_zero(self):
         # 0 has no inverse; the table holds 0 in its place
-        assert inverse_table(5)[0] == 0
+        assert _inverses(5)[0] == 0
 
     def test_involution(self):
         for p in (2, 3, 5, 7, 11, 101):
-            inv = inverse_table(p)
+            inv = _inverses(p)
             for x in range(1, p):
                 assert x * inv[x] % p == 1
                 assert inv[inv[x]] == x

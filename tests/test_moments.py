@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,6 +27,7 @@ from klmoments.moments import (
     sym_moment_appendix8,
     sym_moment_direct,
     sym_moment_girard,
+    table_size,
 )
 
 
@@ -538,6 +541,20 @@ class TestLargePrimePaths:
             assert mv.method == "girard-float"
             assert mv.value == sym_moment_girard(p, d, exact).value
         assert engine.float_primes == [p]
+
+
+class TestTableSize:
+    # TABLE_CEILING refuses a table by table_size = p nmax**2 w, so it is
+    # sound only while w bounds the width that each route works at
+    def test_widths_bound_both_routes(self):
+        for p in primes_in_range(2, 2999):
+            for nmax in range(1, 61):
+                rows = p * nmax * nmax
+                float_width = table_size(p, nmax, moments.METHOD_FLOAT) // rows
+                exact_width = table_size(p, nmax, moments.METHOD_EXACT) // rows
+                assert float_width >= float_precision(p, nmax), (p, nmax)
+                weil = isqrt((4 * p) ** ((nmax + 1) // 2))
+                assert exact_width >= weil.bit_length(), (p, nmax)
 
 
 class TestMomentSelector:
